@@ -86,6 +86,17 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x)
 
 
+def _speed_of_flux(rho, q, rho_jam, v0):
+    """Mean speed q/rho, taking the rho -> 0 limit v0 below 1e-12*rho_jam.
+
+    The parameters may be scalars or per-cell arrays; the simulator's
+    per-cell table and ``FundamentalDiagram.speed`` both evaluate it.
+    """
+    tiny = rho < 1e-12 * rho_jam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tiny, v0, q / np.where(tiny, 1.0, rho))
+
+
 class FundamentalDiagram(abc.ABC):
     """Unimodal flux-density law with demand/supply transforms.
 
@@ -160,11 +171,10 @@ class FundamentalDiagram(abc.ABC):
     def speed(self, rho):
         """Mean speed v = Q(rho)/rho in km/s, with the rho -> 0 limit."""
         r = self._check_density(rho)
-        tiny = r < 1e-12 * self.rho_jam
-        v0 = self.derivative(0.0, side=+1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.where(tiny, v0, self.flux_curve(r) / np.where(tiny, 1.0, r))
-        return _scalarize(v)
+        return _scalarize(
+            _speed_of_flux(r, self.flux_curve(r), self.rho_jam,
+                           self.derivative(0.0, side=+1))
+        )
 
     def eo_split(self, rho) -> tuple:
         """The (g, h) split of the shifted flux, k = rho_crit - rho.
@@ -245,6 +255,15 @@ class FundamentalDiagram(abc.ABC):
         return float(np.max(np.abs(slopes)))
 
 
+# Family flux formulas.  Each takes its parameters as scalars (the
+# diagram's own methods) or as per-cell arrays (the simulator's table),
+# so both paths evaluate one floating-point expression.
+
+
+def _greenshields_flux(rho, v_free, rho_jam):
+    return v_free * rho * (1.0 - rho / rho_jam)
+
+
 @dataclass
 class GreenshieldsDiagram(FundamentalDiagram):
     """Parabolic law Q(rho) = v_free * rho * (1 - rho/rho_jam).
@@ -266,7 +285,7 @@ class GreenshieldsDiagram(FundamentalDiagram):
         super().__init__()
 
     def flux_curve(self, rho):
-        return self.v_free * rho * (1.0 - rho / self.rho_jam)
+        return _greenshields_flux(rho, self.v_free, self.rho_jam)
 
     def _locate_critical(self):
         return 0.5 * self.rho_jam, 0.25 * self.v_free * self.rho_jam
@@ -277,6 +296,18 @@ class GreenshieldsDiagram(FundamentalDiagram):
 
     def _scan_max_speed(self):
         return self.v_free
+
+
+def _triangular_flux(rho, v_free, v_cong, rho_jam, q_max):
+    return np.minimum(np.minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
+
+
+def _triangular_demand(rho, v_free, peak):
+    return np.minimum(v_free * rho, peak)
+
+
+def _triangular_supply(rho, v_cong, rho_jam, peak):
+    return np.minimum(v_cong * (rho_jam - rho), peak)
 
 
 @dataclass
@@ -316,24 +347,23 @@ class TriangularDiagram(FundamentalDiagram):
         super().__init__()
 
     def flux_curve(self, rho):
-        return np.minimum(
-            np.minimum(self.v_free * np.asarray(rho, dtype=float),
-                       self.v_cong * (self.rho_jam - np.asarray(rho, dtype=float))),
-            self.q_max,
-        )
+        return _triangular_flux(np.asarray(rho, dtype=float), self.v_free,
+                                self.v_cong, self.rho_jam, self.q_max)
 
     def _locate_critical(self):
         return self._left_edge, self._peak
 
     def demand(self, rho):
         # exact sending flow: the CTM form min(v_free*rho, peak)
-        return _scalarize(np.minimum(self.v_free * self._check_density(rho), self._peak))
+        return _scalarize(
+            _triangular_demand(self._check_density(rho), self.v_free, self._peak)
+        )
 
     def supply(self, rho):
         # exact receiving flow: min(v_cong*(rho_jam - rho), peak)
         return _scalarize(
-            np.minimum(self.v_cong * (self.rho_jam - self._check_density(rho)),
-                       self._peak)
+            _triangular_supply(self._check_density(rho), self.v_cong,
+                               self.rho_jam, self._peak)
         )
 
     def derivative(self, rho, side=0):
@@ -369,6 +399,15 @@ _KK_GAIN = 5.0461
 _KK_MIDPOINT = 0.25
 _KK_WIDTH = 0.06
 _KK_OFFSET = 3.72e-6
+
+
+def _kk_speed(rho, rho_jam, speed_scale):
+    logistic = 1.0 / (1.0 + np.exp((rho / rho_jam - _KK_MIDPOINT) / _KK_WIDTH))
+    return _KK_GAIN * (logistic - _KK_OFFSET) * speed_scale
+
+
+def _kk_flux(rho, rho_jam, speed_scale):
+    return rho * _kk_speed(rho, rho_jam, speed_scale)
 
 
 @dataclass
@@ -407,16 +446,15 @@ class KernerKonhauserDiagram(FundamentalDiagram):
         if self.tau <= 0 or self.unit_len <= 0:
             raise ValueError("tau and unit_len must be positive")
         self.rho_jam = self.lanes * self.rho_jam_lane
+        self._speed_scale = self.unit_len / self.tau
         super().__init__()
 
     def speed_curve(self, rho):
         """V(rho) in km/s."""
-        x = np.asarray(rho, dtype=float) / self.rho_jam
-        logistic = 1.0 / (1.0 + np.exp((x - _KK_MIDPOINT) / _KK_WIDTH))
-        return _KK_GAIN * (logistic - _KK_OFFSET) * (self.unit_len / self.tau)
+        return _kk_speed(np.asarray(rho, dtype=float), self.rho_jam, self._speed_scale)
 
     def flux_curve(self, rho):
-        return np.asarray(rho, dtype=float) * self.speed_curve(rho)
+        return _kk_flux(np.asarray(rho, dtype=float), self.rho_jam, self._speed_scale)
 
 
 def find_critical(fd: FundamentalDiagram) -> tuple[float, float]:

@@ -18,6 +18,16 @@ Topology is a ring (interface 0 wraps) or open, in which case demand
 enters from the left and supply limits the right exit, both as
 functions of time.
 
+A grid builds a per-cell parameter table once: one part per built-in
+diagram family, holding that family's cell indices and per-cell
+parameter arrays, plus one part per diagram object of any other class.
+Demand, supply, flux and speed of every cell come from one pass over
+the parts, each part evaluating the same formula functions as the
+diagram methods, so the results equal ``fd.demand`` etc. bit for bit.
+One kernel, ``_march``, serves ``step``, ``run`` and the CLI; it checks
+all densities once per step and stops with the step, cell and density
+of the first one outside [0, rho_jam].
+
 Stability requires the CFL number max|Q'| * dt / dx to stay at or
 below 1; runs refuse anything above 0.95 unless explicitly overridden.
 """
@@ -25,13 +35,27 @@ below 1; runs refuse anything above 0.95 unless explicitly overridden.
 from __future__ import annotations
 
 import bisect
+import copy
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental_diagram import FundamentalDiagram
+from .fundamental_diagram import (
+    DENSITY_SLACK,
+    FundamentalDiagram,
+    GreenshieldsDiagram,
+    KernerKonhauserDiagram,
+    TriangularDiagram,
+    _greenshields_flux,
+    _kk_flux,
+    _speed_of_flux,
+    _triangular_demand,
+    _triangular_flux,
+    _triangular_supply,
+)
 
 __all__ = [
     "ConfigError",
@@ -105,9 +129,11 @@ class BoundarySpec:
 class SimGrid:
     """Cell densities plus one diagram per cell.
 
-    ``boundaries=None`` makes the road a ring.  Consecutive cells with
-    the same diagram object are grouped once at construction so demand
-    and supply evaluate vectorized per group.
+    ``boundaries=None`` makes the road a ring.  Construction builds the
+    per-cell parameter table (see the module docstring) that every
+    demand, supply, flux and speed evaluation of the grid goes through;
+    ``with_density`` copies share it.  ``rho_jam`` is the per-cell jam
+    density array.
     """
 
     def __init__(self, fds: Sequence[FundamentalDiagram], rho,
@@ -121,13 +147,12 @@ class SimGrid:
                 f"need one diagram per cell and at least 2 cells, got "
                 f"{len(self.fds)} diagrams / {self.rho.size} densities"
             )
-        if self.dx <= 0:
-            raise ConfigError("dx must be positive")
-        self._groups = _group_runs(self.fds)
-        self.rho_jam = np.concatenate(
-            [np.full(hi - lo, fd.rho_jam) for lo, hi, fd in self._groups]
-        )
-        bad = (self.rho < 0) | (self.rho > self.rho_jam)
+        if not (self.dx > 0 and math.isfinite(self.dx)):
+            raise ConfigError(f"dx must be positive and finite, got {self.dx!r}")
+        self._table = _CellTable(self.fds)
+        self.rho_jam = self._table.rho_jam
+        # written so that NaN fails it
+        bad = ~((self.rho >= 0) & (self.rho <= self.rho_jam))
         if np.any(bad):
             raise ConfigError(
                 f"initial densities outside [0, rho_jam] in cells "
@@ -147,50 +172,194 @@ class SimGrid:
         return (np.arange(self.n) + 0.5) * self.dx
 
     def demand_supply(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
-        rho = self.rho if rho is None else rho
-        d = np.empty(self.n)
-        s = np.empty(self.n)
-        for lo, hi, fd in self._groups:
-            d[lo:hi] = fd.demand(rho[lo:hi])
-            s[lo:hi] = fd.supply(rho[lo:hi])
-        return d, s
+        """Per-cell demand and supply (veh/s)."""
+        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
+        return self._table.demand_supply(self._table.clamp(rho))
 
     def flux_speed(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
-        """Per-cell equilibrium flux (veh/s) and speed (km/s)."""
-        rho = self.rho if rho is None else rho
-        q = np.empty(self.n)
-        v = np.empty(self.n)
-        for lo, hi, fd in self._groups:
-            q[lo:hi] = fd.flux(rho[lo:hi])
-            v[lo:hi] = fd.speed(rho[lo:hi])
-        return q, v
+        """Per-cell equilibrium flux (veh/s) and speed (km/s).
+
+        ``rho`` may carry leading axes, such as one row per snapshot.
+        """
+        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
+        return self._table.flux_speed(self._table.clamp(rho))
 
     def total_vehicles(self, rho=None) -> float:
         rho = self.rho if rho is None else rho
         return float(np.sum(rho) * self.dx)
 
     def max_wave_speed(self) -> float:
-        return max(fd.max_wave_speed() for _, _, fd in self._groups)
+        return max(fd.max_wave_speed() for fd in self._table.diagrams)
 
     def with_density(self, rho) -> "SimGrid":
-        g = object.__new__(SimGrid)
-        g.fds = self.fds
-        g.rho = np.asarray(rho, dtype=float).copy()
-        g.dx = self.dx
-        g.boundaries = self.boundaries
-        g._groups = self._groups
-        g.rho_jam = self.rho_jam
-        return g
+        """The same road holding a copy of ``rho``."""
+        grid = copy.copy(self)
+        grid.rho = np.asarray(rho, dtype=float).copy()
+        return grid
 
 
-def _group_runs(fds) -> list[tuple[int, int, FundamentalDiagram]]:
-    groups = []
-    start = 0
-    for i in range(1, len(fds) + 1):
-        if i == len(fds) or fds[i] is not fds[start]:
-            groups.append((start, i, fds[start]))
-            start = i
-    return groups
+class _FamilyPart:
+    """Cells of one built-in family with per-cell parameter arrays.
+
+    ``cells`` indexes the road (None: every cell); ``diagrams`` are the
+    part's distinct diagram objects and ``which`` maps each of its cells
+    to one of them.  ``flux`` is the family's formula and ``names`` the
+    diagram attributes it takes, in order.  Demand and supply are
+    Q(min(rho, rho_crit)) and Q(max(rho, rho_crit)) as in
+    ``FundamentalDiagram``, evaluated in one formula pass over both
+    halves of a stacked array.
+    """
+
+    flux: Callable
+    names: tuple[str, ...]
+
+    def __init__(self, cells, diagrams, which):
+        self.cells = cells
+        self.diagrams = diagrams
+        self.which = which
+        self.rho_jam = self.column("rho_jam")
+        self.rho_crit = self.column("rho_crit")
+        self.params = [self.column(name) for name in self.names]
+        self.params_twice = [np.tile(p, 2) for p in self.params]
+
+    def column(self, name: str) -> np.ndarray:
+        """Per-cell values of a diagram attribute."""
+        return np.array([getattr(fd, name) for fd in self.diagrams],
+                        dtype=float)[self.which]
+
+    def demand_supply(self, rho):
+        m = self.which.size
+        both = np.empty(2 * m)
+        np.minimum(rho, self.rho_crit, out=both[:m])
+        np.maximum(rho, self.rho_crit, out=both[m:])
+        q = self.flux(both, *self.params_twice)
+        return q[:m], q[m:]
+
+    def flux_speed(self, rho):
+        q = self.flux(rho, *self.params)
+        v0 = np.array([fd.derivative(0.0, side=+1) for fd in self.diagrams])
+        return q, _speed_of_flux(rho, q, self.rho_jam, v0[self.which])
+
+
+class _GreenshieldsPart(_FamilyPart):
+    flux = staticmethod(_greenshields_flux)
+    names = ("v_free", "rho_jam")
+
+
+class _KernerKonhauserPart(_FamilyPart):
+    flux = staticmethod(_kk_flux)
+    names = ("rho_jam", "_speed_scale")
+
+
+class _TriangularPart(_FamilyPart):
+    flux = staticmethod(_triangular_flux)
+    names = ("v_free", "v_cong", "rho_jam", "q_max")
+
+    def __init__(self, cells, diagrams, which):
+        super().__init__(cells, diagrams, which)
+        self.v_free = self.column("v_free")
+        self.v_cong = self.column("v_cong")
+        self.peak = self.column("_peak")
+
+    def demand_supply(self, rho):
+        return (_triangular_demand(rho, self.v_free, self.peak),
+                _triangular_supply(rho, self.v_cong, self.rho_jam, self.peak))
+
+
+class _DiagramPart:
+    """Cells of one diagram object whose class has no table form (a user
+    subclass, or one overriding the flux), evaluated by its own methods."""
+
+    def __init__(self, cells, fd):
+        self.cells = cells
+        self.fd = fd
+
+    def demand_supply(self, rho):
+        return self.fd.demand(rho), self.fd.supply(rho)
+
+    def flux_speed(self, rho):
+        return self.fd.flux(rho), self.fd.speed(rho)
+
+
+# Exact classes only: a subclass may override any method the table
+# stands in for, so it is evaluated through its own methods.
+_TABLE_FORMS = {
+    GreenshieldsDiagram: _GreenshieldsPart,
+    KernerKonhauserDiagram: _KernerKonhauserPart,
+    TriangularDiagram: _TriangularPart,
+}
+
+
+class _CellTable:
+    """The per-cell parameter table of a road: its parts, the distinct
+    diagram objects and the per-cell jam density."""
+
+    def __init__(self, fds: Sequence[FundamentalDiagram]):
+        self.n = len(fds)
+        self.diagrams = list({id(fd): fd for fd in fds}.values())
+        position = {id(fd): k for k, fd in enumerate(self.diagrams)}
+        which = np.array([position[id(fd)] for fd in fds])
+        # part key -> positions of its diagrams in self.diagrams
+        members_of: dict[object, list[int]] = {}
+        for k, fd in enumerate(self.diagrams):
+            key = type(fd) if type(fd) in _TABLE_FORMS else k
+            members_of.setdefault(key, []).append(k)
+        self.parts = []
+        for key, members in members_of.items():
+            cells = np.flatnonzero(np.isin(which, members))
+            local = np.searchsorted(members, which[cells])  # members ascend
+            if len(members_of) == 1:
+                cells = None
+            diagrams = [self.diagrams[k] for k in members]
+            if key in _TABLE_FORMS:
+                part = _TABLE_FORMS[key](cells, diagrams, local)
+            else:
+                part = _DiagramPart(cells, diagrams[0])
+            self.parts.append(part)
+        self.rho_jam = np.array([fd.rho_jam for fd in self.diagrams],
+                                dtype=float)[which]
+        self._upper = self.rho_jam + DENSITY_SLACK
+
+    def clamp(self, rho, scratch=None, steps=None):
+        """``rho`` with drift of up to DENSITY_SLACK beyond [0, rho_jam]
+        clamped away; any other density (NaN included) raises ValueError
+        naming its cell, and ``steps`` when given."""
+        gap = np.subtract(self.rho_jam, rho, out=scratch)
+        np.minimum(gap, rho, out=gap)
+        if gap.min() >= 0.0:  # NaN fails this
+            return rho
+        bad = ~((rho >= -DENSITY_SLACK) & (rho <= self._upper))
+        if np.any(bad):
+            k = int(np.flatnonzero(bad)[0])
+            cell = k % self.n
+            when = "" if steps is None else f" after {steps} steps"
+            raise ValueError(
+                f"density {float(rho.flat[k])!r} veh/km in cell {cell}{when} lies "
+                f"outside [0, {self.rho_jam[cell]:g}] veh/km"
+            )
+        return np.where(rho < 0.0, 0.0, np.minimum(rho, self.rho_jam))
+
+    def demand_supply(self, rho, d=None, s=None):
+        """Per-cell demand and supply of clamped densities, written into
+        ``d`` and ``s`` unless one part covers the whole road."""
+        if len(self.parts) == 1:
+            return self.parts[0].demand_supply(rho)
+        d = np.empty(self.n) if d is None else d
+        s = np.empty(self.n) if s is None else s
+        for part in self.parts:
+            d[part.cells], s[part.cells] = part.demand_supply(rho[part.cells])
+        return d, s
+
+    def flux_speed(self, rho):
+        """Per-cell flux and speed of clamped densities, over the last axis."""
+        if len(self.parts) == 1:
+            return self.parts[0].flux_speed(rho)
+        q = np.empty(rho.shape)
+        v = np.empty(rho.shape)
+        for part in self.parts:
+            q[..., part.cells], v[..., part.cells] = part.flux_speed(
+                rho[..., part.cells])
+        return q, v
 
 
 def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
@@ -227,8 +396,8 @@ class StepConfig:
     allow_high_cfl: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
 
 
 def sd_flux(fd_left: FundamentalDiagram, rho_left: float,
@@ -273,11 +442,42 @@ def _check_cfl(grid: SimGrid, cfg: StepConfig) -> None:
 
 def _boundary_value(fn, t: float, cap: float, what: str) -> float:
     value = float(fn(t))
-    if value < 0 or value > cap + 1e-9:
+    if not 0 <= value <= cap + 1e-9:  # NaN fails this
         raise ConfigError(
             f"boundary {what}({t}) = {value} veh/s outside [0, {cap:.6g}]"
         )
     return value
+
+
+def _fill_fluxes(grid: SimGrid, cfg: StepConfig, rho: np.ndarray,
+                 rc: np.ndarray, t: float, f: np.ndarray, d=None, s=None) -> None:
+    """Write the n+1 interface fluxes at time t into ``f``: f[i] crosses
+    into cell i from cell i-1, and f[0] = f[n] is the wrap on a ring.
+
+    ``rc`` is ``rho`` clamped by the table; the osher rule scans the raw
+    densities, the supply-demand rule reads the table (into ``d``/``s``
+    when given).
+    """
+    table = grid._table
+    if cfg.flux_rule is FluxRule.OSHER:
+        if len(table.diagrams) > 1:
+            raise ConfigError("osher flux rule requires a homogeneous road")
+        fd = grid.fds[0]
+        f[1:-1] = [osher_flux(fd, rho[i - 1], rho[i]) for i in range(1, grid.n)]
+        if grid.is_ring:
+            f[0] = f[-1] = osher_flux(fd, rho[-1], rho[0])
+            return
+        d, s = table.demand_supply(rc, d, s)
+    else:
+        d, s = table.demand_supply(rc, d, s)
+        np.minimum(d[:-1], s[1:], out=f[1:-1])
+        if grid.is_ring:
+            f[0] = f[-1] = min(d[-1], s[0])
+            return
+    f[0] = min(_boundary_value(grid.boundaries.left_demand, t,
+                               grid.fds[0].capacity, "left demand"), s[0])
+    f[-1] = min(d[-1], _boundary_value(grid.boundaries.right_supply, t,
+                                       grid.fds[-1].capacity, "right supply"))
 
 
 def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarray:
@@ -286,46 +486,59 @@ def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarr
     Ring: n entries, entry i crossing into cell i from cell i-1 (entry 0
     wraps).  Open: n+1 entries including the two boundary fluxes.
     """
-    rho = grid.rho
-    use_osher = cfg.flux_rule is FluxRule.OSHER
-    if use_osher:
-        if len({id(fd) for fd in grid.fds}) > 1:
-            raise ConfigError("osher flux rule requires a homogeneous road")
-        fd = grid.fds[0]
-        inner = np.array([osher_flux(fd, rho[i - 1], rho[i])
-                          for i in range(1, grid.n)])
-        d = s = None
-    else:
-        d, s = grid.demand_supply()
-        inner = np.minimum(d[:-1], s[1:])
+    f = np.empty(grid.n + 1)
+    _fill_fluxes(grid, cfg, grid.rho, grid._table.clamp(grid.rho), t, f)
+    return f[:-1] if grid.is_ring else f
 
-    if grid.is_ring:
-        if use_osher:
-            wrap = osher_flux(fd, rho[-1], rho[0])
-        else:
-            wrap = min(d[-1], s[0])
-        return np.concatenate(([wrap], inner))
 
-    if use_osher:
-        d, s = grid.demand_supply()
-    left = min(_boundary_value(grid.boundaries.left_demand, t,
-                               grid.fds[0].capacity, "left demand"), s[0])
-    right = min(d[-1], _boundary_value(grid.boundaries.right_supply, t,
-                                       grid.fds[-1].capacity, "right supply"))
-    return np.concatenate(([left], inner, [right]))
+def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
+           t0: float = 0.0):
+    """The step kernel: ``n_steps`` conservative updates of ``grid.rho``
+    from time t0.
+
+    Records the state after every ``record_every``-th step and after the
+    last one.  Returns the recorded step counts (0 for the initial
+    state), the recorded densities, the largest per-cell change of the
+    step that produced each (0 for the initial state), and the vehicles
+    that crossed in at the left and out at the right (interface 0 on a
+    ring, both ways).
+    """
+    _check_cfl(grid, cfg)
+    table = grid._table
+    n = grid.n
+    dt = cfg.dt
+    r = dt / grid.dx
+    rho = grid.rho.copy()
+    nxt = np.empty(n)
+    change = np.empty(n)
+    scratch = np.empty(n)
+    d = np.empty(n)
+    s = np.empty(n)
+    f = np.empty(n + 1)
+    f_in, f_out = f[:-1], f[1:]
+    steps, snaps, deltas = [0], [rho.copy()], [0.0]
+    inflow = outflow = 0.0
+    for j in range(n_steps):
+        rc = table.clamp(rho, scratch, j)
+        _fill_fluxes(grid, cfg, rho, rc, t0 + j * dt, f, d, s)
+        np.subtract(f_out, f_in, out=change)
+        np.multiply(change, r, out=change)
+        np.subtract(rho, change, out=nxt)
+        inflow += f[0] * dt
+        outflow += f[-1] * dt
+        if (j + 1) % record_every == 0 or j + 1 == n_steps:
+            steps.append(j + 1)
+            snaps.append(nxt.copy())
+            deltas.append(float(np.max(np.abs(nxt - rho))))
+        rho, nxt = nxt, rho
+    table.clamp(rho, scratch, n_steps)
+    return steps, snaps, deltas, inflow, outflow
 
 
 def step(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> SimGrid:
     """One conservative update; returns a new grid sharing the diagrams."""
-    _check_cfl(grid, cfg)
-    q = interface_fluxes(grid, cfg, t)
-    r = cfg.dt / grid.dx
-    if grid.is_ring:
-        out = np.concatenate((q[1:], q[:1]))
-        rho_new = grid.rho - r * (out - q)
-    else:
-        rho_new = grid.rho - r * (q[1:] - q[:-1])
-    return grid.with_density(rho_new)
+    _, snaps, _, _, _ = _march(grid, cfg, 1, 1, t)
+    return grid.with_density(snaps[-1])
 
 
 @dataclass
@@ -376,48 +589,19 @@ def run(grid: SimGrid, cfg: StepConfig, duration: float,
     for a ring (where they coincide and the ledger reduces to exact
     conservation).
     """
-    _check_cfl(grid, cfg)
-    if duration < 0:
-        raise ConfigError("duration must be nonnegative")
+    if not (duration >= 0 and math.isfinite(duration / cfg.dt)):
+        raise ConfigError(
+            f"duration must be finite and nonnegative, got {duration!r}"
+        )
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
     n_steps = int(round(duration / cfg.dt))
-
-    rho = grid.rho.copy()
-    times = [0.0]
-    snaps = [rho.copy()]
-    deltas = [0.0]
-    inflow = outflow = 0.0
-    r = cfg.dt / grid.dx
-    ring = grid.is_ring
-    work = grid.with_density(rho)
-
-    last_delta = 0.0
-    for j in range(n_steps):
-        t = j * cfg.dt
-        work.rho = rho
-        q = interface_fluxes(work, cfg, t)
-        if ring:
-            out = np.concatenate((q[1:], q[:1]))
-            rho_new = rho - r * (out - q)
-            inflow += q[0] * cfg.dt
-            outflow += q[0] * cfg.dt
-        else:
-            rho_new = rho - r * (q[1:] - q[:-1])
-            inflow += q[0] * cfg.dt
-            outflow += q[-1] * cfg.dt
-        last_delta = float(np.max(np.abs(rho_new - rho)))
-        rho = rho_new
-        if (j + 1) % record_every == 0 or j + 1 == n_steps:
-            times.append((j + 1) * cfg.dt)
-            snaps.append(rho.copy())
-            deltas.append(last_delta)
-
-    final = grid.with_density(rho)
-    per_snap = [final.flux_speed(snap) for snap in snaps]
-    q_arr = np.array([fq for fq, _ in per_snap])
-    v_arr = np.array([fv for _, fv in per_snap])
-    return SimRecord(final, np.array(times), np.array(snaps), v_arr, q_arr,
+    steps, snaps, deltas, inflow, outflow = _march(grid, cfg, n_steps,
+                                                   record_every)
+    rho = np.array(snaps)
+    q, v = grid.flux_speed(rho)
+    return SimRecord(grid.with_density(snaps[-1]),
+                     np.array([k * cfg.dt for k in steps]), rho, v, q,
                      inflow, outflow, np.array(deltas))
 
 

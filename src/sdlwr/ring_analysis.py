@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .fundamental_diagram import FundamentalDiagram
 from .riemann_solver import StationaryPattern, stationary_pair_check
@@ -298,14 +297,14 @@ def vehicles_of_initial(spec: RingSpec, rho0: float, amplitude: float = 0.0,
     (1e4 panels).  Raises when the profile leaves [0, rho_jam] anywhere.
     """
     if lane_profile is not None:
-        x = np.linspace(0.0, spec.L, 10_001)
+        x = np.linspace(0.0, spec.L, _SIMPSON_PANELS + 1)
         base = rho0 + amplitude * np.sin(2.0 * np.pi * x / spec.L)
         lanes = np.array([lane_profile(xx) for xx in x])
         total = lanes * base
         jam = np.where(x < spec.L1, spec.fd1.rho_jam, spec.fd2.rho_jam)
         if np.any(total < -1e-12) or np.any(total > jam + 1e-12):
             raise ValueError("initial profile leaves [0, rho_jam]")
-        return float(simpson(total, x=x))
+        return _simpson(total, spec.L / _SIMPSON_PANELS)
 
     _check_initial_range(spec, rho0, amplitude)
     w1, w2 = _lane_weight(spec.fd1), _lane_weight(spec.fd2)
@@ -314,6 +313,14 @@ def vehicles_of_initial(spec: RingSpec, rho0: float, amplitude: float = 0.0,
     n1 = w1 * (rho0 * spec.L1 + amplitude * sine_l1)
     n2 = w2 * (rho0 * spec.L2_len - amplitude * sine_l1)
     return n1 + n2
+
+
+_SIMPSON_PANELS = 10_000  # even, as composite Simpson needs
+
+
+def _simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule over an even number of panels of width h."""
+    return float(h / 3.0 * np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2]))
 
 
 def _check_initial_range(spec: RingSpec, rho0: float, amplitude: float) -> None:

@@ -1,9 +1,14 @@
 """CLI: config validation, reports, CSV output, self-checks."""
 
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import sdlwr
 from sdlwr import ConfigError
 from sdlwr.cli import main, parse_config
 
@@ -368,3 +373,18 @@ def test_override_cfl_flag_end_to_end(tmp_path, capsys):
                  "--override-cfl"])
     assert code == 0
     assert "simulation summary" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    """Every CLI call pays ``import sdlwr``; scipy must not ride along."""
+    src = str(Path(sdlwr.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sdlwr; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,8 @@
 """Finite-volume simulator: fluxes, stepping, conservation, detection."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +12,12 @@ from sdlwr import (
     ConfigError,
     FluxRule,
     GreenshieldsDiagram,
+    KernerKonhauserDiagram,
     RiemannProblem,
     SimGrid,
     StepConfig,
     StepFunction,
+    TriangularDiagram,
     boundary_flux,
     cfl_number,
     detect_interior_states,
@@ -308,3 +313,144 @@ def test_grid_from_segments_layout(gs, kk1):
 def test_grid_requires_two_cells(gs):
     with pytest.raises(ConfigError, match="at least 2 cells"):
         grid_from_segments([(gs, 1)], dx=1.0, rho=1.0)
+
+
+# -- the per-cell parameter table ----------------------------------------
+
+
+class _DampedKK(KernerKonhauserDiagram):
+    """A user subclass with its own flux: the grid must evaluate it
+    through its methods, not through the Kerner-Konhauser table form."""
+
+    def flux_curve(self, rho):
+        return 0.9 * super().flux_curve(rho)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _mixed_road(family_zoo, seed, n=48, fill=1.0):
+    """Random runs of the three families and the user subclass, with
+    densities at 0, a tiny value, rho_crit, fill*rho_jam and in between."""
+    rng = np.random.default_rng(seed)
+    zoo = list(family_zoo) + [_DampedKK(lanes=1)]
+    fds = []
+    while len(fds) < n:
+        fds += [zoo[rng.integers(len(zoo))]] * int(rng.integers(1, 6))
+    fds = fds[:n]
+    special = rng.integers(0, 8, n)
+    rho = np.array([
+        (0.0, 1e-13 * fd.rho_jam, fd.rho_crit, fill * fd.rho_jam)[k] if k < 4
+        else rng.uniform(0.0, fill * fd.rho_jam)
+        for fd, k in zip(fds, special)
+    ])
+    return fds, rho
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_table_matches_diagram_methods(family_zoo, seed):
+    grid = SimGrid(*_mixed_road(family_zoo, seed), dx=0.5)
+    cells = list(zip(grid.fds, grid.rho))
+    d, s = grid.demand_supply()
+    assert np.array_equal(_bits(d), _bits([fd.demand(r) for fd, r in cells]))
+    assert np.array_equal(_bits(s), _bits([fd.supply(r) for fd, r in cells]))
+    q, v = grid.flux_speed()
+    assert np.array_equal(_bits(q), _bits([fd.flux(r) for fd, r in cells]))
+    assert np.array_equal(_bits(v), _bits([fd.speed(r) for fd, r in cells]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ring=st.booleans())
+def test_run_equals_repeated_step(family_zoo, seed, ring):
+    # below jam: Kerner-Konhauser cells at rho_jam still accept ~1e-8 veh/s
+    fds, rho = _mixed_road(family_zoo, seed, n=24, fill=0.9)
+    cfg = StepConfig(dt=0.9 * 0.5 / max(fd.max_wave_speed() for fd in fds))
+    bs = None
+    if not ring:
+        cap = min(fds[0].capacity, fds[-1].capacity)
+        bs = BoundarySpec(StepFunction((0.0, 4 * cfg.dt), (0.0, 0.9 * cap)),
+                          StepFunction((0.0, 7 * cfg.dt), (cap, 0.2 * cap)))
+    grid = SimGrid(fds, rho, dx=0.5, boundaries=bs)
+    k = 12
+    rec = run(grid, cfg, k * cfg.dt)
+    g = grid
+    for j in range(k):
+        g = step(g, cfg, j * cfg.dt)
+        assert np.array_equal(_bits(g.rho), _bits(rec.rho[j + 1]))
+
+
+# -- input checks at the kernel's entry points ------------------------------
+
+_NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=st.integers(0, 7),
+       bad=_NONFINITE | st.floats(max_value=0.0, exclude_max=True)
+       | st.floats(min_value=4.0, exclude_min=True))
+def test_grid_rejects_densities_outside_range(gs, cell, bad):
+    rho = np.full(8, 1.0)
+    rho[cell] = bad
+    with pytest.raises(ConfigError, match=rf"cells \[{cell}\]"):
+        SimGrid([gs] * 8, rho, dx=1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dx=_NONFINITE | st.floats(max_value=0.0))
+def test_grid_rejects_bad_dx(gs, dx):
+    with pytest.raises(ConfigError, match="dx must be"):
+        SimGrid([gs] * 4, np.ones(4), dx=dx)
+
+
+@settings(max_examples=20, deadline=None)
+@given(dt=_NONFINITE | st.floats(max_value=0.0))
+def test_step_config_rejects_bad_dt(dt):
+    with pytest.raises(ConfigError, match="dt must be"):
+        StepConfig(dt)
+
+
+@settings(max_examples=20, deadline=None)
+@given(duration=_NONFINITE | st.floats(max_value=0.0, exclude_max=True))
+def test_run_rejects_bad_duration(gs, duration):
+    grid = grid_from_segments([(gs, 4)], dx=1.0, rho=1.0)
+    with pytest.raises(ConfigError, match="duration must be"):
+        run(grid, StepConfig(0.5), duration)
+
+
+@settings(max_examples=20, deadline=None)
+@given(bad=_NONFINITE | st.floats(max_value=0.0, exclude_max=True))
+def test_boundary_rejects_bad_values(gs, bad):
+    bs = BoundarySpec(StepFunction((0.0, 1.0), (0.5, bad)),
+                      StepFunction((0.0,), (1.0,)))
+    grid = grid_from_segments([(gs, 4)], dx=1.0, rho=1.0, boundaries=bs)
+    with pytest.raises(ConfigError, match="left demand"):
+        run(grid, StepConfig(0.5), 5.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=st.integers(0, 7),
+       bad=_NONFINITE | st.floats(max_value=-1e-6)
+       | st.floats(min_value=4.0 + 1e-6))
+def test_step_check_names_step_cell_and_density(gs, cell, bad):
+    """States that bypass construction (``with_density``) are caught by
+    the kernel's per-step range check before they reach the fluxes."""
+    rho = np.full(8, 1.0)
+    rho[cell] = bad
+    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0).with_density(rho)
+    expected = re.escape(f"density {bad!r} veh/km in cell {cell} after 0 steps")
+    with pytest.raises(ValueError, match=expected):
+        run(grid, StepConfig(0.5), 5.0)
+    with pytest.raises(ValueError, match=expected):
+        step(grid, StepConfig(0.5))
+
+
+def test_high_cfl_blowup_stops_at_its_step(gs):
+    """A run pushed past the stability limit stops at the first step that
+    leaves [0, rho_jam], naming it, instead of marching on."""
+    rng = np.random.default_rng(4)
+    grid = grid_from_segments([(gs, 16)], dx=1.0, rho=rng.uniform(0.2, 3.8, 16))
+    cfg = StepConfig(dt=2.5, allow_high_cfl=True)
+    with pytest.raises(ValueError, match=r"in cell \d+ after [1-9]\d* steps"):
+        run(grid, cfg, 100 * cfg.dt)

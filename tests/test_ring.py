@@ -283,3 +283,16 @@ def test_feasibility_mirrors_prediction_scenarios(ring):
         cell.scenario for cell in table.values() if cell.feasible
     }
     assert reachable == feasible_scenarios == set(RingScenario)
+
+
+def test_lane_profile_simpson_matches_scipy(ring):
+    """The numpy Simpson rule behind ``lane_profile`` agrees with scipy's."""
+    integrate = pytest.importorskip("scipy.integrate")
+    for profile in (lambda x: 1.0,
+                    lambda x: 1.0 + 0.5 * np.sin(x),
+                    lambda x: 1.0 if x < ring.L1 else 1.7):
+        n = vehicles_of_initial(ring, 28.0, amplitude=3.0, lane_profile=profile)
+        x = np.linspace(0.0, ring.L, 10_001)
+        y = np.array([profile(xx) for xx in x]) * (
+            28.0 + 3.0 * np.sin(2.0 * np.pi * x / ring.L))
+        assert n == pytest.approx(integrate.simpson(y, x=x), rel=1e-14, abs=0.0)
