@@ -34,6 +34,7 @@ from .fundamental_diagram import (
     TriangularDiagram,
 )
 from .godunov_sim import (
+    _CFL_GUARD,
     BoundarySpec,
     ConfigError,
     FluxRule,
@@ -119,6 +120,9 @@ def _get_number(node: dict, key: str, path: str, err: _Errors,
     value = node[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         err.add(f"{path}.{key}", f"expected a number, got {value!r}")
+        return default
+    if not math.isfinite(value):
+        err.add(f"{path}.{key}", f"must be finite, got {value}")
         return default
     if positive and value <= 0:
         err.add(f"{path}.{key}", f"must be positive, got {value}")
@@ -503,9 +507,9 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     if road is not None and numerics is not None and not override_cfl:
         vmax = max(fd.max_wave_speed() for _, fd, _ in road.segments)
         nu = vmax * numerics.dt / road.dx
-        if nu > 0.95:
+        if nu > _CFL_GUARD:
             err.add("numerics.dt_s",
-                    f"CFL number {nu:.2f} exceeds 0.95 "
+                    f"CFL number {nu:.2f} exceeds {_CFL_GUARD} "
                     f"(max wave speed {vmax * _KM_S_TO_M_S:.4f} m/s, "
                     f"dx={road.dx} km); reduce dt_s or pass --override-cfl")
 

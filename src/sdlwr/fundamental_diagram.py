@@ -38,8 +38,6 @@ __all__ = [
     "GreenshieldsDiagram",
     "TriangularDiagram",
     "KernerKonhauserDiagram",
-    "find_critical",
-    "golden_section_max",
 ]
 
 # Absolute tolerance for flux comparisons (veh/s).  Every classification
@@ -63,7 +61,7 @@ def _scalarize(x):
     return float(arr) if arr.shape == () else arr
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Locate the maximum of a unimodal function on [lo, hi].
 
     Plain golden-section search, shrinking the bracket until its width
@@ -102,8 +100,9 @@ class FundamentalDiagram(abc.ABC):
 
     Subclasses set ``rho_jam`` and implement ``flux``; the critical
     point is located in ``__init__`` (closed form where available,
-    golden-section search otherwise).  Instances are immutable after
-    construction and safe to share between workers.
+    golden-section search otherwise), and a curve found not to be
+    unimodal is refused.  Instances are immutable after construction
+    and safe to share between workers.
     """
 
     #: absolute tolerance on |Q(0)| and |Q(rho_jam)| for this family (veh/s)
@@ -120,7 +119,7 @@ class FundamentalDiagram(abc.ABC):
         """Q(rho) without domain checks; accepts scalars or arrays."""
 
     def _locate_critical(self) -> tuple[float, float]:
-        return golden_section_max(
+        return _golden_section_max(
             self.flux_curve, 0.0, self.rho_jam, _SEARCH_TOL * self.rho_jam
         )
 
@@ -146,7 +145,8 @@ class FundamentalDiagram(abc.ABC):
     def _check_density(self, rho):
         """Clamp tiny drift beyond [0, rho_jam]; reject real violations."""
         r = np.asarray(rho, dtype=float)
-        if np.any(r < -DENSITY_SLACK) or np.any(r > self.rho_jam + DENSITY_SLACK):
+        # written so that NaN fails it
+        if not np.all((r >= -DENSITY_SLACK) & (r <= self.rho_jam + DENSITY_SLACK)):
             raise ValueError(
                 f"density outside [0, {self.rho_jam}] veh/km: {rho!r}"
             )
@@ -175,17 +175,6 @@ class FundamentalDiagram(abc.ABC):
             _speed_of_flux(r, self.flux_curve(r), self.rho_jam,
                            self.derivative(0.0, side=+1))
         )
-
-    def eo_split(self, rho) -> tuple:
-        """The (g, h) split of the shifted flux, k = rho_crit - rho.
-
-        With f(k) = C - Q(rho_crit - k), g(k) = f(max(k, 0)) collects the
-        increasing part and h(k) = f(min(k, 0)) the decreasing part, so
-        that D = C - g and S = C - h.
-        """
-        k = self.rho_crit - self._check_density(rho)
-        f = lambda kk: self.capacity - self.flux_curve(self.rho_crit - kk)
-        return _scalarize(f(np.maximum(k, 0.0))), _scalarize(f(np.minimum(k, 0.0)))
 
     def inv_demand(self, d: float) -> float:
         """The density in [0, rho_crit] with D(rho) = d.
@@ -247,11 +236,23 @@ class FundamentalDiagram(abc.ABC):
             )
 
     def _scan_max_speed(self) -> float:
+        """max |Q'| by finite differences on a 4097-point scan.
+
+        The scan doubles as the unimodality check of the located
+        critical point: a scanned flux above the capacity (beyond
+        tolerance) means the search settled on a lower hump.
+        """
         rho = np.linspace(0.0, self.rho_jam, 4097)
         h = 1e-6 * self.rho_jam
         lo = np.maximum(rho - h, 0.0)
         hi = np.minimum(rho + h, self.rho_jam)
-        slopes = (self.flux_curve(hi) - self.flux_curve(lo)) / (hi - lo)
+        q_hi = self.flux_curve(hi)
+        if np.max(q_hi) > self.capacity * (1.0 + 1e-6) + FLUX_TOL:
+            raise ValueError(
+                "flux profile is not unimodal: a sample exceeds the located "
+                f"capacity {self.capacity:.6g} veh/s"
+            )
+        slopes = (q_hi - self.flux_curve(lo)) / (hi - lo)
         return float(np.max(np.abs(slopes)))
 
 
@@ -280,8 +281,8 @@ class GreenshieldsDiagram(FundamentalDiagram):
     rho_jam: float
 
     def __post_init__(self):
-        if self.v_free <= 0 or self.rho_jam <= 0:
-            raise ValueError("v_free and rho_jam must be positive")
+        if not (0 < self.v_free < math.inf and 0 < self.rho_jam < math.inf):
+            raise ValueError("v_free and rho_jam must be positive and finite")
         super().__init__()
 
     def flux_curve(self, rho):
@@ -335,9 +336,10 @@ class TriangularDiagram(FundamentalDiagram):
     def __post_init__(self):
         if self.v_cong is None:
             self.v_cong = self.v_free
-        if self.v_free <= 0 or self.rho_jam <= 0 or self.v_cong <= 0:
-            raise ValueError("v_free, v_cong and rho_jam must be positive")
-        if self.q_max <= 0:
+        if not (0 < self.v_free < math.inf and 0 < self.rho_jam < math.inf
+                and 0 < self.v_cong < math.inf):
+            raise ValueError("v_free, v_cong and rho_jam must be positive and finite")
+        if not self.q_max > 0:  # infinite: no ceiling
             raise ValueError("q_max must be positive")
         # apex of the unclipped triangle
         apex = self.v_cong * self.rho_jam / (self.v_free + self.v_cong)
@@ -441,33 +443,13 @@ class KernerKonhauserDiagram(FundamentalDiagram):
     zero_flux_tol = 1e-7
 
     def __post_init__(self):
-        if self.lanes <= 0 or self.rho_jam_lane <= 0:
-            raise ValueError("lanes and rho_jam_lane must be positive")
-        if self.tau <= 0 or self.unit_len <= 0:
-            raise ValueError("tau and unit_len must be positive")
+        if not (0 < self.lanes < math.inf and 0 < self.rho_jam_lane < math.inf):
+            raise ValueError("lanes and rho_jam_lane must be positive and finite")
+        if not (0 < self.tau < math.inf and 0 < self.unit_len < math.inf):
+            raise ValueError("tau and unit_len must be positive and finite")
         self.rho_jam = self.lanes * self.rho_jam_lane
         self._speed_scale = self.unit_len / self.tau
         super().__init__()
 
-    def speed_curve(self, rho):
-        """V(rho) in km/s."""
-        return _kk_speed(np.asarray(rho, dtype=float), self.rho_jam, self._speed_scale)
-
     def flux_curve(self, rho):
         return _kk_flux(np.asarray(rho, dtype=float), self.rho_jam, self._speed_scale)
-
-
-def find_critical(fd: FundamentalDiagram) -> tuple[float, float]:
-    """(rho_crit, capacity) of a diagram.
-
-    Closed forms for the Greenshields and triangular families; a fresh
-    golden-section search (bracket width 1e-10*rho_jam) otherwise.  The
-    result is cross-checked against a 1000-point sample of Q; a sample
-    exceeding the located maximum beyond tolerance means the curve is
-    not unimodal.
-    """
-    rho_c, cap = fd._locate_critical()
-    sample = fd.flux_curve(np.linspace(0.0, fd.rho_jam, 1000))
-    if np.max(sample) > cap * (1.0 + 1e-6) + FLUX_TOL:
-        raise ValueError("flux profile is not unimodal: sample exceeds located maximum")
-    return rho_c, cap

@@ -89,6 +89,9 @@ RUN_TOL = 1e-3
 
 _CFL_GUARD = 0.95
 
+# Points of the osher rule's extremum scan, both endpoints included.
+_OSHER_SAMPLES = 10_000
+
 
 class ConfigError(ValueError):
     """Invalid run configuration (CFL violation, bad boundary data...)."""
@@ -406,8 +409,7 @@ def sd_flux(fd_left: FundamentalDiagram, rho_left: float,
     return float(min(fd_left.demand(rho_left), fd_right.supply(rho_right)))
 
 
-def osher_flux(fd: FundamentalDiagram, rho_left: float, rho_right: float,
-               samples: int = 10_000) -> float:
+def osher_flux(fd: FundamentalDiagram, rho_left: float, rho_right: float) -> float:
     """Godunov flux for one diagram by brute extremum scan.
 
     min of Q over [rho_left, rho_right] when the density rises across
@@ -419,7 +421,7 @@ def osher_flux(fd: FundamentalDiagram, rho_left: float, rho_right: float,
     if rho_left == rho_right:
         return float(fd.flux(rho_left))
     lo, hi = min(rho_left, rho_right), max(rho_left, rho_right)
-    grid = np.linspace(lo, hi, samples)
+    grid = np.linspace(lo, hi, _OSHER_SAMPLES)
     if lo < fd.rho_crit < hi:
         grid = np.append(grid, fd.rho_crit)
     q = fd.flux_curve(grid)

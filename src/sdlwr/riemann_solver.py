@@ -103,12 +103,6 @@ class Unique:
     def representative(self) -> SDState:
         return self.state
 
-    def contains(self, cand: SDState) -> bool:
-        return (
-            abs(cand.demand - self.state.demand) <= FLUX_TOL
-            and abs(cand.supply - self.state.supply) <= FLUX_TOL
-        )
-
 
 @dataclass(frozen=True)
 class Family:
@@ -119,12 +113,6 @@ class Family:
     min_demand: float
     min_supply: float
     representative: SDState
-
-    def contains(self, cand: SDState) -> bool:
-        return (
-            cand.demand >= self.min_demand - FLUX_TOL
-            and cand.supply >= self.min_supply - FLUX_TOL
-        )
 
 
 InteriorSet = Union[Unique, Family]
@@ -401,31 +389,24 @@ def _fan_density(fd: FundamentalDiagram, rho_lo: float, rho_hi: float,
     return 0.5 * (lo + hi)
 
 
-def _sample_side(fd, wave: Wave, rho_far, rho_near, xi, toward_boundary):
+def _sample_side(fd, wave: Wave, stat: SDState, xi):
     """Density at similarity coordinates xi for one link.
 
-    ``rho_far`` is the initial state's density (|x| large), ``rho_near``
-    the stationary one.  ``toward_boundary`` is +1 upstream (boundary to
-    the right of the link) and -1 downstream.
+    Without a wave the link holds its stationary state ``stat``; with
+    one, the wave's end densities sit left and right of its fan.
     """
     out = np.empty_like(xi)
     if wave.is_none:
-        out[:] = rho_near
+        out[:] = to_density(fd, stat)
         return out
     s_min, s_max = wave.speed_range
-    if toward_boundary > 0:  # upstream: far state left, stationary right
-        left_rho, right_rho = rho_far, rho_near
-    else:
-        left_rho, right_rho = rho_near, rho_far
     fan_lo = min(wave.rho_left, wave.rho_right)
     fan_hi = max(wave.rho_left, wave.rho_right)
     for i, x in enumerate(xi):
         if x < s_min:
-            out[i] = left_rho
-        elif x > s_max:
-            out[i] = right_rho
-        elif wave.kind is WaveKind.SHOCK:
-            out[i] = right_rho if x >= s_min else left_rho
+            out[i] = wave.rho_left
+        elif x > s_max or wave.kind is WaveKind.SHOCK:
+            out[i] = wave.rho_right
         else:
             out[i] = _fan_density(fd, fan_lo, fan_hi, x)
     return out
@@ -442,18 +423,7 @@ def sample_profile(p: RiemannProblem, xi, sol: RiemannSolution | None = None):
     xi = np.asarray(xi, dtype=float)
     out = np.empty_like(xi)
     up_mask = xi < 0.0
-
-    rho_u1 = to_density(p.fd_up, p.u1)
-    rho_stat_up = (sol.wave_up.rho_right if not sol.wave_up.is_none
-                   else to_density(p.fd_up, sol.stat_up))
-    rho_u1 = sol.wave_up.rho_left if not sol.wave_up.is_none else rho_u1
-    out[up_mask] = _sample_side(p.fd_up, sol.wave_up, rho_u1, rho_stat_up,
-                                xi[up_mask], +1)
-
-    rho_u2 = to_density(p.fd_down, p.u2)
-    rho_stat_down = (sol.wave_down.rho_left if not sol.wave_down.is_none
-                     else to_density(p.fd_down, sol.stat_down))
-    rho_u2 = sol.wave_down.rho_right if not sol.wave_down.is_none else rho_u2
-    out[~up_mask] = _sample_side(p.fd_down, sol.wave_down, rho_u2,
-                                 rho_stat_down, xi[~up_mask], -1)
+    out[up_mask] = _sample_side(p.fd_up, sol.wave_up, sol.stat_up, xi[up_mask])
+    out[~up_mask] = _sample_side(p.fd_down, sol.wave_down, sol.stat_down,
+                                 xi[~up_mask])
     return out

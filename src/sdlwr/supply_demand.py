@@ -30,8 +30,6 @@ __all__ = [
     "classify",
     "from_density",
     "to_density",
-    "flux_of",
-    "gamma_of",
 ]
 
 
@@ -51,8 +49,9 @@ class SDState:
     supply: float
 
     def __post_init__(self):
-        if self.demand < -FLUX_TOL or self.supply < -FLUX_TOL:
-            raise ValueError(f"negative demand or supply: {self}")
+        # written so that NaN fails it
+        if not (self.demand >= -FLUX_TOL and self.supply >= -FLUX_TOL):
+            raise ValueError(f"negative or NaN demand or supply: {self}")
 
     @property
     def flux(self) -> float:
@@ -118,13 +117,3 @@ def to_density(fd: FundamentalDiagram, state: SDState) -> float:
     if state.demand <= state.supply:
         return fd.inv_demand(state.demand)
     return fd.inv_supply(state.supply)
-
-
-def flux_of(state: SDState) -> float:
-    """Equilibrium flux q = min(D, S) of a state."""
-    return state.flux
-
-
-def gamma_of(state: SDState) -> float:
-    """Demand/supply ratio D/S; inf at jam, error when D = S = 0."""
-    return state.gamma

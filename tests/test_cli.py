@@ -1,5 +1,6 @@
 """CLI: config validation, reports, CSV output, self-checks."""
 
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+import yaml
 
 import sdlwr
 from sdlwr import ConfigError
@@ -359,6 +361,63 @@ def test_config_errors_exit_2(tmp_path, capsys):
     bad.write_text("diagrams: {}\n")
     assert main(["simulate", "--config", str(bad)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+_BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+def _number_keys(node, path=""):
+    """Key paths of every number in a parsed config, in the CLI's
+    error-message form (``road.segments[0].length_km``)."""
+    if isinstance(node, dict):
+        for key, sub in node.items():
+            yield from _number_keys(sub, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, sub in enumerate(node):
+            yield from _number_keys(sub, f"{path}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _slot(node, path):
+    """The container and key that a key path addresses in a parsed config."""
+    *parents, last = path.replace("[", ".[").split(".")
+
+    def index(part):
+        return int(part[1:-1]) if part.startswith("[") else part
+
+    for part in parents:
+        node = node[index(part)]
+    return node, index(last)
+
+
+_NUMBER_KEYS = [
+    (name, key)
+    for name in ("riemann", "simulate", "ring_predict")
+    for key in _number_keys(
+        yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text()))
+]
+
+
+@pytest.mark.parametrize("name, key", _NUMBER_KEYS,
+                         ids=[f"{n}:{k}" for n, k in _NUMBER_KEYS])
+def test_non_finite_numbers_are_keyed_config_errors(tmp_path, capsys, name, key):
+    """``.nan``, ``.inf`` and ``-.inf`` in any number key of the bench
+    configs end in a config error naming the key, with exit code 2."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
+    node, slot = _slot(raw, key)
+    # the two keys that take only integers say so instead
+    want = ("expected an integer" if slot in ("count", "record_every")
+            else "must be finite")
+    cfg = tmp_path / f"{name}.yaml"
+    for value in (math.nan, math.inf, -math.inf):
+        node[slot] = value
+        cfg.write_text(yaml.safe_dump(raw))
+        code = main([name.replace("_", "-"), "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, (key, value, err)
+        assert f"{key}: {want}" in err, (key, value, err)
 
 
 def test_override_cfl_flag_end_to_end(tmp_path, capsys):

@@ -11,7 +11,6 @@ from sdlwr import (
     GreenshieldsDiagram,
     KernerKonhauserDiagram,
     TriangularDiagram,
-    find_critical,
 )
 
 # frozen reference values for the Kerner-Konhauser single-lane diagram
@@ -98,17 +97,10 @@ def test_kerner_konhauser_capacity():
     assert kk2.rho_crit == pytest.approx(2.0 * kk1.rho_crit, rel=1e-7)
 
 
-def test_find_critical_brackets_true_maximum(family_zoo):
-    for fd in family_zoo:
-        rho_c, cap = find_critical(fd)
-        assert rho_c == pytest.approx(fd.rho_crit, abs=1e-10 * fd.rho_jam)
-        assert cap == pytest.approx(fd.capacity, rel=1e-12)
-
-
 class _TwoHump(FundamentalDiagram):
     """Deliberately bimodal curve; the golden-section search settles on the
-    wide low hump while the tall spike near rho=3.2 survives the sample
-    cross-check."""
+    wide low hump while the tall spike near rho=3.2 shows up in the
+    max-speed scan."""
 
     rho_jam = 4.0
 
@@ -119,9 +111,44 @@ class _TwoHump(FundamentalDiagram):
         )
 
 
-def test_find_critical_rejects_non_unimodal():
+def test_construction_rejects_non_unimodal():
     with pytest.raises(ValueError, match="not unimodal"):
-        find_critical(_TwoHump())
+        _TwoHump()
+
+
+class _CountingKK(KernerKonhauserDiagram):
+    calls = 0
+
+    def flux_curve(self, rho):
+        type(self).calls += 1
+        return super().flux_curve(rho)
+
+
+def test_unimodality_check_costs_no_flux_evaluation():
+    """Construction pays 51 flux_curve calls for the golden-section
+    search and 2 for the max-speed scan; the unimodality check reuses
+    the scan's array."""
+    _CountingKK.calls = 0
+    _CountingKK(lanes=2)
+    assert _CountingKK.calls == 53
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GreenshieldsDiagram(math.nan, 4.0),
+    lambda: GreenshieldsDiagram(1.0, math.nan),
+    lambda: GreenshieldsDiagram(1.0, math.inf),
+    lambda: TriangularDiagram(math.nan, 4.0),
+    lambda: TriangularDiagram(1.0, math.nan),
+    lambda: TriangularDiagram(1.0, 4.0, q_max=math.nan),
+    lambda: TriangularDiagram(1.0, 4.0, v_cong=math.nan),
+    lambda: KernerKonhauserDiagram(lanes=math.nan),
+    lambda: KernerKonhauserDiagram(rho_jam_lane=math.nan),
+    lambda: KernerKonhauserDiagram(tau=math.nan),
+    lambda: KernerKonhauserDiagram(unit_len=math.inf),
+])
+def test_constructors_reject_non_finite_parameters(make):
+    with pytest.raises(ValueError, match="must be positive"):
+        make()
 
 
 def test_density_domain_checked(gs):
@@ -131,22 +158,13 @@ def test_density_domain_checked(gs):
         gs.demand(4.5)
 
 
-def test_eo_split_examples(gs):
-    assert gs.eo_split(gs.rho_crit) == (0.0, 0.0)
-    assert gs.eo_split(0.0) == (gs.capacity, 0.0)
-    g, h = gs.eo_split(1.0)
-    assert g == pytest.approx(0.25, abs=1e-15)
-    assert h == 0.0
-
-
-def test_eo_split_complements_demand_supply(family_zoo):
-    """D + g = C and S + h = C across the density range, every family."""
-    rng = np.random.default_rng(7)
+@pytest.mark.parametrize("method", ["flux", "demand", "supply", "speed"])
+def test_nan_density_rejected(family_zoo, method):
     for fd in family_zoo:
-        for rho in rng.uniform(0.0, fd.rho_jam, 1000):
-            g, h = fd.eo_split(rho)
-            assert fd.demand(rho) + g == pytest.approx(fd.capacity, abs=1e-12)
-            assert fd.supply(rho) + h == pytest.approx(fd.capacity, abs=1e-12)
+        with pytest.raises(ValueError, match="density outside"):
+            getattr(fd, method)(math.nan)
+        with pytest.raises(ValueError, match="density outside"):
+            getattr(fd, method)(np.array([0.0, math.nan, fd.rho_crit]))
 
 
 def test_demand_supply_envelope(family_zoo):

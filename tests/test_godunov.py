@@ -73,23 +73,6 @@ def test_osher_equals_sd_flux(family_zoo):
             )
 
 
-def test_engquist_osher_split_flux(gs):
-    """The split-flux form C - g(rho_l) - h(rho_r) matches the interface
-    flux except when the interface sits strictly inside a transonic band
-    (rho_l under-critical, rho_r over-critical), where it undershoots by
-    exactly C - max(D, S)."""
-    rng = np.random.default_rng(13)
-    for rho_l, rho_r in rng.uniform(0.0, gs.rho_jam, (500, 2)):
-        g, _ = gs.eo_split(rho_l)
-        _, h = gs.eo_split(rho_r)
-        eo = gs.capacity - g - h
-        godunov = sd_flux(gs, rho_l, gs, rho_r)
-        gap = gs.capacity - max(gs.demand(rho_l), gs.supply(rho_r))
-        assert godunov - eo == pytest.approx(gap, abs=1e-12)
-        if not (rho_l < gs.rho_crit < rho_r):
-            assert eo == pytest.approx(godunov, abs=1e-12)
-
-
 def test_osher_rule_rejects_mixed_roads(gs, kk1):
     grid = grid_from_segments(
         [(gs, 4), (kk1, 4)], dx=0.5, rho=np.full(8, 1.0)

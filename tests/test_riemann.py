@@ -19,6 +19,7 @@ from sdlwr import (
     Side,
     StationaryPattern,
     StepConfig,
+    TriangularDiagram,
     Unique,
     WaveDirection,
     WaveKind,
@@ -37,6 +38,7 @@ from sdlwr import (
     stationary_pair_check,
     to_density,
 )
+from sdlwr.fundamental_diagram import FLUX_TOL
 
 
 def _lifted_problem(fd_up, fd_down, rho_up, rho_down):
@@ -294,6 +296,60 @@ def test_wave_speed_signs(family_zoo):
             assert max(sol.wave_up.speed_range) <= 1e-6
         if sol.wave_down.kind is not WaveKind.NONE:
             assert min(sol.wave_down.speed_range) >= -1e-6
+
+
+# the four diagram families the ``verify`` command draws from
+_VERIFY_FAMILIES = (
+    GreenshieldsDiagram(27.8e-3, 120.0),
+    TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3),
+    KernerKonhauserDiagram(lanes=1.0),
+    KernerKonhauserDiagram(lanes=2.0),
+)
+
+
+def _oracle_problems(rng, per_pair):
+    """Random lifted densities on every ordered family pair, and as many
+    engineered ties D1 = S2 (including ties at the smaller capacity)."""
+    for fd_up in _VERIFY_FAMILIES:
+        for fd_down in _VERIFY_FAMILIES:
+            c1, c2 = fd_up.capacity, fd_down.capacity
+            for _ in range(per_pair):
+                yield RiemannProblem(
+                    fd_up, fd_down,
+                    from_density(fd_up, rng.uniform(0.0, fd_up.rho_jam)),
+                    from_density(fd_down, rng.uniform(0.0, fd_down.rho_jam)))
+                q = min(c1, c2) * (1.0 if rng.uniform() < 0.2 else rng.uniform())
+                yield RiemannProblem(fd_up, fd_down, SDState(q, c1),
+                                     SDState(c2, q))
+
+
+def test_admissibility_conditions_certify_solve():
+    """Every solution satisfies the paper's admissibility conditions:
+    admissible stationary and interior states, the entropy flux of the
+    interiors equal to the boundary flux, and a stationary pair that is
+    not the forbidden one."""
+    rng = np.random.default_rng(2024)
+    ties = 0
+    for p in _oracle_problems(rng, per_pair=100):
+        sol = solve(p)
+        c1, c2 = p.fd_up.capacity, p.fd_down.capacity
+        assert admissible_stationary_up(p.u1, sol.stat_up, c1), p
+        assert admissible_stationary_down(p.u2, sol.stat_down, c2), p
+        up = sol.interior_up.representative
+        down = sol.interior_down.representative
+        assert admissible_interior_up(sol.stat_up, up, c1), p
+        assert admissible_interior_down(sol.stat_down, down, c2), p
+        assert entropy_flux(up, down) == sol.boundary_flux, p
+        pattern = stationary_pair_check(sol.stat_up, sol.stat_down, c1, c2)
+        assert pattern is not StationaryPattern.FORBIDDEN, p
+        if isinstance(sol.interior_up, Family):
+            ties += 1
+            # the family's congested extreme is admissible too
+            extreme = SDState(c1, sol.interior_up.min_supply)
+            assert admissible_interior_up(sol.stat_up, extreme, c1), p
+            assert entropy_flux(extreme, down) == pytest.approx(
+                sol.boundary_flux, abs=FLUX_TOL)
+    assert ties >= 16 * 100
 
 
 _FRAC = st.floats(min_value=0.01, max_value=0.99)

@@ -1,11 +1,14 @@
 """Two-link ring: thresholds, stationary predictions, feasibility."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sdlwr import (
     BoundarySide,
     FeasibilityCell,
+    GreenshieldsDiagram,
     InteriorSite,
     LinkPattern,
     RingScenario,
@@ -87,6 +90,8 @@ def test_predict_requires_vehicle_count(ring):
         predict(ring.with_vehicles(-1.0))
     with pytest.raises(ValueError, match="outside"):
         predict(ring.with_vehicles(ring.max_vehicles + 1.0))
+    with pytest.raises(ValueError, match="outside"):
+        predict(ring.with_vehicles(math.nan))
 
 
 def test_predict_light_traffic(ring, kk1):
@@ -212,12 +217,11 @@ def test_vehicle_count_closed_form(ring):
     )
     n = [vehicles_of_initial(ring, r, amplitude=3.0) for r in (15.0, 28.0, 57.0)]
     assert n[0] < n[1] < n[2]
-
-
-def test_vehicle_count_flat_lane_profile(ring):
-    """With a(x) = 1 the sine integrates away and N = rho0 * L."""
-    n = vehicles_of_initial(ring, 28.0, amplitude=3.0, lane_profile=lambda x: 1.0)
-    assert n == pytest.approx(28.0 * 16.8, rel=1e-9)
+    # with one lane weight on both links the sine integrates away
+    flat = RingSpec(16.8, 2.8, GreenshieldsDiagram(1.0, 40.0),
+                    GreenshieldsDiagram(1.0, 80.0))
+    assert vehicles_of_initial(flat, 28.0, amplitude=3.0) == pytest.approx(
+        28.0 * 16.8, rel=1e-12)
 
 
 def test_experiment_counts_hit_the_thresholds(ring):
@@ -236,8 +240,10 @@ def test_initial_profile_range_checks(ring):
         vehicles_of_initial(ring, 1.0, amplitude=2.0)
     with pytest.raises(ValueError, match="exceeds rho_jam"):
         vehicles_of_initial(ring, 200.0)
-    with pytest.raises(ValueError, match="leaves"):
-        vehicles_of_initial(ring, 200.0, lane_profile=lambda x: 1.5)
+    with pytest.raises(ValueError, match="below 0"):
+        vehicles_of_initial(ring, math.nan)
+    with pytest.raises(ValueError, match="below 0"):
+        vehicles_of_initial(ring, 28.0, amplitude=math.nan)
 
 
 # -- stationary pattern feasibility -----------------------------------------
@@ -283,16 +289,3 @@ def test_feasibility_mirrors_prediction_scenarios(ring):
         cell.scenario for cell in table.values() if cell.feasible
     }
     assert reachable == feasible_scenarios == set(RingScenario)
-
-
-def test_lane_profile_simpson_matches_scipy(ring):
-    """The numpy Simpson rule behind ``lane_profile`` agrees with scipy's."""
-    integrate = pytest.importorskip("scipy.integrate")
-    for profile in (lambda x: 1.0,
-                    lambda x: 1.0 + 0.5 * np.sin(x),
-                    lambda x: 1.0 if x < ring.L1 else 1.7):
-        n = vehicles_of_initial(ring, 28.0, amplitude=3.0, lane_profile=profile)
-        x = np.linspace(0.0, ring.L, 10_001)
-        y = np.array([profile(xx) for xx in x]) * (
-            28.0 + 3.0 * np.sin(2.0 * np.pi * x / ring.L))
-        assert n == pytest.approx(integrate.simpson(y, x=x), rel=1e-14, abs=0.0)

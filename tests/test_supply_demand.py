@@ -11,23 +11,21 @@ from sdlwr import (
     Regime,
     SDState,
     classify,
-    flux_of,
     from_density,
-    gamma_of,
     to_density,
 )
 
 
 def test_gamma_examples():
     c = 0.8
-    assert gamma_of(SDState(c, c)) == 1.0
-    assert gamma_of(SDState(c / 2, c)) == 0.5
-    assert gamma_of(SDState(c, 0.0)) == math.inf
+    assert SDState(c, c).gamma == 1.0
+    assert SDState(c / 2, c).gamma == 0.5
+    assert SDState(c, 0.0).gamma == math.inf
 
 
 def test_gamma_undefined_at_origin():
     with pytest.raises(ValueError, match="D = S = 0"):
-        gamma_of(SDState(0.0, 0.0))
+        SDState(0.0, 0.0).gamma
 
 
 def test_negative_components_rejected():
@@ -35,10 +33,16 @@ def test_negative_components_rejected():
         SDState(-0.2, 1.0)
 
 
+@pytest.mark.parametrize("demand, supply", [(math.nan, 1.0), (1.0, math.nan)])
+def test_nan_components_rejected(demand, supply):
+    with pytest.raises(ValueError, match="negative or NaN"):
+        SDState(demand, supply)
+
+
 def test_flux_is_min_component():
-    assert flux_of(SDState(0.3, 0.9)) == 0.3
-    assert flux_of(SDState(0.9, 0.3)) == 0.3
-    assert flux_of(SDState(0.5, 0.5)) == 0.5
+    assert SDState(0.3, 0.9).flux == 0.3
+    assert SDState(0.9, 0.3).flux == 0.3
+    assert SDState(0.5, 0.5).flux == 0.5
 
 
 def test_classify_by_density(gs):
@@ -74,9 +78,9 @@ def test_flux_gamma_identity(family_zoo):
             u = from_density(fd, rho)
             if u.demand == 0.0 and u.supply == 0.0:
                 continue
-            g = gamma_of(u)
+            g = u.gamma
             ratio = min(g, 1.0 / g) if g > 0 else 0.0
-            assert flux_of(u) == pytest.approx(ratio * fd.capacity, rel=1e-12, abs=1e-15)
+            assert u.flux == pytest.approx(ratio * fd.capacity, rel=1e-12, abs=1e-15)
 
 
 def test_density_round_trip(family_zoo):
@@ -96,7 +100,7 @@ def test_round_trip_through_gamma(kk2):
     information as the (D, S) pair away from plateaus."""
     for rho in np.linspace(1.0, kk2.rho_jam - 1.0, 101):
         u = from_density(kk2, rho)
-        assert kk2.rho_of_gamma(gamma_of(u)) == pytest.approx(
+        assert kk2.rho_of_gamma(u.gamma) == pytest.approx(
             rho, abs=1e-7 * kk2.rho_jam
         )
 
