@@ -37,7 +37,6 @@ from .godunov_sim import (
     _CFL_GUARD,
     BoundarySpec,
     ConfigError,
-    FluxRule,
     SimGrid,
     SimRecord,
     StepConfig,
@@ -121,13 +120,19 @@ def _get_number(node: dict, key: str, path: str, err: _Errors,
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         err.add(f"{path}.{key}", f"expected a number, got {value!r}")
         return default
-    if not math.isfinite(value):
-        err.add(f"{path}.{key}", f"must be finite, got {value}")
+    try:
+        number = float(value)
+    except OverflowError:
+        err.add(f"{path}.{key}",
+                "must be finite, got an integer beyond the float range")
         return default
-    if positive and value <= 0:
+    if not math.isfinite(number):
+        err.add(f"{path}.{key}", f"must be finite, got {number}")
+        return default
+    if positive and number <= 0:
         err.add(f"{path}.{key}", f"must be positive, got {value}")
         return default
-    return float(value)
+    return number
 
 
 def _build_diagram(name: str, node: Any, err: _Errors) -> FundamentalDiagram | None:
@@ -274,17 +279,15 @@ def _build_initial(node, err) -> InitialConfig | None:
 
 @dataclass
 class NumericsConfig:
-    dt: float
+    step: StepConfig
     duration: float
     record_every: int
-    flux_rule: FluxRule
 
 
-def _build_numerics(node, err) -> NumericsConfig | None:
+def _build_numerics(node, override_cfl, err) -> NumericsConfig | None:
     path = "numerics"
     node = _need_map(node, path, err)
-    _check_keys(node, {"dt_s", "duration_s", "record_every", "flux_rule"},
-                path, err)
+    _check_keys(node, {"dt_s", "duration_s", "record_every"}, path, err)
     dt = _get_number(node, "dt_s", path, err, positive=True)
     duration = _get_number(node, "duration_s", path, err)
     if duration is not None and duration < 0:
@@ -294,61 +297,46 @@ def _build_numerics(node, err) -> NumericsConfig | None:
     if not isinstance(record, int) or isinstance(record, bool) or record < 0:
         err.add(f"{path}.record_every", f"expected an integer >= 0, got {record!r}")
         record = 0
-    rule_name = node.get("flux_rule", "supply_demand")
-    rule = None
-    try:
-        rule = FluxRule(rule_name)
-    except ValueError:
-        err.add(f"{path}.flux_rule",
-                f"must be supply_demand or osher, got {rule_name!r}")
-    if dt is None or duration is None or rule is None:
+    if dt is None or duration is None:
         return None
     # record_every 0 means snapshots only at start and end
     steps = max(1, int(round(duration / dt)))
-    return NumericsConfig(dt, duration, record if record > 0 else steps, rule)
+    return NumericsConfig(StepConfig(dt, allow_high_cfl=override_cfl),
+                          duration, record if record > 0 else steps)
 
 
-def _build_step_fn(node, path, err) -> Callable[[float], float] | None:
-    """A boundary flow: a constant or a list of {t_s, value_veh_s}."""
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return StepFunction((0.0,), (float(node),))
-    if isinstance(node, list) and node:
-        times, values = [], []
-        for i, pt in enumerate(node):
-            ppath = f"{path}[{i}]"
-            pt = _need_map(pt, ppath, err)
-            _check_keys(pt, {"t_s", "value_veh_s"}, ppath, err)
-            t = _get_number(pt, "t_s", ppath, err)
-            v = _get_number(pt, "value_veh_s", ppath, err)
-            if t is not None and v is not None:
-                times.append(t)
-                values.append(v)
-        if times and times[0] != 0.0:
-            err.add(path, "first breakpoint must start at t_s=0")
-        try:
-            return StepFunction(tuple(times), tuple(values))
-        except ConfigError as exc:
-            err.add(path, str(exc))
-            return None
-    err.add(path, "expected a number or a list of {t_s, value_veh_s}")
-    return None
+def _build_step_fn(node, key, path, err) -> Callable[[float], float] | None:
+    """The boundary flow ``node[key]``: a constant or a list of
+    {t_s, value_veh_s}."""
+    if not isinstance(node.get(key), list):
+        value = _get_number(node, key, path, err)
+        return None if value is None else StepFunction((0.0,), (value,))
+    path = f"{path}.{key}"
+    times, values = [], []
+    for i, pt in enumerate(node[key]):
+        ppath = f"{path}[{i}]"
+        pt = _need_map(pt, ppath, err)
+        _check_keys(pt, {"t_s", "value_veh_s"}, ppath, err)
+        t = _get_number(pt, "t_s", ppath, err)
+        v = _get_number(pt, "value_veh_s", ppath, err)
+        if t is not None and v is not None:
+            times.append(t)
+            values.append(v)
+    if times and times[0] != 0.0:
+        err.add(path, "first breakpoint must start at t_s=0")
+    try:
+        return StepFunction(tuple(times), tuple(values))
+    except ConfigError as exc:
+        err.add(path, str(exc))
+        return None
 
 
 def _build_boundaries(node, err) -> BoundarySpec | None:
     path = "boundaries"
     node = _need_map(node, path, err)
     _check_keys(node, {"left_demand_veh_s", "right_supply_veh_s"}, path, err)
-    left = right = None
-    if "left_demand_veh_s" in node:
-        left = _build_step_fn(node["left_demand_veh_s"],
-                              f"{path}.left_demand_veh_s", err)
-    else:
-        err.add(f"{path}.left_demand_veh_s", "missing")
-    if "right_supply_veh_s" in node:
-        right = _build_step_fn(node["right_supply_veh_s"],
-                               f"{path}.right_supply_veh_s", err)
-    else:
-        err.add(f"{path}.right_supply_veh_s", "missing")
+    left = _build_step_fn(node, "left_demand_veh_s", path, err)
+    right = _build_step_fn(node, "right_supply_veh_s", path, err)
     if left is None or right is None:
         return None
     return BoundarySpec(left, right)
@@ -473,7 +461,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
 
     road = _build_road(raw["road"], diagrams, err) if "road" in raw else None
     initial = _build_initial(raw["initial"], err) if "initial" in raw else None
-    numerics = _build_numerics(raw["numerics"], err) if "numerics" in raw else None
+    numerics = (_build_numerics(raw["numerics"], override_cfl, err)
+                if "numerics" in raw else None)
     boundaries = (_build_boundaries(raw["boundaries"], err)
                   if "boundaries" in raw else None)
     riemann = (_build_riemann(raw["riemann"], diagrams, err)
@@ -506,7 +495,7 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     # crosses less than one cell per step
     if road is not None and numerics is not None and not override_cfl:
         vmax = max(fd.max_wave_speed() for _, fd, _ in road.segments)
-        nu = vmax * numerics.dt / road.dx
+        nu = vmax * numerics.step.dt / road.dx
         if nu > _CFL_GUARD:
             err.add("numerics.dt_s",
                     f"CFL number {nu:.2f} exceeds {_CFL_GUARD} "
@@ -673,23 +662,22 @@ def _snapshot_csv(record: SimRecord) -> str:
     return "\n".join(rows) + "\n"
 
 
-def cmd_simulate(cfg: ScenarioConfig, out_dir: Path,
-                 override_cfl: bool = False) -> int:
+def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:
     if cfg.numerics is None:
         raise ConfigError("simulate needs a numerics section")
     grid = _build_grid(cfg)
     num = cfg.numerics
-    step_cfg = StepConfig(num.dt, num.flux_rule, allow_high_cfl=override_cfl)
-    record = run(grid, step_cfg, num.duration, num.record_every)
+    dt = num.step.dt
+    record = run(grid, num.step, num.duration, num.record_every)
 
     drift = record.conservation_drift()
     lines = [
         "simulation summary",
         f"  cells: {grid.n}, dx = {grid.dx:g} km, "
         f"topology: {'ring' if grid.is_ring else 'open'}",
-        f"  dt = {num.dt:g} s, steps = {len(record.times) - 1} recorded of "
-        f"{int(round(num.duration / num.dt))}, "
-        f"CFL = {cfl_number(grid, num.dt):.2f}",
+        f"  dt = {dt:g} s, steps = {len(record.times) - 1} recorded of "
+        f"{int(round(num.duration / dt))}, "
+        f"CFL = {cfl_number(grid, dt):.2f}",
         f"  vehicles: initial {_fmt(record.grid.total_vehicles(record.rho[0]))}"
         f" veh, final {_fmt(record.grid.total_vehicles(record.rho[-1]))} veh",
         f"  inflow {_fmt(record.inflow)} veh, outflow {_fmt(record.outflow)} veh",
@@ -922,7 +910,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "riemann":
             return cmd_riemann(cfg, out_dir)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, args.override_cfl)
+            return cmd_simulate(cfg, out_dir)
         return cmd_ring_predict(cfg, out_dir)
     except ConfigError as exc:
         sys.stderr.write(f"{exc}\n")

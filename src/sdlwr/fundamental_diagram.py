@@ -84,6 +84,21 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return x, f(x)
 
 
+def _bisect(below, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] once narrower than ``tol``.
+
+    ``below(x)`` says whether the sought point lies above x: each step
+    keeps the half of the bracket that holds it.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def _speed_of_flux(rho, q, rho_jam, v0):
     """Mean speed q/rho, taking the rho -> 0 limit v0 below 1e-12*rho_jam.
 
@@ -183,16 +198,10 @@ class FundamentalDiagram(abc.ABC):
         trapezoidal plateau at d = C this is the left edge (= rho_crit).
         """
         self._check_flux_level(d)
-        lo, hi = 0.0, self.rho_crit
-        if self.flux_curve(lo) >= d:
-            return lo
-        while hi - lo > _SEARCH_TOL * self.rho_jam:
-            mid = 0.5 * (lo + hi)
-            if self.flux_curve(mid) >= d:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        if self.flux_curve(0.0) >= d:
+            return 0.0
+        return _bisect(lambda rho: self.flux_curve(rho) < d, 0.0,
+                       self.rho_crit, _SEARCH_TOL * self.rho_jam)
 
     def inv_supply(self, s: float) -> float:
         """The density in [rho_crit, rho_jam] with S(rho) = s.
@@ -202,16 +211,10 @@ class FundamentalDiagram(abc.ABC):
         inverse continuous.
         """
         self._check_flux_level(s)
-        lo, hi = self.rho_crit, self.rho_jam
-        if self.flux_curve(hi) >= s:
-            return hi
-        while hi - lo > _SEARCH_TOL * self.rho_jam:
-            mid = 0.5 * (lo + hi)
-            if self.flux_curve(mid) >= s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        if self.flux_curve(self.rho_jam) >= s:
+            return self.rho_jam
+        return _bisect(lambda rho: self.flux_curve(rho) >= s, self.rho_crit,
+                       self.rho_jam, _SEARCH_TOL * self.rho_jam)
 
     def rho_of_gamma(self, gamma: float) -> float:
         """Density of the state with demand/supply ratio gamma in [0, inf]."""

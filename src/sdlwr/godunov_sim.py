@@ -10,9 +10,9 @@ where the interface flux between consecutive cells is
     q = min(D_left(rho_left), S_right(rho_right)),
 
 the cell transmission rule, valid also when the two cells carry
-different diagrams.  An independent Osher-type flux (dense extremum
-scan of Q over the density interval) is available as an oracle for
-homogeneous interfaces.
+different diagrams.  ``osher_flux``, the Godunov flux of one diagram
+by a dense extremum scan of Q over the density interval, is kept
+outside the march as an independent oracle for homogeneous interfaces.
 
 Topology is a ring (interface 0 wraps) or open, in which case demand
 enters from the left and supply limits the right exit, both as
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,7 +58,6 @@ from .fundamental_diagram import (
 
 __all__ = [
     "ConfigError",
-    "FluxRule",
     "StepFunction",
     "BoundarySpec",
     "SimGrid",
@@ -89,17 +87,12 @@ RUN_TOL = 1e-3
 
 _CFL_GUARD = 0.95
 
-# Points of the osher rule's extremum scan, both endpoints included.
-_OSHER_SAMPLES = 10_000
+# Points of osher_flux's extremum scan, both endpoints included.
+_SCAN_SAMPLES = 10_000
 
 
 class ConfigError(ValueError):
     """Invalid run configuration (CFL violation, bad boundary data...)."""
-
-
-class FluxRule(enum.Enum):
-    SUPPLY_DEMAND = "supply_demand"
-    OSHER = "osher"
 
 
 @dataclass(frozen=True)
@@ -390,12 +383,10 @@ def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Time step (s) and flux rule; set ``allow_high_cfl`` to run past
-    the 0.95 guard (at your own risk up to and beyond the stability
-    limit)."""
+    """Time step (s); set ``allow_high_cfl`` to run past the 0.95 guard
+    (at your own risk up to and beyond the stability limit)."""
 
     dt: float
-    flux_rule: FluxRule = FluxRule.SUPPLY_DEMAND
     allow_high_cfl: bool = False
 
     def __post_init__(self):
@@ -421,7 +412,7 @@ def osher_flux(fd: FundamentalDiagram, rho_left: float, rho_right: float) -> flo
     if rho_left == rho_right:
         return float(fd.flux(rho_left))
     lo, hi = min(rho_left, rho_right), max(rho_left, rho_right)
-    grid = np.linspace(lo, hi, _OSHER_SAMPLES)
+    grid = np.linspace(lo, hi, _SCAN_SAMPLES)
     if lo < fd.rho_crit < hi:
         grid = np.append(grid, fd.rho_crit)
     q = fd.flux_curve(grid)
@@ -451,31 +442,20 @@ def _boundary_value(fn, t: float, cap: float, what: str) -> float:
     return value
 
 
-def _fill_fluxes(grid: SimGrid, cfg: StepConfig, rho: np.ndarray,
-                 rc: np.ndarray, t: float, f: np.ndarray, d=None, s=None) -> None:
-    """Write the n+1 interface fluxes at time t into ``f``: f[i] crosses
-    into cell i from cell i-1, and f[0] = f[n] is the wrap on a ring.
+def _fill_fluxes(grid: SimGrid, rho: np.ndarray, t: float, f: np.ndarray,
+                 d=None, s=None) -> None:
+    """Write the n+1 interface fluxes min(D_left, S_right) at time t into
+    ``f``: f[i] crosses into cell i from cell i-1, and f[0] = f[n] is the
+    wrap on a ring.
 
-    ``rc`` is ``rho`` clamped by the table; the osher rule scans the raw
-    densities, the supply-demand rule reads the table (into ``d``/``s``
-    when given).
+    ``rho`` holds densities clamped by the table; demand and supply go
+    into ``d``/``s`` when given.
     """
-    table = grid._table
-    if cfg.flux_rule is FluxRule.OSHER:
-        if len(table.diagrams) > 1:
-            raise ConfigError("osher flux rule requires a homogeneous road")
-        fd = grid.fds[0]
-        f[1:-1] = [osher_flux(fd, rho[i - 1], rho[i]) for i in range(1, grid.n)]
-        if grid.is_ring:
-            f[0] = f[-1] = osher_flux(fd, rho[-1], rho[0])
-            return
-        d, s = table.demand_supply(rc, d, s)
-    else:
-        d, s = table.demand_supply(rc, d, s)
-        np.minimum(d[:-1], s[1:], out=f[1:-1])
-        if grid.is_ring:
-            f[0] = f[-1] = min(d[-1], s[0])
-            return
+    d, s = grid._table.demand_supply(rho, d, s)
+    np.minimum(d[:-1], s[1:], out=f[1:-1])
+    if grid.is_ring:
+        f[0] = f[-1] = min(d[-1], s[0])
+        return
     f[0] = min(_boundary_value(grid.boundaries.left_demand, t,
                                grid.fds[0].capacity, "left demand"), s[0])
     f[-1] = min(d[-1], _boundary_value(grid.boundaries.right_supply, t,
@@ -486,10 +466,12 @@ def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarr
     """All interface fluxes at time t for the current densities.
 
     Ring: n entries, entry i crossing into cell i from cell i-1 (entry 0
-    wraps).  Open: n+1 entries including the two boundary fluxes.
+    wraps).  Open: n+1 entries including the two boundary fluxes.  The
+    fluxes do not depend on ``cfg``; it stays in the signature so that
+    callers passing it positionally keep working.
     """
     f = np.empty(grid.n + 1)
-    _fill_fluxes(grid, cfg, grid.rho, grid._table.clamp(grid.rho), t, f)
+    _fill_fluxes(grid, grid._table.clamp(grid.rho), t, f)
     return f[:-1] if grid.is_ring else f
 
 
@@ -521,8 +503,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     steps, snaps, deltas = [0], [rho.copy()], [0.0]
     inflow = outflow = 0.0
     for j in range(n_steps):
-        rc = table.clamp(rho, scratch, j)
-        _fill_fluxes(grid, cfg, rho, rc, t0 + j * dt, f, d, s)
+        _fill_fluxes(grid, table.clamp(rho, scratch, j), t0 + j * dt, f, d, s)
         np.subtract(f_out, f_in, out=change)
         np.multiply(change, r, out=change)
         np.subtract(rho, change, out=nxt)

@@ -27,7 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .fundamental_diagram import FLUX_TOL, FundamentalDiagram
+from .fundamental_diagram import _SEARCH_TOL, FLUX_TOL, FundamentalDiagram, _bisect
 from .supply_demand import SDState, classify, from_density, to_density
 
 __all__ = [
@@ -379,14 +379,8 @@ def stationary_pair_check(stat_up: SDState, stat_down: SDState,
 def _fan_density(fd: FundamentalDiagram, rho_lo: float, rho_hi: float,
                  xi: float) -> float:
     # invert Q'(rho) = xi on [rho_lo, rho_hi]; Q' is nonincreasing in rho
-    lo, hi = rho_lo, rho_hi
-    while hi - lo > 1e-10 * fd.rho_jam:
-        mid = 0.5 * (lo + hi)
-        if fd.derivative(mid) > xi:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda rho: fd.derivative(rho) > xi, rho_lo, rho_hi,
+                   _SEARCH_TOL * fd.rho_jam)
 
 
 def _sample_side(fd, wave: Wave, stat: SDState, xi):

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fundamental_diagram import FundamentalDiagram
+from .fundamental_diagram import FundamentalDiagram, _bisect
 from .riemann_solver import StationaryPattern, stationary_pair_check
 from .supply_demand import SDState
 
@@ -209,14 +209,7 @@ def predict(spec: RingSpec) -> RingPrediction:
     tol = _FLUX_BISECT_TOL * c1
 
     if n <= n_a + BOUNDARY_TOL:
-        lo, hi = 0.0, c1
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _count_both_uc(spec, mid) >= n:
-                hi = mid
-            else:
-                lo = mid
-        q = 0.5 * (lo + hi)
+        q = _bisect(lambda q: _count_both_uc(spec, q) < n, 0.0, c1, tol)
         at_boundary = abs(n - n_a) <= BOUNDARY_TOL
         if at_boundary:
             q = c1
@@ -251,14 +244,7 @@ def predict(spec: RingSpec) -> RingPrediction:
         sites = (InteriorSite(spec.L1, BoundarySide.PLUS),)
         return RingPrediction(RingScenario.CRITICAL_WITH_SOC, c1, profile, sites)
 
-    lo, hi = 0.0, c1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _count_both_soc(spec, mid) >= n:
-            lo = mid
-        else:
-            hi = mid
-    q = 0.5 * (lo + hi)
+    q = _bisect(lambda q: _count_both_soc(spec, q) >= n, 0.0, c1, tol)
     profile = (
         ProfileSegment(0.0, spec.L1, spec.fd1.rho_of_gamma(c1 / q)),
         ProfileSegment(spec.L1, spec.L, spec.fd2.rho_of_gamma(c2 / q)),
@@ -342,12 +328,12 @@ def _link_end_states(pattern: LinkPattern, cap: float, q: float
     return SDState(cap, q), SDState(cap, q)
 
 
-def _pattern_flux_range(p1: LinkPattern, p2: LinkPattern, c1: float):
-    """Trial fluxes compatible with the strictness of each pattern.
+def _pattern_flux_range(p1: LinkPattern, c1: float):
+    """Trial fluxes compatible with the strictness of link 1's pattern.
 
     A standing shock or a congested link needs q strictly below its own
     capacity, so those patterns exclude q = C1 on link 1 (link 2's
-    capacity exceeds C1 and never binds).
+    capacity exceeds C1 and never binds, so its pattern plays no part).
     """
     strict = p1 in (LinkPattern.SS, LinkPattern.SOC)
     fluxes = [0.5 * c1]
@@ -377,7 +363,7 @@ def feasibility_table(spec: RingSpec) -> dict[tuple[LinkPattern, LinkPattern],
     for p1 in LinkPattern:
         for p2 in LinkPattern:
             verdict = None
-            for q in _pattern_flux_range(p1, p2, c1):
+            for q in _pattern_flux_range(p1, c1):
                 start1, end1 = _link_end_states(p1, c1, q)
                 start2, end2 = _link_end_states(p2, c2, q)
                 at_l1 = stationary_pair_check(end1, start2, c1, c2)

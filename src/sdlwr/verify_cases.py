@@ -26,9 +26,6 @@ from .riemann_solver import (
 )
 from .supply_demand import SDState
 
-# expected wave: None, or (kind, direction)
-ExpectedWave = "tuple[WaveKind, WaveDirection] | None"
-
 _FRACTIONS = (0.25, 0.5, 0.75)  # strictly under-capacity flux levels
 
 

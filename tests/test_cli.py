@@ -135,7 +135,8 @@ def test_parse_rejects_unstable_dt():
         parse_config(bad)
     # the override keeps the config usable for deliberate experiments
     cfg = parse_config(bad, override_cfl=True)
-    assert cfg.numerics.dt == 0.2
+    assert cfg.numerics.step.dt == 0.2
+    assert cfg.numerics.step.allow_high_cfl
 
 
 def test_parse_collects_every_error():
@@ -391,6 +392,9 @@ def _slot(node, path):
     return node, index(last)
 
 
+# written out as digits: YAML reads them back as Python ints
+_BEYOND_FLOAT = [10**400, -10**400]
+
 _NUMBER_KEYS = [
     (name, key)
     for name in ("riemann", "simulate", "ring_predict")
@@ -403,14 +407,18 @@ _NUMBER_KEYS = [
                          ids=[f"{n}:{k}" for n, k in _NUMBER_KEYS])
 def test_non_finite_numbers_are_keyed_config_errors(tmp_path, capsys, name, key):
     """``.nan``, ``.inf`` and ``-.inf`` in any number key of the bench
-    configs end in a config error naming the key, with exit code 2."""
+    configs, and integers beyond the float range in any float key, end
+    in a config error naming the key, with exit code 2."""
     raw = yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
     node, slot = _slot(raw, key)
     # the two keys that take only integers say so instead
-    want = ("expected an integer" if slot in ("count", "record_every")
-            else "must be finite")
+    integer_key = slot in ("count", "record_every")
+    want = "expected an integer" if integer_key else "must be finite"
+    values = [math.nan, math.inf, -math.inf]
+    if not integer_key:
+        values += _BEYOND_FLOAT
     cfg = tmp_path / f"{name}.yaml"
-    for value in (math.nan, math.inf, -math.inf):
+    for value in values:
         node[slot] = value
         cfg.write_text(yaml.safe_dump(raw))
         code = main([name.replace("_", "-"), "--config", str(cfg),
@@ -418,6 +426,26 @@ def test_non_finite_numbers_are_keyed_config_errors(tmp_path, capsys, name, key)
         err = capsys.readouterr().err
         assert code == 2, (key, value, err)
         assert f"{key}: {want}" in err, (key, value, err)
+
+
+@pytest.mark.parametrize("side", ["left_demand_veh_s", "right_supply_veh_s"])
+@pytest.mark.parametrize("form", ["constant", "schedule"])
+def test_boundary_numbers_are_keyed_config_errors(tmp_path, capsys, side, form):
+    """A boundary flow that is not a finite number is refused at parse
+    time with its key, in constant and in schedule form."""
+    raw = yaml.safe_load(SIM_CFG)
+    key = f"boundaries.{side}"
+    if form == "schedule":
+        key += "[0].value_veh_s"
+    cfg = tmp_path / "sim.yaml"
+    for value in [math.nan, math.inf, -math.inf] + _BEYOND_FLOAT:
+        raw["boundaries"][side] = (
+            value if form == "constant" else [{"t_s": 0, "value_veh_s": value}])
+        cfg.write_text(yaml.safe_dump(raw))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, (key, value, err)
+        assert f"{key}: must be finite" in err, (key, value, err)
 
 
 def test_override_cfl_flag_end_to_end(tmp_path, capsys):
