@@ -69,6 +69,10 @@ EXIT_CONFIG = 2
 
 _KM_S_TO_M_S = 1000.0
 
+# Largest riemann.profile.count accepted: a profile is one numpy array of
+# this many points, each costing up to one bisection.
+_MAX_PROFILE_POINTS = 100_000
+
 
 def _fmt(x: float) -> str:
     """Report format: 4 decimals, the precision quoted in summaries."""
@@ -404,8 +408,10 @@ def _build_riemann(node, diagrams, err) -> RiemannConfig | None:
         lo = _get_number(pnode, "xi_min_m_s", ppath, err)
         hi = _get_number(pnode, "xi_max_m_s", ppath, err)
         count = pnode.get("count", 101)
-        if not isinstance(count, int) or isinstance(count, bool) or count < 2:
-            err.add(f"{ppath}.count", f"expected an integer >= 2, got {count!r}")
+        if (not isinstance(count, int) or isinstance(count, bool)
+                or not 2 <= count <= _MAX_PROFILE_POINTS):
+            err.add(f"{ppath}.count", "expected an integer in "
+                    f"[2, {_MAX_PROFILE_POINTS}], got {count!r}")
             count = None
         if lo is not None and hi is not None and count and lo >= hi:
             err.add(ppath, "xi_min_m_s must be below xi_max_m_s")

@@ -21,6 +21,16 @@ m/s.  Constructors state the units of every parameter they accept.
 Three concrete families are provided: the parabolic Greenshields law,
 the triangular/trapezoidal law used by the cell transmission model, and
 the Kerner-Konhauser law with its logistic speed function.
+
+Scalars take a scalar path: a Python float given to ``flux_curve``
+comes back as a plain float, computed without building a numpy array,
+with the same bits as the array path gives for that density; ``flux``,
+``demand``, ``supply`` and ``speed`` return plain floats for any float,
+``np.float64`` included.  Each family evaluates one formula on both
+paths.  Its exponential is ``np.exp`` even on a float, because
+``math.exp`` differs from numpy's exp in the last bit on a few per cent
+of arguments, and the simulator's per-cell table, which works on
+arrays, must agree with the scalar methods bit for bit.
 """
 
 from __future__ import annotations
@@ -56,7 +66,10 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _scalarize(x):
-    """0-d arrays come back as plain floats; real arrays pass through."""
+    """Floats and 0-d arrays come back as plain floats; real arrays pass
+    through."""
+    if isinstance(x, float):
+        return float(x)
     arr = np.asarray(x)
     return float(arr) if arr.shape == () else arr
 
@@ -99,12 +112,30 @@ def _bisect(below, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _as_density(rho):
+    """Floats pass through for the scalar path; anything else becomes a
+    float array."""
+    return rho if isinstance(rho, float) else np.asarray(rho, dtype=float)
+
+
+def _minimum(a, b):
+    """``np.minimum``, as the builtin ``min`` when ``a`` is a float."""
+    return min(a, b) if isinstance(a, float) else np.minimum(a, b)
+
+
+def _maximum(a, b):
+    """``np.maximum``, as the builtin ``max`` when ``a`` is a float."""
+    return max(a, b) if isinstance(a, float) else np.maximum(a, b)
+
+
 def _speed_of_flux(rho, q, rho_jam, v0):
     """Mean speed q/rho, taking the rho -> 0 limit v0 below 1e-12*rho_jam.
 
     The parameters may be scalars or per-cell arrays; the simulator's
     per-cell table and ``FundamentalDiagram.speed`` both evaluate it.
     """
+    if isinstance(rho, float):
+        return v0 if rho < 1e-12 * rho_jam else q / rho
     tiny = rho < 1e-12 * rho_jam
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(tiny, v0, q / np.where(tiny, 1.0, rho))
@@ -131,7 +162,13 @@ class FundamentalDiagram(abc.ABC):
 
     @abc.abstractmethod
     def flux_curve(self, rho):
-        """Q(rho) without domain checks; accepts scalars or arrays."""
+        """Q(rho) without domain checks; accepts scalars or arrays.
+
+        This is the one hook every inversion, search and derivative of
+        the diagram calls.  The built-in families answer a float with a
+        float carrying the same bits as the array path (see the module
+        docstring for why that rules out ``math.exp``).
+        """
 
     def _locate_critical(self) -> tuple[float, float]:
         return _golden_section_max(
@@ -159,12 +196,16 @@ class FundamentalDiagram(abc.ABC):
 
     def _check_density(self, rho):
         """Clamp tiny drift beyond [0, rho_jam]; reject real violations."""
-        r = np.asarray(rho, dtype=float)
+        lo, hi = -DENSITY_SLACK, self.rho_jam + DENSITY_SLACK
+        r = _as_density(rho)
+        scalar = isinstance(r, float)
         # written so that NaN fails it
-        if not np.all((r >= -DENSITY_SLACK) & (r <= self.rho_jam + DENSITY_SLACK)):
+        if not (lo <= r <= hi if scalar else np.all((r >= lo) & (r <= hi))):
             raise ValueError(
                 f"density outside [0, {self.rho_jam}] veh/km: {rho!r}"
             )
+        if scalar:
+            return min(max(r, 0.0), self.rho_jam)
         return np.clip(r, 0.0, self.rho_jam)
 
     def flux(self, rho):
@@ -174,13 +215,13 @@ class FundamentalDiagram(abc.ABC):
     def demand(self, rho):
         """Sending flow D(rho) = Q(min(rho, rho_crit)); nondecreasing."""
         return _scalarize(
-            self.flux_curve(np.minimum(self._check_density(rho), self.rho_crit))
+            self.flux_curve(_minimum(self._check_density(rho), self.rho_crit))
         )
 
     def supply(self, rho):
         """Receiving flow S(rho) = Q(max(rho, rho_crit)); nonincreasing."""
         return _scalarize(
-            self.flux_curve(np.maximum(self._check_density(rho), self.rho_crit))
+            self.flux_curve(_maximum(self._check_density(rho), self.rho_crit))
         )
 
     def speed(self, rho):
@@ -303,15 +344,15 @@ class GreenshieldsDiagram(FundamentalDiagram):
 
 
 def _triangular_flux(rho, v_free, v_cong, rho_jam, q_max):
-    return np.minimum(np.minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
+    return _minimum(_minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
 
 
 def _triangular_demand(rho, v_free, peak):
-    return np.minimum(v_free * rho, peak)
+    return _minimum(v_free * rho, peak)
 
 
 def _triangular_supply(rho, v_cong, rho_jam, peak):
-    return np.minimum(v_cong * (rho_jam - rho), peak)
+    return _minimum(v_cong * (rho_jam - rho), peak)
 
 
 @dataclass
@@ -352,8 +393,8 @@ class TriangularDiagram(FundamentalDiagram):
         super().__init__()
 
     def flux_curve(self, rho):
-        return _triangular_flux(np.asarray(rho, dtype=float), self.v_free,
-                                self.v_cong, self.rho_jam, self.q_max)
+        return _triangular_flux(_as_density(rho), self.v_free, self.v_cong,
+                                self.rho_jam, self.q_max)
 
     def _locate_critical(self):
         return self._left_edge, self._peak
@@ -406,8 +447,19 @@ _KK_WIDTH = 0.06
 _KK_OFFSET = 3.72e-6
 
 
+def _exp(x):
+    """``np.exp``, as a plain float when ``x`` is a float, so that the
+    arithmetic around it stays in floats rather than numpy scalars.
+
+    Never ``math.exp``: it differs from numpy's exp in the last bit on a
+    few per cent of arguments.  A one-line call also leaves the array
+    result a temporary that numpy may reuse in place.
+    """
+    return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
+
+
 def _kk_speed(rho, rho_jam, speed_scale):
-    logistic = 1.0 / (1.0 + np.exp((rho / rho_jam - _KK_MIDPOINT) / _KK_WIDTH))
+    logistic = 1.0 / (1.0 + _exp((rho / rho_jam - _KK_MIDPOINT) / _KK_WIDTH))
     return _KK_GAIN * (logistic - _KK_OFFSET) * speed_scale
 
 
@@ -455,4 +507,4 @@ class KernerKonhauserDiagram(FundamentalDiagram):
         super().__init__()
 
     def flux_curve(self, rho):
-        return _kk_flux(np.asarray(rho, dtype=float), self.rho_jam, self._speed_scale)
+        return _kk_flux(_as_density(rho), self.rho_jam, self._speed_scale)

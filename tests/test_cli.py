@@ -12,7 +12,7 @@ import yaml
 
 import sdlwr
 from sdlwr import ConfigError
-from sdlwr.cli import main, parse_config
+from sdlwr.cli import _MAX_PROFILE_POINTS, main, parse_config
 
 RIEMANN_CFG = textwrap.dedent("""\
     diagrams:
@@ -426,6 +426,25 @@ def test_non_finite_numbers_are_keyed_config_errors(tmp_path, capsys, name, key)
         err = capsys.readouterr().err
         assert code == 2, (key, value, err)
         assert f"{key}: {want}" in err, (key, value, err)
+
+
+def test_profile_count_out_of_range_is_keyed_config_error(tmp_path, capsys):
+    """A profile count too large to build (10**400 used to end in a numpy
+    traceback) or below 2 is refused with its key and exit code 2; the
+    largest accepted count parses."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / "riemann.yaml").read_text())
+    cfg = tmp_path / "riemann.yaml"
+    want = f"riemann.profile.count: expected an integer in [2, {_MAX_PROFILE_POINTS}]"
+    for value in _BEYOND_FLOAT + [_MAX_PROFILE_POINTS + 1, 1, 0, -3]:
+        raw["riemann"]["profile"]["count"] = value
+        cfg.write_text(yaml.safe_dump(raw))
+        code = main(["riemann", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, (value, err)
+        assert want in err, (value, err)
+    raw["riemann"]["profile"]["count"] = _MAX_PROFILE_POINTS
+    parsed = parse_config(yaml.safe_dump(raw))
+    assert parsed.riemann.profile[2] == _MAX_PROFILE_POINTS
 
 
 @pytest.mark.parametrize("side", ["left_demand_veh_s", "right_supply_veh_s"])

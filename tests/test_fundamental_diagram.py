@@ -10,7 +10,16 @@ from sdlwr import (
     FundamentalDiagram,
     GreenshieldsDiagram,
     KernerKonhauserDiagram,
+    RiemannProblem,
+    RingScenario,
+    RingSpec,
+    SimGrid,
     TriangularDiagram,
+    from_density,
+    predict,
+    solve,
+    thresholds,
+    to_density,
 )
 
 # frozen reference values for the Kerner-Konhauser single-lane diagram
@@ -116,12 +125,20 @@ def test_construction_rejects_non_unimodal():
         _TwoHump()
 
 
-class _CountingKK(KernerKonhauserDiagram):
-    calls = 0
+def _counting(cls):
+    """``cls`` with a class-wide tally of its ``flux_curve`` calls."""
 
-    def flux_curve(self, rho):
-        type(self).calls += 1
-        return super().flux_curve(rho)
+    class Counting(cls):
+        calls = 0
+
+        def flux_curve(self, rho):
+            type(self).calls += 1
+            return super().flux_curve(rho)
+
+    return Counting
+
+
+_CountingKK = _counting(KernerKonhauserDiagram)
 
 
 def test_unimodality_check_costs_no_flux_evaluation():
@@ -251,3 +268,144 @@ def test_max_wave_speed_bounds_derivative(family_zoo):
         vmax = fd.max_wave_speed()
         for rho in np.linspace(0.0, fd.rho_jam, 200):
             assert abs(fd.derivative(rho)) <= vmax * (1.0 + 1e-6) + 1e-12
+
+
+# -- the scalar path --------------------------------------------------------
+
+_BUILT_IN = {
+    "gs": lambda: GreenshieldsDiagram(27.8e-3, 120.0),
+    "triangle": lambda: TriangularDiagram(1.0, 4.0),
+    "trapezoid": lambda: TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3),
+    "kk1": lambda: KernerKonhauserDiagram(lanes=1),
+    "kk2": lambda: KernerKonhauserDiagram(lanes=2),
+    "kk3": lambda: KernerKonhauserDiagram(lanes=3),
+}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _scalar_densities(fd, seed):
+    """Seeded densities, plus the exact points where a formula switches
+    branch: both ends, the critical density and the plateau edges."""
+    special = [0.0, fd.rho_crit, fd.rho_jam]
+    if isinstance(fd, TriangularDiagram):
+        special += [fd.capacity / fd.v_free, fd.rho_jam - fd.capacity / fd.v_cong]
+    rng = np.random.default_rng(seed)
+    return special + rng.uniform(0.0, fd.rho_jam, 300).tolist()
+
+
+@pytest.mark.parametrize("name", list(_BUILT_IN))
+def test_scalar_flux_curve_matches_array_path(name):
+    """A float in gives a plain float out, with the bits of the array path."""
+    fd = _BUILT_IN[name]()
+    for rho in _scalar_densities(fd, seed=5):
+        q = fd.flux_curve(rho)
+        assert type(q) is float, (name, rho)
+        assert _bits(q) == _bits(fd.flux_curve(np.array([rho]))[0]), (name, rho)
+        assert _bits(fd.flux_curve(np.float64(rho))) == _bits(q), (name, rho)
+
+
+@pytest.mark.parametrize("name", list(_BUILT_IN))
+def test_scalar_methods_match_grid_table(name):
+    """demand/supply/flux/speed of a float equal the simulator's per-cell
+    table (the array path) bit for bit, and are plain floats."""
+    fd = _BUILT_IN[name]()
+    rhos = _scalar_densities(fd, seed=6)
+    grid = SimGrid([fd] * len(rhos), np.array(rhos), dx=0.5)
+    d, s = grid.demand_supply()
+    q, v = grid.flux_speed()
+    for method, table in (("demand", d), ("supply", s), ("flux", q), ("speed", v)):
+        got = [getattr(fd, method)(rho) for rho in rhos]
+        assert all(type(x) is float for x in got), (name, method)
+        assert np.array_equal(_bits(got), _bits(table)), (name, method)
+
+
+# A counting class per family, and how to build its member at a scale
+# (lanes for Kerner-Konhauser, jam density and ceiling otherwise).
+_COUNTED_FAMILIES = {
+    "gs": (_counting(GreenshieldsDiagram),
+           lambda cls, k: cls(27.8e-3, 120.0 * k)),
+    "trapezoid": (_counting(TriangularDiagram),
+                  lambda cls, k: cls(30e-3, 150.0 * k, q_max=0.6 * k, v_cong=6e-3)),
+    "kk": (_counting(KernerKonhauserDiagram),
+           lambda cls, k: cls(lanes=k)),
+}
+
+
+def _counted(family, *scales):
+    counting, make = _COUNTED_FAMILIES[family]
+    return counting, [make(counting, k) for k in scales]
+
+
+# Exact flux_curve counts: every inversion and search goes through the
+# hook, so a scalar path that skipped it, or called it more often, would
+# move them.
+
+@pytest.mark.parametrize("family, scales, rhos, calls", [
+    ("gs", (1, 1), (30.0, 90.0), 4),
+    ("trapezoid", (1, 1), (15.0, 100.0), 67),
+    ("kk", (2, 1), (50.0, 20.0), 138),
+])
+def test_solve_flux_curve_calls(family, scales, rhos, calls):
+    """Lifting two densities and solving one Riemann problem."""
+    counting, (up, down) = _counted(family, *scales)
+    counting.calls = 0
+    solve(RiemannProblem.from_densities(up, down, *rhos))
+    assert counting.calls == calls
+
+
+@pytest.mark.parametrize("family, thresholds_calls, predicts", [
+    ("kk", 98, [(300.0, RingScenario.BOTH_UC, 2338),
+                (1000.0, RingScenario.CRITICAL_WITH_SS, 196),
+                (None, RingScenario.CRITICAL_WITH_SOC, 164),
+                (3000.0, RingScenario.BOTH_SOC, 2478)]),
+    ("gs", 102, [(300.0, RingScenario.BOTH_UC, 2482),
+                 (1800.0, RingScenario.CRITICAL_WITH_SS, 204),
+                 (None, RingScenario.CRITICAL_WITH_SOC, 170),
+                 (3400.0, RingScenario.BOTH_SOC, 2482)]),
+    ("trapezoid", 99, [(150.0, RingScenario.BOTH_UC, 2339),
+                       (1600.0, RingScenario.CRITICAL_WITH_SS, 198),
+                       (None, RingScenario.CRITICAL_WITH_SOC, 166),
+                       (3700.0, RingScenario.BOTH_SOC, 2549)]),
+])
+def test_ring_flux_curve_calls(family, thresholds_calls, predicts):
+    """thresholds and one predict per regime (None: exactly N_c) on a
+    ring of a one-lane and a two-lane link of one family."""
+    counting, (fd1, fd2) = _counted(family, 1, 2)
+    ring = RingSpec(16.8, 2.8, fd1, fd2)
+    counting.calls = 0
+    n_c = thresholds(ring)[1]
+    assert counting.calls == thresholds_calls
+    for n, scenario, calls in predicts:
+        spec = ring.with_vehicles(n_c if n is None else n)
+        counting.calls = 0
+        assert predict(spec).scenario is scenario
+        assert counting.calls == calls, (family, n)
+
+
+class _DoubledKK(KernerKonhauserDiagram):
+    """A user family: the Kerner-Konhauser curve carrying twice the flow."""
+
+    def flux_curve(self, rho):
+        return 2.0 * super().flux_curve(rho)
+
+
+def test_overridden_flux_curve_drives_every_method():
+    """Doubling a curve is exact in floating point, so every search over
+    the doubled curve takes the base curve's decisions: the inverses of
+    doubled levels are the base inverses, bit for bit.  A scalar path
+    that bypassed the override would answer for the base curve."""
+    fd, base = _DoubledKK(lanes=2), KernerKonhauserDiagram(lanes=2)
+    assert fd.rho_crit == base.rho_crit
+    assert fd.capacity == 2.0 * base.capacity
+    for level in np.linspace(0.0, base.capacity, 41).tolist():
+        assert fd.inv_demand(2.0 * level) == base.inv_demand(level)
+        assert fd.inv_supply(2.0 * level) == base.inv_supply(level)
+    for rho in np.linspace(0.0, base.rho_jam, 41).tolist():
+        assert fd.demand(rho) == 2.0 * base.demand(rho)
+        assert fd.supply(rho) == 2.0 * base.supply(rho)
+        assert fd.flux(rho) == 2.0 * base.flux(rho)
+        state = from_density(fd, rho)
+        assert to_density(fd, state) == to_density(base, from_density(base, rho))
