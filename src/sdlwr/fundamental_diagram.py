@@ -134,8 +134,6 @@ def _speed_of_flux(rho, q, rho_jam, v0):
     The parameters may be scalars or per-cell arrays; the simulator's
     per-cell table and ``FundamentalDiagram.speed`` both evaluate it.
     """
-    if isinstance(rho, float):
-        return v0 if rho < 1e-12 * rho_jam else q / rho
     tiny = rho < 1e-12 * rho_jam
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(tiny, v0, q / np.where(tiny, 1.0, rho))
