@@ -10,131 +10,23 @@ Internal units: veh/km, veh/s, km, s.  Speeds are km/s internally;
 the CLI converts to m/s at the boundary.
 """
 
-from .fundamental_diagram import (
-    FundamentalDiagram,
-    GreenshieldsDiagram,
-    KernerKonhauserDiagram,
-    TriangularDiagram,
-)
-from .godunov_sim import (
-    BoundarySpec,
-    ConfigError,
-    InteriorCell,
-    SimGrid,
-    SimRecord,
-    StepConfig,
-    StepFunction,
-    cfl_number,
-    detect_interior_states,
-    grid_from_segments,
-    interface_fluxes,
-    osher_flux,
-    run,
-    sd_flux,
-    step,
-)
-from .riemann_solver import (
-    Family,
-    RiemannProblem,
-    RiemannSolution,
-    Side,
-    StationaryPattern,
-    Unique,
-    Wave,
-    WaveDirection,
-    WaveKind,
-    admissible_interior_down,
-    admissible_interior_up,
-    admissible_stationary_down,
-    admissible_stationary_up,
-    boundary_flux,
-    classify_wave,
-    entropy_flux,
-    sample_profile,
-    solve,
-    stationary_pair_check,
-)
-from .ring_analysis import (
-    BoundarySide,
-    FeasibilityCell,
-    InteriorSite,
-    LinkPattern,
-    ProfileSegment,
-    RingPrediction,
-    RingScenario,
-    RingSpec,
-    feasibility_table,
-    initial_density,
-    predict,
-    thresholds,
-    vehicles_of_initial,
-)
-from .supply_demand import (
-    Regime,
-    SDState,
-    classify,
-    from_density,
-    to_density,
-)
+# Each module's __all__ is its public interface; the package republishes
+# it, so a public name is declared once.
+from . import (fundamental_diagram, godunov_sim, riemann_solver,
+               ring_analysis, supply_demand)
+from .fundamental_diagram import *  # noqa: F401,F403
+from .godunov_sim import *  # noqa: F401,F403
+from .riemann_solver import *  # noqa: F401,F403
+from .ring_analysis import *  # noqa: F401,F403
+from .supply_demand import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FundamentalDiagram",
-    "GreenshieldsDiagram",
-    "TriangularDiagram",
-    "KernerKonhauserDiagram",
-    "Regime",
-    "SDState",
-    "classify",
-    "from_density",
-    "to_density",
-    "RiemannProblem",
-    "RiemannSolution",
-    "Side",
-    "StationaryPattern",
-    "Unique",
-    "Family",
-    "Wave",
-    "WaveKind",
-    "WaveDirection",
-    "boundary_flux",
-    "classify_wave",
-    "solve",
-    "sample_profile",
-    "entropy_flux",
-    "admissible_stationary_up",
-    "admissible_stationary_down",
-    "admissible_interior_up",
-    "admissible_interior_down",
-    "stationary_pair_check",
-    "BoundarySpec",
-    "ConfigError",
-    "InteriorCell",
-    "SimGrid",
-    "SimRecord",
-    "StepConfig",
-    "StepFunction",
-    "cfl_number",
-    "detect_interior_states",
-    "grid_from_segments",
-    "interface_fluxes",
-    "osher_flux",
-    "run",
-    "sd_flux",
-    "step",
-    "BoundarySide",
-    "FeasibilityCell",
-    "InteriorSite",
-    "LinkPattern",
-    "ProfileSegment",
-    "RingPrediction",
-    "RingScenario",
-    "RingSpec",
-    "feasibility_table",
-    "initial_density",
-    "predict",
-    "thresholds",
-    "vehicles_of_initial",
+    *fundamental_diagram.__all__,
+    *supply_demand.__all__,
+    *riemann_solver.__all__,
+    *godunov_sim.__all__,
+    *ring_analysis.__all__,
     "__version__",
 ]

@@ -12,7 +12,7 @@ schema; every numeric field carries its unit in the key name):
 
 Reports print values to 4 decimal places; CSV files carry 6
 significant digits.  Exit codes: 0 success, 1 failed property
-(verify), 2 configuration error.
+(verify), 2 configuration error or a simulation that diverged.
 """
 
 from __future__ import annotations
@@ -39,12 +39,15 @@ from .godunov_sim import (
     ConfigError,
     SimGrid,
     SimRecord,
+    SimulationDiverged,
     StepConfig,
     StepFunction,
     cfl_number,
     detect_interior_states,
     grid_from_segments,
+    osher_flux,
     run,
+    sd_flux,
 )
 from .riemann_solver import (
     Family,
@@ -62,6 +65,7 @@ from .ring_analysis import (
     vehicles_of_initial,
 )
 from .supply_demand import SDState, from_density, to_density
+from .verify_cases import run_case_table
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -101,17 +105,19 @@ class _Errors:
             raise ConfigError("invalid config:\n  " + "\n  ".join(self.items))
 
 
-def _need_map(node, path, err) -> dict:
+def _section(node, path: str, err: _Errors, allowed: set[str] | None) -> dict:
+    """``node`` as a mapping, reporting every key outside ``allowed``.
+
+    ``allowed`` is None for a section of unknown kind, whose keys cannot
+    be checked; the kind itself is reported instead.
+    """
     if not isinstance(node, dict):
         err.add(path, f"expected a mapping, got {type(node).__name__}")
         return {}
-    return node
-
-
-def _check_keys(node: dict, allowed: set[str], path: str, err: _Errors) -> None:
     for key in node:
-        if key not in allowed:
+        if allowed is not None and key not in allowed:
             err.add(f"{path}.{key}", "unknown key")
+    return node
 
 
 def _get_number(node: dict, key: str, path: str, err: _Errors,
@@ -139,21 +145,28 @@ def _get_number(node: dict, key: str, path: str, err: _Errors,
     return number
 
 
+_DIAGRAM_KEYS = {
+    "greenshields": {"family", "v_free_m_s", "rho_jam_veh_km"},
+    "triangular": {"family", "v_free_m_s", "rho_jam_veh_km", "q_max_veh_s",
+                   "v_cong_m_s"},
+    "kerner_konhauser": {"family", "lanes", "rho_jam_lane_veh_km", "tau_s",
+                         "unit_len_km"},
+}
+
+
 def _build_diagram(name: str, node: Any, err: _Errors) -> FundamentalDiagram | None:
     path = f"diagrams.{name}"
-    node = _need_map(node, path, err)
-    family = node.get("family")
+    family = node.get("family") if isinstance(node, dict) else None
+    keys = _DIAGRAM_KEYS.get(family) if isinstance(family, str) else None
+    node = _section(node, path, err, keys)
     try:
         if family == "greenshields":
-            _check_keys(node, {"family", "v_free_m_s", "rho_jam_veh_km"}, path, err)
             v = _get_number(node, "v_free_m_s", path, err, positive=True)
             rj = _get_number(node, "rho_jam_veh_km", path, err, positive=True)
             if v is None or rj is None:
                 return None
             return GreenshieldsDiagram(v / _KM_S_TO_M_S, rj)
         if family == "triangular":
-            _check_keys(node, {"family", "v_free_m_s", "rho_jam_veh_km",
-                               "q_max_veh_s", "v_cong_m_s"}, path, err)
             v = _get_number(node, "v_free_m_s", path, err, positive=True)
             rj = _get_number(node, "rho_jam_veh_km", path, err, positive=True)
             qm = _get_number(node, "q_max_veh_s", path, err, required=False,
@@ -167,8 +180,6 @@ def _build_diagram(name: str, node: Any, err: _Errors) -> FundamentalDiagram | N
                 None if vc is None else vc / _KM_S_TO_M_S,
             )
         if family == "kerner_konhauser":
-            _check_keys(node, {"family", "lanes", "rho_jam_lane_veh_km",
-                               "tau_s", "unit_len_km"}, path, err)
             lanes = _get_number(node, "lanes", path, err, required=False,
                                 default=1.0, positive=True)
             rj = _get_number(node, "rho_jam_lane_veh_km", path, err,
@@ -182,8 +193,7 @@ def _build_diagram(name: str, node: Any, err: _Errors) -> FundamentalDiagram | N
         err.add(path, str(exc))
         return None
     err.add(f"{path}.family",
-            f"unknown family {family!r} (greenshields, triangular, "
-            f"kerner_konhauser)")
+            f"unknown family {family!r} ({', '.join(_DIAGRAM_KEYS)})")
     return None
 
 
@@ -191,11 +201,11 @@ def _build_diagram(name: str, node: Any, err: _Errors) -> FundamentalDiagram | N
 class RoadConfig:
     topology: str
     dx: float
-    segments: list[tuple[str, FundamentalDiagram, int]]  # name, diagram, cells
+    segments: list[tuple[FundamentalDiagram, int]]  # diagram, cells
 
     @property
     def n_cells(self) -> int:
-        return sum(c for _, _, c in self.segments)
+        return sum(c for _, c in self.segments)
 
     @property
     def length(self) -> float:
@@ -204,8 +214,7 @@ class RoadConfig:
 
 def _build_road(node, diagrams, err) -> RoadConfig | None:
     path = "road"
-    node = _need_map(node, path, err)
-    _check_keys(node, {"topology", "dx_km", "segments"}, path, err)
+    node = _section(node, path, err, {"topology", "dx_km", "segments"})
     topology = node.get("topology", "ring")
     if topology not in ("ring", "open"):
         err.add(f"{path}.topology", f"must be ring or open, got {topology!r}")
@@ -217,8 +226,7 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
     built = []
     for i, seg in enumerate(segments):
         spath = f"{path}.segments[{i}]"
-        seg = _need_map(seg, spath, err)
-        _check_keys(seg, {"diagram", "length_km"}, spath, err)
+        seg = _section(seg, spath, err, {"diagram", "length_km"})
         name = seg.get("diagram")
         fd = diagrams.get(name)
         if fd is None:
@@ -232,7 +240,7 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
             err.add(f"{spath}.length_km",
                     f"{length} km is not a whole number of dx={dx} km cells")
             continue
-        built.append((name, fd, int(round(cells))))
+        built.append((fd, int(round(cells))))
     if dx is None or not built:
         return None
     return RoadConfig(topology, dx, built)
@@ -246,22 +254,27 @@ class InitialConfig:
     pieces: list[tuple[float, float]] | None = None  # (length_km, rho)
 
 
+_INITIAL_KEYS = {
+    "uniform": {"kind", "rho_veh_km"},
+    "sinusoid": {"kind", "rho0_veh_km", "amplitude_veh_km"},
+    "piecewise": {"kind", "pieces"},
+}
+
+
 def _build_initial(node, err) -> InitialConfig | None:
     path = "initial"
-    node = _need_map(node, path, err)
-    kind = node.get("kind")
+    kind = node.get("kind") if isinstance(node, dict) else None
+    keys = _INITIAL_KEYS.get(kind) if isinstance(kind, str) else None
+    node = _section(node, path, err, keys)
     if kind == "uniform":
-        _check_keys(node, {"kind", "rho_veh_km"}, path, err)
         rho = _get_number(node, "rho_veh_km", path, err)
         return None if rho is None else InitialConfig("uniform", rho)
     if kind == "sinusoid":
-        _check_keys(node, {"kind", "rho0_veh_km", "amplitude_veh_km"}, path, err)
         rho0 = _get_number(node, "rho0_veh_km", path, err)
         amp = _get_number(node, "amplitude_veh_km", path, err, required=False,
                           default=0.0)
         return None if rho0 is None else InitialConfig("sinusoid", rho0, amp)
     if kind == "piecewise":
-        _check_keys(node, {"kind", "pieces"}, path, err)
         pieces = node.get("pieces")
         if not isinstance(pieces, list) or not pieces:
             err.add(f"{path}.pieces", "expected a nonempty list")
@@ -269,8 +282,7 @@ def _build_initial(node, err) -> InitialConfig | None:
         built = []
         for i, piece in enumerate(pieces):
             ppath = f"{path}.pieces[{i}]"
-            piece = _need_map(piece, ppath, err)
-            _check_keys(piece, {"length_km", "rho_veh_km"}, ppath, err)
+            piece = _section(piece, ppath, err, {"length_km", "rho_veh_km"})
             length = _get_number(piece, "length_km", ppath, err, positive=True)
             rho = _get_number(piece, "rho_veh_km", ppath, err)
             if length is not None and rho is not None:
@@ -290,8 +302,7 @@ class NumericsConfig:
 
 def _build_numerics(node, override_cfl, err) -> NumericsConfig | None:
     path = "numerics"
-    node = _need_map(node, path, err)
-    _check_keys(node, {"dt_s", "duration_s", "record_every"}, path, err)
+    node = _section(node, path, err, {"dt_s", "duration_s", "record_every"})
     dt = _get_number(node, "dt_s", path, err, positive=True)
     duration = _get_number(node, "duration_s", path, err)
     if duration is not None and duration < 0:
@@ -319,8 +330,7 @@ def _build_step_fn(node, key, path, err) -> Callable[[float], float] | None:
     times, values = [], []
     for i, pt in enumerate(node[key]):
         ppath = f"{path}[{i}]"
-        pt = _need_map(pt, ppath, err)
-        _check_keys(pt, {"t_s", "value_veh_s"}, ppath, err)
+        pt = _section(pt, ppath, err, {"t_s", "value_veh_s"})
         t = _get_number(pt, "t_s", ppath, err)
         v = _get_number(pt, "value_veh_s", ppath, err)
         if t is not None and v is not None:
@@ -337,8 +347,7 @@ def _build_step_fn(node, key, path, err) -> Callable[[float], float] | None:
 
 def _build_boundaries(node, err) -> BoundarySpec | None:
     path = "boundaries"
-    node = _need_map(node, path, err)
-    _check_keys(node, {"left_demand_veh_s", "right_supply_veh_s"}, path, err)
+    node = _section(node, path, err, {"left_demand_veh_s", "right_supply_veh_s"})
     left = _build_step_fn(node, "left_demand_veh_s", path, err)
     right = _build_step_fn(node, "right_supply_veh_s", path, err)
     if left is None or right is None:
@@ -347,9 +356,8 @@ def _build_boundaries(node, err) -> BoundarySpec | None:
 
 
 def _build_state(node, diagrams, path, err) -> tuple[FundamentalDiagram, SDState] | None:
-    node = _need_map(node, path, err)
-    _check_keys(node, {"diagram", "rho_veh_km", "demand_veh_s", "supply_veh_s"},
-                path, err)
+    node = _section(node, path, err,
+                    {"diagram", "rho_veh_km", "demand_veh_s", "supply_veh_s"})
     fd = diagrams.get(node.get("diagram"))
     if fd is None:
         err.add(f"{path}.diagram", f"unknown diagram {node.get('diagram')!r}")
@@ -388,23 +396,19 @@ class RiemannConfig:
 
 def _build_riemann(node, diagrams, err) -> RiemannConfig | None:
     path = "riemann"
-    node = _need_map(node, path, err)
-    _check_keys(node, {"upstream", "downstream", "profile"}, path, err)
-    up = down = None
-    if "upstream" in node:
-        up = _build_state(node["upstream"], diagrams, f"{path}.upstream", err)
-    else:
-        err.add(f"{path}.upstream", "missing")
-    if "downstream" in node:
-        down = _build_state(node["downstream"], diagrams,
-                            f"{path}.downstream", err)
-    else:
-        err.add(f"{path}.downstream", "missing")
+    node = _section(node, path, err, {"upstream", "downstream", "profile"})
+    states = []
+    for side in ("upstream", "downstream"):
+        if side in node:
+            states.append(_build_state(node[side], diagrams, f"{path}.{side}", err))
+        else:
+            err.add(f"{path}.{side}", "missing")
+            states.append(None)
     profile = None
     if "profile" in node:
         ppath = f"{path}.profile"
-        pnode = _need_map(node["profile"], ppath, err)
-        _check_keys(pnode, {"xi_min_m_s", "xi_max_m_s", "count"}, ppath, err)
+        pnode = _section(node["profile"], ppath, err,
+                         {"xi_min_m_s", "xi_max_m_s", "count"})
         lo = _get_number(pnode, "xi_min_m_s", ppath, err)
         hi = _get_number(pnode, "xi_max_m_s", ppath, err)
         count = pnode.get("count", 101)
@@ -417,9 +421,10 @@ def _build_riemann(node, diagrams, err) -> RiemannConfig | None:
             err.add(ppath, "xi_min_m_s must be below xi_max_m_s")
         elif lo is not None and hi is not None and count:
             profile = (lo, hi, count)
-    if up is None or down is None:
+    if None in states:
         return None
-    return RiemannConfig(up[0], down[0], up[1], down[1], profile)
+    (fd_up, u1), (fd_down, u2) = states
+    return RiemannConfig(fd_up, fd_down, u1, u2, profile)
 
 
 @dataclass
@@ -448,12 +453,13 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     err = _Errors()
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML raises a plain ValueError for an integer beyond Python's
+        # digit limit, without naming the key.
         raise ConfigError(f"invalid config: YAML parse error: {exc}") from exc
     if raw is None:
         raw = {}
-    raw = _need_map(raw, "<top>", err)
-    _check_keys(raw, _TOP_KEYS, "<top>", err)
+    raw = _section(raw, "<top>", err, _TOP_KEYS)
 
     diagrams: dict[str, FundamentalDiagram] = {}
     dnode = raw.get("diagrams")
@@ -476,15 +482,13 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
 
     ring_vehicles = None
     if "ring" in raw:
-        rnode = _need_map(raw["ring"], "ring", err)
-        _check_keys(rnode, {"vehicles_veh"}, "ring", err)
+        rnode = _section(raw["ring"], "ring", err, {"vehicles_veh"})
         ring_vehicles = _get_number(rnode, "vehicles_veh", "ring", err,
                                     required=False)
 
     outputs = {}
     if "outputs" in raw:
-        onode = _need_map(raw["outputs"], "outputs", err)
-        _check_keys(onode, {"csv", "report"}, "outputs", err)
+        onode = _section(raw["outputs"], "outputs", err, {"csv", "report"})
         for key in ("csv", "report"):
             if key in onode:
                 if not isinstance(onode[key], str) or not onode[key]:
@@ -500,7 +504,7 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     # CFL precheck: the scheme is only stable when the fastest wave
     # crosses less than one cell per step
     if road is not None and numerics is not None and not override_cfl:
-        vmax = max(fd.max_wave_speed() for _, fd, _ in road.segments)
+        vmax = max(fd.max_wave_speed() for fd, _ in road.segments)
         nu = vmax * numerics.step.dt / road.dx
         if nu > _CFL_GUARD:
             err.add("numerics.dt_s",
@@ -521,8 +525,8 @@ def _initial_density_fn(cfg: ScenarioConfig) -> Callable[[float], float]:
         return lambda x: initial.rho
     if initial.kind == "sinusoid":
         length = road.length
-        bounds = np.cumsum([0.0] + [c * road.dx for _, _, c in road.segments])
-        weights = [float(getattr(fd, "lanes", 1.0)) for _, fd, _ in road.segments]
+        bounds = np.cumsum([0.0] + [c * road.dx for _, c in road.segments])
+        weights = [float(getattr(fd, "lanes", 1.0)) for fd, _ in road.segments]
 
         def rho(x: float) -> float:
             i = min(np.searchsorted(bounds, x, side="right") - 1,
@@ -552,10 +556,9 @@ def _build_grid(cfg: ScenarioConfig) -> SimGrid:
                 f"initial.pieces cover {total} km but the road is "
                 f"{cfg.road.length} km"
             )
-    segs = [(fd, cells) for _, fd, cells in cfg.road.segments]
     boundaries = cfg.boundaries if cfg.road.topology == "open" else None
-    return grid_from_segments(segs, cfg.road.dx, _initial_density_fn(cfg),
-                              boundaries)
+    return grid_from_segments(cfg.road.segments, cfg.road.dx,
+                              _initial_density_fn(cfg), boundaries)
 
 
 def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
@@ -565,7 +568,7 @@ def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
     if road.topology != "ring" or len(road.segments) != 2:
         raise ConfigError("ring-predict needs a ring road with exactly two "
                           "segments (bottleneck first)")
-    (_, fd1, c1), (_, fd2, _) = road.segments
+    (fd1, c1), (fd2, _) = road.segments
     spec = RingSpec(road.length, c1 * road.dx, fd1, fd2)
     if cfg.ring_vehicles is not None:
         return spec.with_vehicles(cfg.ring_vehicles)
@@ -575,8 +578,7 @@ def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
     if cfg.initial.kind == "sinusoid":
         n = vehicles_of_initial(spec, cfg.initial.rho, cfg.initial.amplitude)
     else:
-        grid = _build_grid(cfg)
-        n = grid.total_vehicles()
+        n = _build_grid(cfg).total_vehicles()
     return spec.with_vehicles(n)
 
 
@@ -604,9 +606,16 @@ def _describe_wave(wave: Wave) -> str:
             f"[{_fmt(s_min * _KM_S_TO_M_S)}, {_fmt(s_max * _KM_S_TO_M_S)}] m/s")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _report(cfg: ScenarioConfig, out_dir: Path, lines: list[str]) -> None:
+    """Print the report, and write it to ``outputs.report`` when set."""
+    sys.stdout.write("\n".join(lines) + "\n")
+    if "report" in cfg.outputs:
+        _write(out_dir / cfg.outputs["report"], lines)
 
 
 def cmd_riemann(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -636,10 +645,7 @@ def cmd_riemann(cfg: ScenarioConfig, out_dir: Path) -> int:
         f"  wave on link 1: {_describe_wave(sol.wave_up)}",
         f"  wave on link 2: {_describe_wave(sol.wave_down)}",
     ]
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if "report" in cfg.outputs:
-        _write(out_dir / cfg.outputs["report"], report)
+    _report(cfg, out_dir, lines)
 
     if rc.profile is not None:
         lo, hi, count = rc.profile
@@ -649,11 +655,11 @@ def cmd_riemann(cfg: ScenarioConfig, out_dir: Path) -> int:
         rows += [f"{_csv_num(x * _KM_S_TO_M_S)},{_csv_num(r)}"
                  for x, r in zip(xi, rho)]
         name = cfg.outputs.get("csv", "riemann_profile.csv")
-        _write(out_dir / name, "\n".join(rows) + "\n")
+        _write(out_dir / name, rows)
     return EXIT_OK
 
 
-def _snapshot_csv(record: SimRecord) -> str:
+def _snapshot_rows(record: SimRecord) -> list[str]:
     grid = record.grid
     x = grid.x_centers
     rows = ["t,cell,x_km,rho_veh_km,v_m_s,q_veh_s"]
@@ -665,7 +671,7 @@ def _snapshot_csv(record: SimRecord) -> str:
                 f"{_csv_num(record.v[k, i] * _KM_S_TO_M_S)},"
                 f"{_csv_num(record.q[k, i])}"
             )
-    return "\n".join(rows) + "\n"
+    return rows
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:
@@ -704,12 +710,9 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:
             lines.append("  interior states: none detected")
     else:
         lines.append("  interior states: run not steady, detection skipped")
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if "report" in cfg.outputs:
-        _write(out_dir / cfg.outputs["report"], report)
+    _report(cfg, out_dir, lines)
     name = cfg.outputs.get("csv", "simulate.csv")
-    _write(out_dir / name, _snapshot_csv(record))
+    _write(out_dir / name, _snapshot_rows(record))
     return EXIT_OK
 
 
@@ -743,10 +746,7 @@ def cmd_ring_predict(cfg: ScenarioConfig, out_dir: Path) -> int:
             )
     else:
         lines.append("  interior states: none")
-    report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    if "report" in cfg.outputs:
-        _write(out_dir / cfg.outputs["report"], report)
+    _report(cfg, out_dir, lines)
 
     if cfg.road is not None and "csv" in cfg.outputs:
         n = cfg.road.n_cells
@@ -754,15 +754,11 @@ def cmd_ring_predict(cfg: ScenarioConfig, out_dir: Path) -> int:
         rows = ["cell,x_km,rho_veh_km"]
         rows += [f"{i},{_csv_num((i + 0.5) * cfg.road.dx)},{_csv_num(rho[i])}"
                  for i in range(n)]
-        _write(out_dir / cfg.outputs["csv"], "\n".join(rows) + "\n")
+        _write(out_dir / cfg.outputs["csv"], rows)
     return EXIT_OK
 
 
 # --------------------------------------------------------------- verify
-
-def _random_state(rng, fd) -> SDState:
-    return from_density(fd, rng.uniform(0.0, fd.rho_jam))
-
 
 def _verify_families() -> list[FundamentalDiagram]:
     return [
@@ -774,9 +770,14 @@ def _verify_families() -> list[FundamentalDiagram]:
     ]
 
 
-def _check_osher(rng, trials) -> str | None:
-    from .godunov_sim import osher_flux, sd_flux
-    for fd in _verify_families():
+def _random_problem(rng, fd1, fd2) -> RiemannProblem:
+    """A problem between the two diagrams at uniformly drawn densities."""
+    return RiemannProblem.from_densities(fd1, fd2, rng.uniform(0.0, fd1.rho_jam),
+                                         rng.uniform(0.0, fd2.rho_jam))
+
+
+def _check_osher(rng, fams, trials) -> str | None:
+    for fd in fams:
         for _ in range(trials):
             a = rng.uniform(0.0, fd.rho_jam)
             b = rng.uniform(0.0, fd.rho_jam)
@@ -789,24 +790,19 @@ def _check_osher(rng, trials) -> str | None:
     return None
 
 
-def _check_flux_formula(rng, trials) -> str | None:
-    fams = _verify_families()
+def _check_flux_formula(rng, fams, trials) -> str | None:
     for _ in range(trials):
-        fd1, fd2 = rng.choice(len(fams), size=2)
-        fd1, fd2 = fams[fd1], fams[fd2]
-        p = RiemannProblem(fd1, fd2, _random_state(rng, fd1),
-                           _random_state(rng, fd2))
+        i, j = rng.choice(len(fams), size=2)
+        p = _random_problem(rng, fams[i], fams[j])
         if solve(p).boundary_flux != min(p.u1.demand, p.u2.supply):
             return f"flux formula broken for {p.u1}, {p.u2}"
     return None
 
 
-def _check_independence(rng, trials) -> str | None:
-    fams = _verify_families()
+def _check_independence(rng, fams, trials) -> str | None:
     for _ in range(trials):
         fd1, fd2 = fams[rng.choice(len(fams))], fams[rng.choice(len(fams))]
-        p = RiemannProblem(fd1, fd2, _random_state(rng, fd1),
-                           _random_state(rng, fd2))
+        p = _random_problem(rng, fd1, fd2)
         base = solve(p)
         u1, u2 = p.u1, p.u2
         if u1.is_over_critical(fd1.capacity):
@@ -821,12 +817,10 @@ def _check_independence(rng, trials) -> str | None:
     return None
 
 
-def _check_idempotence(rng, trials) -> str | None:
-    fams = _verify_families()
+def _check_idempotence(rng, fams, trials) -> str | None:
     for _ in range(trials):
         fd1, fd2 = fams[rng.choice(len(fams))], fams[rng.choice(len(fams))]
-        p = RiemannProblem(fd1, fd2, _random_state(rng, fd1),
-                           _random_state(rng, fd2))
+        p = _random_problem(rng, fd1, fd2)
         sol = solve(p)
         again = solve(RiemannProblem(fd1, fd2, sol.stat_up, sol.stat_down))
         if not (again.stat_up == sol.stat_up
@@ -834,11 +828,6 @@ def _check_idempotence(rng, trials) -> str | None:
                 and again.wave_up.is_none and again.wave_down.is_none):
             return f"stationary pair not a fixed point for {p.u1}, {p.u2}"
     return None
-
-
-def _check_case_table(rng, trials) -> str | None:
-    from .verify_cases import run_case_table
-    return run_case_table()
 
 
 def _check_conservation(rng, trials) -> str | None:
@@ -856,21 +845,22 @@ def _check_conservation(rng, trials) -> str | None:
 
 def cmd_verify(seed: int, trials: int) -> int:
     """Randomized self-checks; returns the exit code."""
-    checks: list[tuple[str, Callable]] = [
-        ("osher-equivalence", _check_osher),
-        ("boundary-flux-formula", _check_flux_formula),
-        ("s1-d2-independence", _check_independence),
-        ("stationary-idempotence", _check_idempotence),
-        ("homogeneous-case-table", _check_case_table),
-        ("ring-conservation", _check_conservation),
-    ]
     if trials <= 0:
         sys.stdout.write("verify: 0 trials requested, nothing to run: PASS\n")
         return EXIT_OK
     rng = np.random.default_rng(seed)
+    fams = _verify_families()
+    checks: list[tuple[str, Callable[[], str | None]]] = [
+        ("osher-equivalence", lambda: _check_osher(rng, fams, trials)),
+        ("boundary-flux-formula", lambda: _check_flux_formula(rng, fams, trials)),
+        ("s1-d2-independence", lambda: _check_independence(rng, fams, trials)),
+        ("stationary-idempotence", lambda: _check_idempotence(rng, fams, trials)),
+        ("homogeneous-case-table", run_case_table),
+        ("ring-conservation", lambda: _check_conservation(rng, trials)),
+    ]
     failed = False
-    for name, fn in checks:
-        problem = fn(rng, trials)
+    for name, check in checks:
+        problem = check()
         if problem is None:
             sys.stdout.write(f"PASS {name}\n")
         else:
@@ -918,7 +908,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, out_dir)
         return cmd_ring_predict(cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, SimulationDiverged) as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_CONFIG
 

@@ -42,8 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FLUX_TOL",
-    "DENSITY_SLACK",
     "FundamentalDiagram",
     "GreenshieldsDiagram",
     "TriangularDiagram",

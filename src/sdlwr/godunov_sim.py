@@ -25,8 +25,8 @@ Demand, supply, flux and speed of every cell come from one pass over
 the parts, each part evaluating the same formula functions as the
 diagram methods, so the results equal ``fd.demand`` etc. bit for bit.
 One kernel, ``_march``, serves ``step``, ``run`` and the CLI; it checks
-all densities once per step and stops with the step, cell and density
-of the first one outside [0, rho_jam].
+all densities once per step and raises ``SimulationDiverged`` with the
+step, cell and density of the first one outside [0, rho_jam].
 
 Stability requires the CFL number max|Q'| * dt / dx to stay at or
 below 1; runs refuse anything above 0.95 unless explicitly overridden.
@@ -58,6 +58,7 @@ from .fundamental_diagram import (
 
 __all__ = [
     "ConfigError",
+    "SimulationDiverged",
     "StepFunction",
     "BoundarySpec",
     "SimGrid",
@@ -93,6 +94,15 @@ _SCAN_SAMPLES = 10_000
 
 class ConfigError(ValueError):
     """Invalid run configuration (CFL violation, bad boundary data...)."""
+
+
+class SimulationDiverged(ValueError):
+    """A march left [0, rho_jam]: ``density`` (veh/km) in ``cell`` after
+    ``step`` steps."""
+
+    def __init__(self, message: str, step: int, cell: int, density: float):
+        super().__init__(message)
+        self.step, self.cell, self.density = step, cell, density
 
 
 @dataclass(frozen=True)
@@ -318,8 +328,9 @@ class _CellTable:
 
     def clamp(self, rho, scratch=None, steps=None):
         """``rho`` with drift of up to DENSITY_SLACK beyond [0, rho_jam]
-        clamped away; any other density (NaN included) raises ValueError
-        naming its cell, and ``steps`` when given."""
+        clamped away.  Any other density (NaN included) raises, naming
+        its cell: SimulationDiverged when ``steps`` is given, else
+        ValueError."""
         gap = np.subtract(self.rho_jam, rho, out=scratch)
         np.minimum(gap, rho, out=gap)
         if gap.min() >= 0.0:  # NaN fails this
@@ -327,12 +338,13 @@ class _CellTable:
         bad = ~((rho >= -DENSITY_SLACK) & (rho <= self._upper))
         if np.any(bad):
             k = int(np.flatnonzero(bad)[0])
-            cell = k % self.n
+            cell, density = k % self.n, float(rho.flat[k])
             when = "" if steps is None else f" after {steps} steps"
-            raise ValueError(
-                f"density {float(rho.flat[k])!r} veh/km in cell {cell}{when} lies "
-                f"outside [0, {self.rho_jam[cell]:g}] veh/km"
-            )
+            message = (f"density {density!r} veh/km in cell {cell}{when} lies "
+                       f"outside [0, {self.rho_jam[cell]:g}] veh/km")
+            if steps is None:
+                raise ValueError(message)
+            raise SimulationDiverged(message, steps, cell, density)
         return np.where(rho < 0.0, 0.0, np.minimum(rho, self.rho_jam))
 
     def demand_supply(self, rho, d=None, s=None):
@@ -359,7 +371,7 @@ class _CellTable:
 
 
 def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
-                       dx: float, rho=None,
+                       dx: float, rho,
                        boundaries: BoundarySpec | None = None) -> SimGrid:
     """Build a grid from (diagram, cell_count) segments.
 
@@ -372,9 +384,7 @@ def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
             raise ConfigError("every segment needs at least one cell")
         fds.extend([fd] * count)
     n = len(fds)
-    if rho is None:
-        rho = np.zeros(n)
-    elif callable(rho):
+    if callable(rho):
         rho = np.array([rho((i + 0.5) * dx) for i in range(n)])
     else:
         rho = np.broadcast_to(np.asarray(rho, dtype=float), (n,))

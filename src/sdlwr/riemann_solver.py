@@ -37,7 +37,6 @@ __all__ = [
     "Wave",
     "Unique",
     "Family",
-    "InteriorSet",
     "RiemannProblem",
     "RiemannSolution",
     "StationaryPattern",

@@ -164,13 +164,22 @@ class RingPrediction:
         return sum(seg.rho * (seg.x_end - seg.x_start) for seg in self.profile)
 
 
-def thresholds(spec: RingSpec) -> tuple[float, float]:
-    """(N_a, N_c): the counts separating the four regimes."""
+def _threshold_densities(spec: RingSpec) -> tuple[float, ...]:
+    """(R1(1), R2(C1/C2), R2(C2/C1), N_a, N_c): link 1 at capacity, link
+    2 free and congested at flux C1, and the thresholds they give."""
     c1, c2 = spec.fd1.capacity, spec.fd2.capacity
-    r1_crit = spec.fd1.rho_of_gamma(1.0) * spec.L1
-    n_a = r1_crit + spec.fd2.rho_of_gamma(c1 / c2) * spec.L2_len
-    n_c = r1_crit + spec.fd2.rho_of_gamma(c2 / c1) * spec.L2_len
-    return n_a, n_c
+    rho_crit1 = spec.fd1.rho_of_gamma(1.0)
+    rho_free = spec.fd2.rho_of_gamma(c1 / c2)
+    rho_cong = spec.fd2.rho_of_gamma(c2 / c1)
+    r1_crit = rho_crit1 * spec.L1
+    return (rho_crit1, rho_free, rho_cong, r1_crit + rho_free * spec.L2_len,
+            r1_crit + rho_cong * spec.L2_len)
+
+
+def thresholds(spec: RingSpec) -> tuple[float, float]:
+    """(N_a, N_c): the counts separating the four regimes, from the
+    three threshold densities, each inverted once."""
+    return _threshold_densities(spec)[3:]
 
 
 def _count_both_uc(spec: RingSpec, q: float) -> float:
@@ -191,7 +200,9 @@ def predict(spec: RingSpec) -> RingPrediction:
     """Asymptotic stationary profile, flux, and interior-state sites.
 
     The common flux solves the vehicle-count equation of the regime N
-    falls in; both bisections shrink the flux bracket to 1e-10*C1.
+    falls in; both bisections shrink the flux bracket to 1e-10*C1.  The
+    three threshold densities are inverted once, and N on a threshold
+    takes them without a bisection.
     Interior states occupy no length, so they never enter the count:
     one can appear at x = L- when N sits exactly on the lower
     threshold, at the standing shock (either face) in between, and at
@@ -205,25 +216,25 @@ def predict(spec: RingSpec) -> RingPrediction:
             f"N={n} veh outside [0, {spec.max_vehicles:.6g}] for this ring"
         )
     c1, c2 = spec.fd1.capacity, spec.fd2.capacity
-    n_a, n_c = thresholds(spec)
+    rho_crit1, rho_free, rho_cong, n_a, n_c = _threshold_densities(spec)
     tol = _FLUX_BISECT_TOL * c1
 
     if n <= n_a + BOUNDARY_TOL:
-        q = _bisect(lambda q: _count_both_uc(spec, q) < n, 0.0, c1, tol)
         at_boundary = abs(n - n_a) <= BOUNDARY_TOL
         if at_boundary:
-            q = c1
+            q, rho1, rho2 = c1, rho_crit1, rho_free
+        else:
+            q = _bisect(lambda q: _count_both_uc(spec, q) < n, 0.0, c1, tol)
+            rho1 = spec.fd1.rho_of_gamma(q / c1)
+            rho2 = spec.fd2.rho_of_gamma(q / c2)
         sites = (InteriorSite(spec.L, BoundarySide.MINUS),) if at_boundary else ()
         profile = (
-            ProfileSegment(0.0, spec.L1, spec.fd1.rho_of_gamma(q / c1)),
-            ProfileSegment(spec.L1, spec.L, spec.fd2.rho_of_gamma(q / c2)),
+            ProfileSegment(0.0, spec.L1, rho1),
+            ProfileSegment(spec.L1, spec.L, rho2),
         )
         return RingPrediction(RingScenario.BOTH_UC, q, profile, sites)
 
     if n < n_c - BOUNDARY_TOL:
-        rho_crit1 = spec.fd1.rho_of_gamma(1.0)
-        rho_free = spec.fd2.rho_of_gamma(c1 / c2)
-        rho_cong = spec.fd2.rho_of_gamma(c2 / c1)
         l2 = (n - rho_crit1 * spec.L1 + rho_free * spec.L1 - rho_cong * spec.L) \
             / (rho_free - rho_cong)
         profile = (
@@ -238,8 +249,8 @@ def predict(spec: RingSpec) -> RingPrediction:
 
     if abs(n - n_c) <= BOUNDARY_TOL:
         profile = (
-            ProfileSegment(0.0, spec.L1, spec.fd1.rho_of_gamma(1.0)),
-            ProfileSegment(spec.L1, spec.L, spec.fd2.rho_of_gamma(c2 / c1)),
+            ProfileSegment(0.0, spec.L1, rho_crit1),
+            ProfileSegment(spec.L1, spec.L, rho_cong),
         )
         sites = (InteriorSite(spec.L1, BoundarySide.PLUS),)
         return RingPrediction(RingScenario.CRITICAL_WITH_SOC, c1, profile, sites)

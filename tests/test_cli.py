@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -148,12 +149,16 @@ def test_parse_collects_every_error():
             rho_jam_veh_km: 100
           b:
             family: nosuch
+          c:
+            family: [greenshields]
         road:
           topology: spiral
           dx_km: 1.0
           segments:
             - diagram: zzz
               length_km: 2.5
+        initial:
+          kind: {uniform: 1}
         numerics:
           dt_s: 0.1
           duration_s: -5
@@ -165,7 +170,10 @@ def test_parse_collects_every_error():
     assert msg.startswith("invalid config:")
     for fragment in (
         "diagrams.a.v_free_m_s: must be positive",
-        "diagrams.b.family: unknown family",
+        "diagrams.b.family: unknown family 'nosuch' (greenshields, "
+        "triangular, kerner_konhauser)",
+        "diagrams.c.family: unknown family ['greenshields']",
+        "initial.kind: must be uniform, sinusoid or piecewise, got {'uniform': 1}",
         "road.topology: must be ring or open",
         "road.segments[0].diagram: unknown diagram 'zzz'",
         "numerics.duration_s: must be nonnegative",
@@ -236,6 +244,25 @@ def test_riemann_report_and_profile(tmp_path, capsys):
     rho = [float(line.split(",")[1]) for line in csv[1:]]
     assert rho[0] > rho[-1]
     assert all(a >= b - 1e-12 for a, b in zip(rho, rho[1:]))
+
+
+def test_riemann_triangular_family(tmp_path, capsys):
+    """A triangle feeding a trapezoid whose ceiling is the bottleneck:
+    both triangular forms of the README's schema parse, and the boundary
+    carries the trapezoid's capacity."""
+    cfg = textwrap.dedent("""\
+        diagrams:
+          main: {family: triangular, v_free_m_s: 30, rho_jam_veh_km: 300}
+          trap: {family: triangular, v_free_m_s: 30, rho_jam_veh_km: 150,
+                 q_max_veh_s: 0.6, v_cong_m_s: 6}
+        riemann:
+          upstream: {diagram: main, rho_veh_km: 40}
+          downstream: {diagram: trap, rho_veh_km: 10}
+        """)
+    assert _run(tmp_path, "tri.yaml", ["riemann"], cfg) == 0
+    out = capsys.readouterr().out
+    assert "downstream capacity C2 = 0.6000 veh/s" in out
+    assert "boundary flux q = 0.6000 veh/s" in out
 
 
 def test_riemann_byte_identical_reruns(tmp_path):
@@ -324,6 +351,19 @@ def test_ring_predict_report(tmp_path, capsys):
     assert csv[1] == "0,0.014,35.8944"
     assert csv[101].split(",")[2] == "26.4162"
     assert csv[600].split(",")[2] == "118.355"
+
+
+def test_ring_predict_counts_vehicles_of_grid(tmp_path, capsys):
+    """An initial section other than a sinusoid is counted on the built
+    grid: 40 veh/km over 16.8 km."""
+    uniform = RING_CFG.replace(
+        "  kind: sinusoid\n  rho0_veh_km: 28.0\n  amplitude_veh_km: 3.0\n",
+        "  kind: uniform\n  rho_veh_km: 40.0\n",
+    )
+    assert _run(tmp_path, "ring_uniform.yaml", ["ring-predict"], uniform) == 0
+    out = capsys.readouterr().out
+    assert "N = 672.0000 veh" in out
+    assert "scenario: critical_with_ss" in out
 
 
 def test_ring_predict_explicit_count_matches_initial(tmp_path, capsys):
@@ -447,6 +487,21 @@ def test_profile_count_out_of_range_is_keyed_config_error(tmp_path, capsys):
     assert parsed.riemann.profile[2] == _MAX_PROFILE_POINTS
 
 
+def test_huge_yaml_integers_are_config_errors(tmp_path, capsys):
+    """PyYAML refuses an integer of more than 4300 digits with a plain
+    ValueError; in a float key and in ``count`` alike it ends in a YAML
+    parse error with exit code 2."""
+    text = (_BENCH_CONFIGS / "riemann.yaml").read_text()
+    cfg = tmp_path / "riemann.yaml"
+    for key, old in (("rho_veh_km", "50"), ("count", "121")):
+        assert f"{key}: {old}" in text
+        cfg.write_text(text.replace(f"{key}: {old}", f"{key}: {'9' * 5000}"))
+        code = main(["riemann", "--config", str(cfg), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2, (key, err)
+        assert "YAML parse error" in err, (key, err)
+
+
 @pytest.mark.parametrize("side", ["left_demand_veh_s", "right_supply_veh_s"])
 @pytest.mark.parametrize("form", ["constant", "schedule"])
 def test_boundary_numbers_are_keyed_config_errors(tmp_path, capsys, side, form):
@@ -479,6 +534,80 @@ def test_override_cfl_flag_end_to_end(tmp_path, capsys):
                  "--override-cfl"])
     assert code == 0
     assert "simulation summary" in capsys.readouterr().out
+
+
+def test_diverging_simulate_exits_2(tmp_path, capsys):
+    """A run forced past the stability limit stops at the step that
+    leaves [0, rho_jam] with exit code 2 and a message naming the step
+    and the cell, not a traceback."""
+    text = (_BENCH_CONFIGS / "simulate.yaml").read_text()
+    cfg = tmp_path / "simulate.yaml"
+    cfg.write_text(text.replace("dt_s: 0.8", "dt_s: 3.0")
+                   .replace("duration_s: 6000", "duration_s: 600"))
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path),
+                 "--override-cfl"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "in cell 100 after 1 steps" in err
+
+
+_BENCH_REPORTS = {
+    "riemann": """\
+riemann solution at the link boundary
+  upstream capacity   C1 = 1.4182 veh/s
+  downstream capacity C2 = 0.7091 veh/s
+  initial upstream    (D1=1.2212, S1=1.4182) veh/s
+  initial downstream  (D2=0.5144, S2=0.7091) veh/s
+  boundary flux q = 0.7091 veh/s
+  stationary up   (D=1.4182, S=0.7091) veh/s, rho=118.3550 veh/km
+  stationary down (D=0.7091, S=0.7091) veh/s, rho=35.8944 veh/km
+  interior up:   unique (D=1.4182, S=0.7091) veh/s
+  interior down: unique (D=0.7091, S=0.7091) veh/s
+  wave on link 1: backward shock at -7.4920 m/s
+  wave on link 2: forward rarefaction, speeds [0.0002, 21.4358] m/s
+""",
+    "ring_predict": """\
+two-link ring asymptotic state
+  L = 16.8 km, L1 = 2.8 km
+  C1 = 0.7091 veh/s, C2 = 1.4182 veh/s
+  thresholds: N_a = 470.3313 veh, N_c = 1757.4749 veh
+  N = 858.3893 veh
+  scenario: critical_with_ss
+  flux q = 0.7091 veh/s
+  standing shock at L2 = 12.5792 km
+  [0.0000, 2.8000] km: rho = 35.8944 veh/km
+  [2.8000, 12.5792] km: rho = 26.4162 veh/km
+  [12.5792, 16.8000] km: rho = 118.3550 veh/km
+  interior state possible at x = 12.5792-
+  interior state possible at x = 12.5792+
+""",
+    "simulate": """\
+simulation summary
+  cells: 600, dx = 0.028 km, topology: ring
+  dt = 0.8 s, steps = 5 recorded of 7500, CFL = 0.80
+  vehicles: initial 858.3893 veh, final 858.3893 veh
+  inflow 4254.7228 veh, outflow 4254.7228 veh
+  conservation drift: {drift} (relative)
+  convergence metric: 2.059e-03 veh/km per step
+  interior states: run not steady, detection skipped
+""",
+}
+
+
+def test_bench_config_reports(tmp_path, capsys):
+    """The reports of the three bench configs, to their printed digits;
+    the conservation drift, printed down to its last bits, is held to
+    a bound instead."""
+    for name, want in _BENCH_REPORTS.items():
+        code = main([name.replace("_", "-"), "--config",
+                     str(_BENCH_CONFIGS / f"{name}.yaml"), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0, name
+        drift = re.search(r"conservation drift: (\S+) ", out)
+        if drift is not None:
+            assert float(drift.group(1)) < 1e-12
+            want = want.format(drift=drift.group(1))
+        assert out == want, name
 
 
 def test_import_loads_no_scipy():

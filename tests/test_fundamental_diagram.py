@@ -90,6 +90,22 @@ def test_triangular_plateau_edges():
     assert fd.inv_supply(fd.capacity) == pytest.approx(right, abs=1e-6 * fd.rho_jam)
 
 
+def test_triangular_derivative_at_kinks():
+    """Slopes from below, central and from above at each kink: a
+    trapezoid's plateau is flat, and a pure triangle's apex turns from
+    the free branch straight onto the congested one."""
+    trap = TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3)
+    tri = TriangularDiagram(30e-3, 150.0, v_cong=6e-3)
+    cases = [
+        (trap, trap.q_max / trap.v_free, (trap.v_free, trap.v_free, 0.0)),
+        (trap, trap.rho_jam - trap.q_max / trap.v_cong,
+         (0.0, 0.0, -trap.v_cong)),
+        (tri, tri.rho_crit, (tri.v_free, tri.v_free, -tri.v_cong)),
+    ]
+    for fd, kink, slopes in cases:
+        assert tuple(fd.derivative(kink, side) for side in (-1, 0, 1)) == slopes
+
+
 def test_kerner_konhauser_free_speed():
     fd = KernerKonhauserDiagram(lanes=1)
     # V(0) is about 27.8 m/s for the default parameters
@@ -358,16 +374,16 @@ def test_solve_flux_curve_calls(family, scales, rhos, calls):
 
 @pytest.mark.parametrize("family, thresholds_calls, predicts", [
     ("kk", 98, [(300.0, RingScenario.BOTH_UC, 2338),
-                (1000.0, RingScenario.CRITICAL_WITH_SS, 196),
-                (None, RingScenario.CRITICAL_WITH_SOC, 164),
+                (1000.0, RingScenario.CRITICAL_WITH_SS, 98),
+                (None, RingScenario.CRITICAL_WITH_SOC, 98),
                 (3000.0, RingScenario.BOTH_SOC, 2478)]),
     ("gs", 102, [(300.0, RingScenario.BOTH_UC, 2482),
-                 (1800.0, RingScenario.CRITICAL_WITH_SS, 204),
-                 (None, RingScenario.CRITICAL_WITH_SOC, 170),
+                 (1800.0, RingScenario.CRITICAL_WITH_SS, 102),
+                 (None, RingScenario.CRITICAL_WITH_SOC, 102),
                  (3400.0, RingScenario.BOTH_SOC, 2482)]),
     ("trapezoid", 99, [(150.0, RingScenario.BOTH_UC, 2339),
-                       (1600.0, RingScenario.CRITICAL_WITH_SS, 198),
-                       (None, RingScenario.CRITICAL_WITH_SOC, 166),
+                       (1600.0, RingScenario.CRITICAL_WITH_SS, 99),
+                       (None, RingScenario.CRITICAL_WITH_SOC, 99),
                        (3700.0, RingScenario.BOTH_SOC, 2549)]),
 ])
 def test_ring_flux_curve_calls(family, thresholds_calls, predicts):

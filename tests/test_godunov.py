@@ -14,6 +14,7 @@ from sdlwr import (
     KernerKonhauserDiagram,
     RiemannProblem,
     SimGrid,
+    SimulationDiverged,
     StepConfig,
     StepFunction,
     TriangularDiagram,
@@ -430,3 +431,31 @@ def test_high_cfl_blowup_stops_at_its_step(gs):
     cfg = StepConfig(dt=2.5, allow_high_cfl=True)
     with pytest.raises(ValueError, match=r"in cell \d+ after [1-9]\d* steps"):
         run(grid, cfg, 100 * cfg.dt)
+
+
+def test_divergence_names_step_cell_and_density(gs):
+    """The march raises SimulationDiverged carrying what its message
+    says; a call outside the march, which has no step, raises a plain
+    ValueError."""
+    rho = np.full(8, 1.0)
+    rho[5] = -0.5
+    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0).with_density(rho)
+    with pytest.raises(SimulationDiverged) as info:
+        run(grid, StepConfig(0.5), 5.0)
+    assert (info.value.step, info.value.cell, info.value.density) == (0, 5, -0.5)
+    with pytest.raises(ValueError, match="in cell 5 lies") as info:
+        interface_fluxes(grid, StepConfig(0.5))
+    assert not isinstance(info.value, SimulationDiverged)
+
+
+def test_density_drift_is_clamped(gs):
+    """Densities within DENSITY_SLACK beyond [0, rho_jam] are clamped,
+    not refused, and give the fluxes of the clamped state."""
+    rho = np.full(6, 1.0)
+    rho[1], rho[4] = -5e-10, gs.rho_jam + 5e-10
+    clamped = np.clip(rho, 0.0, gs.rho_jam)
+    base = grid_from_segments([(gs, 6)], dx=1.0, rho=1.0)
+    cfg = StepConfig(0.5)
+    np.testing.assert_array_equal(
+        interface_fluxes(base.with_density(rho), cfg),
+        interface_fluxes(base.with_density(clamped), cfg))
