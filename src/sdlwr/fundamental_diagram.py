@@ -12,7 +12,10 @@ their branch inverses, and the ratio-parameterised density map
     R(gamma) = D^{-1}(C*gamma)  for gamma <= 1,
                S^{-1}(C/gamma)  for gamma > 1,
 
-so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.
+so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.  The exact
+built-in classes invert the branches (and the fan's Q' = xi) in closed
+form, or by Newton on the analytic Q' for Kerner-Konhauser; every other
+class, subclasses included, bisects over ``flux_curve`` (``derivative``).
 
 Units are fixed package-wide: density in veh/km, flux in veh/s, length
 in km and time in s.  Speeds are therefore km/s; multiply by 1000 for
@@ -56,8 +59,8 @@ FLUX_TOL = 1e-9
 # smaller excursions are clamped (floating-point drift from the simulator).
 DENSITY_SLACK = 1e-9
 
-# Bracket width for golden-section and bisection searches, relative to
-# rho_jam.
+# Bracket width for golden-section, bisection and Newton searches,
+# relative to rho_jam.
 _SEARCH_TOL = 1e-10
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -108,6 +111,19 @@ def _bisect(below, lo: float, hi: float, tol: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _newton(value_slope, level, lo, hi, x, rising, tol):
+    """Newton from ``x`` to where a monotone f, ``value_slope(x) = (f, f')``,
+    meets ``level`` in [lo, hi] inside ``_bisect``'s bracket; steps out of it bisect."""
+    while hi - lo > tol:
+        f, slope = value_slope(x)
+        lo, hi = (x, hi) if (f < level) == rising else (lo, x)
+        step = (f - level) / slope if slope else math.inf
+        if abs(step) < 0.5 * tol:
+            return x - step
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    return x
 
 
 def _as_density(rho):
@@ -231,27 +247,19 @@ class FundamentalDiagram(abc.ABC):
     def inv_demand(self, d: float) -> float:
         """The density in [0, rho_crit] with D(rho) = d.
 
-        Predicate bisection for the infimum of {rho : D(rho) >= d}; on a
-        trapezoidal plateau at d = C this is the left edge (= rho_crit).
+        The infimum of {rho : D(rho) >= d}, found as the module docstring
+        says; on a trapezoidal plateau at d = C the left edge (= rho_crit).
         """
-        self._check_flux_level(d)
-        if self.flux_curve(0.0) >= d:
-            return 0.0
-        return _bisect(lambda rho: self.flux_curve(rho) < d, 0.0,
-                       self.rho_crit, _SEARCH_TOL * self.rho_jam)
+        return self._branch_inverse(d, 0.0, self.rho_crit, rising=True)
 
     def inv_supply(self, s: float) -> float:
         """The density in [rho_crit, rho_jam] with S(rho) = s.
 
-        Supremum of {rho : S(rho) >= s}; at s = C on a trapezoidal
+        The supremum of {rho : S(rho) >= s}; at s = C on a trapezoidal
         plateau this is the right edge, keeping the decreasing branch
         inverse continuous.
         """
-        self._check_flux_level(s)
-        if self.flux_curve(self.rho_jam) >= s:
-            return self.rho_jam
-        return _bisect(lambda rho: self.flux_curve(rho) >= s, self.rho_crit,
-                       self.rho_jam, _SEARCH_TOL * self.rho_jam)
+        return self._branch_inverse(s, self.rho_crit, self.rho_jam, rising=False)
 
     def rho_of_gamma(self, gamma: float) -> float:
         """Density of the state with demand/supply ratio gamma in [0, inf]."""
@@ -268,6 +276,18 @@ class FundamentalDiagram(abc.ABC):
         return self._max_speed
 
     # -- internals -----------------------------------------------------
+
+    def _branch_inverse(self, level, lo, hi, rising):
+        self._check_flux_level(level)
+        end = lo if rising else hi  # Q(0) >= d or Q(rho_jam) >= s
+        if self.flux_curve(end) >= level:
+            return end
+        fast = _BRANCH_INVERSES.get(type(self))
+        if fast is not None:
+            return min(max(fast(self, level, lo, hi, rising), lo), hi)
+        # below the sought point: Q < level on the rising branch, else Q >= level
+        return _bisect(lambda rho: (self.flux_curve(rho) < level) == rising,
+                       lo, hi, _SEARCH_TOL * self.rho_jam)
 
     def _check_flux_level(self, value: float) -> None:
         if not (-FLUX_TOL <= value <= self.capacity + FLUX_TOL):
@@ -303,6 +323,17 @@ class FundamentalDiagram(abc.ABC):
 
 def _greenshields_flux(rho, v_free, rho_jam):
     return v_free * rho * (1.0 - rho / rho_jam)
+
+
+def _greenshields_inverse(fd, level, lo, hi, rising):
+    # the roots rho and rho_jam - rho of Q = level, rho free of cancellation
+    root = math.sqrt(max(1.0 - level / fd.capacity, 0.0))
+    rho = 2.0 * level / (fd.v_free * (1.0 + root))
+    return rho if rising else fd.rho_jam - rho
+
+
+def _greenshields_fan(fd, xi, lo, hi):
+    return fd.rho_crit * (1.0 - xi / fd.v_free)
 
 
 @dataclass
@@ -349,6 +380,11 @@ def _triangular_demand(rho, v_free, peak):
 
 def _triangular_supply(rho, v_cong, rho_jam, peak):
     return _minimum(v_cong * (rho_jam - rho), peak)
+
+
+def _triangular_inverse(fd, level, lo, hi, rising):
+    # the linear branches; at level C these are the plateau edges
+    return level / fd.v_free if rising else fd.rho_jam - level / fd.v_cong
 
 
 @dataclass
@@ -463,6 +499,27 @@ def _kk_flux(rho, rho_jam, speed_scale):
     return rho * _kk_speed(rho, rho_jam, speed_scale)
 
 
+def _kk_slopes(rho, fd):
+    # Q, Q', Q'' from one exp e (Q as _kk_flux): V' = -k, V'' = k (e - 1) L/(w rho_jam)
+    e = _exp((rho / fd.rho_jam - _KK_MIDPOINT) / _KK_WIDTH)
+    logistic = 1.0 / (1.0 + e)
+    v = _KK_GAIN * (logistic - _KK_OFFSET) * fd._speed_scale
+    k = _KK_GAIN * fd._speed_scale * e * logistic * logistic / (_KK_WIDTH * fd.rho_jam)
+    curl = rho * (e - 1.0) * logistic / (_KK_WIDTH * fd.rho_jam)
+    return rho * v, v - rho * k, k * (curl - 2.0)
+
+
+def _kk_inverse(fd, level, lo, hi, rising):
+    # demand from 0 (a concave branch), supply from its inflection, 0.3 rho_jam
+    return _newton(lambda rho: _kk_slopes(rho, fd)[:2], level, lo, hi,
+                   lo if rising else 0.3 * fd.rho_jam, rising, _SEARCH_TOL * fd.rho_jam)
+
+
+def _kk_fan(fd, xi, lo, hi):
+    return _newton(lambda rho: _kk_slopes(rho, fd)[1:], xi, lo, hi,
+                   0.5 * (lo + hi), False, _SEARCH_TOL * fd.rho_jam)
+
+
 @dataclass
 class KernerKonhauserDiagram(FundamentalDiagram):
     """Kerner-Konhauser law for a road with ``lanes`` identical lanes.
@@ -504,3 +561,12 @@ class KernerKonhauserDiagram(FundamentalDiagram):
 
     def flux_curve(self, rho):
         return _kk_flux(_as_density(rho), self.rho_jam, self._speed_scale)
+
+
+# Exact classes only, as in the simulator's table: a subclass may override
+# ``flux_curve`` or ``derivative``.  The triangular Q' is a step; its fan bisects.
+_BRANCH_INVERSES = {GreenshieldsDiagram: _greenshields_inverse,
+                    TriangularDiagram: _triangular_inverse,
+                    KernerKonhauserDiagram: _kk_inverse}
+_FAN_INVERSES = {GreenshieldsDiagram: _greenshields_fan,
+                 KernerKonhauserDiagram: _kk_fan}

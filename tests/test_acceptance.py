@@ -98,8 +98,8 @@ def test_03_ring_thresholds():
     pred = predict(ring.with_vehicles(n28))
     unit = 0.028
     dt = time.perf_counter() - t0
-    ok = (abs(n_a - 470.3311) <= 0.05
-          and abs(n_c - 1757.4746) <= 0.05
+    ok = (abs(n_a - 470.3311) <= 1e-3
+          and abs(n_c - 1757.4746) <= 1e-3
           and abs(n28 - 858.3893) <= 0.05
           and abs(pred.L2 - 449.2561 * unit) <= 0.5 * unit
           and dt < 1.0)

@@ -1,5 +1,6 @@
 """Flux-density relations: closed forms, demand/supply transforms, inverses."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,9 @@ from sdlwr import (
     thresholds,
     to_density,
 )
+from sdlwr import fundamental_diagram, riemann_solver
+from sdlwr.fundamental_diagram import _SEARCH_TOL, FLUX_TOL
+from sdlwr.riemann_solver import _fan_density
 
 # frozen reference values for the Kerner-Konhauser single-lane diagram
 # (golden-section maximum, bracket 1e-10*rho_jam)
@@ -408,20 +412,114 @@ class _DoubledKK(KernerKonhauserDiagram):
         return 2.0 * super().flux_curve(rho)
 
 
+def _hook_twin(fd):
+    """``fd`` rebuilt as a pass-through subclass: the same curve, which the
+    exact-class inverses do not serve, so it inverts by bisection over its
+    ``flux_curve`` (and ``derivative`` for the fan)."""
+    cls = type(f"Hook{type(fd).__name__}", (type(fd),), {})
+    return cls(**{f.name: getattr(fd, f.name) for f in dataclasses.fields(fd)})
+
+
 def test_overridden_flux_curve_drives_every_method():
     """Doubling a curve is exact in floating point, so every search over
-    the doubled curve takes the base curve's decisions: the inverses of
-    doubled levels are the base inverses, bit for bit.  A scalar path
-    that bypassed the override would answer for the base curve."""
+    the doubled curve takes the decisions of a search over the base curve:
+    the inverses of doubled levels are those of a pass-through subclass,
+    which bisects over the same hook, bit for bit.  A path that bypassed
+    the override would answer for the base curve.  The exact base class
+    inverts without bisecting, so it agrees within the search tolerance."""
     fd, base = _DoubledKK(lanes=2), KernerKonhauserDiagram(lanes=2)
-    assert fd.rho_crit == base.rho_crit
-    assert fd.capacity == 2.0 * base.capacity
+    hook = _hook_twin(base)
+    tol = _SEARCH_TOL * base.rho_jam
+    assert fd.rho_crit == hook.rho_crit == base.rho_crit
+    assert fd.capacity == 2.0 * hook.capacity == 2.0 * base.capacity
     for level in np.linspace(0.0, base.capacity, 41).tolist():
-        assert fd.inv_demand(2.0 * level) == base.inv_demand(level)
-        assert fd.inv_supply(2.0 * level) == base.inv_supply(level)
+        for method in ("inv_demand", "inv_supply"):
+            rho = getattr(fd, method)(2.0 * level)
+            assert rho == getattr(hook, method)(level), (method, level)
+            assert rho == pytest.approx(getattr(base, method)(level), abs=tol)
     for rho in np.linspace(0.0, base.rho_jam, 41).tolist():
         assert fd.demand(rho) == 2.0 * base.demand(rho)
         assert fd.supply(rho) == 2.0 * base.supply(rho)
         assert fd.flux(rho) == 2.0 * base.flux(rho)
-        state = from_density(fd, rho)
-        assert to_density(fd, state) == to_density(base, from_density(base, rho))
+        back = to_density(fd, from_density(fd, rho))
+        assert back == to_density(hook, from_density(hook, rho))
+        assert back == pytest.approx(to_density(base, from_density(base, rho)), abs=tol)
+
+
+@pytest.mark.parametrize("name", ["gs", "trapezoid", "kk1", "kk2"])
+def test_fast_inverses_match_hook_bisection(name):
+    """The closed-form and Newton inverses of the ``verify`` families
+    against bisection over the same curve (a pass-through subclass).
+
+    Off the crest band (within 1e-3*rho_jam of the crest or of a
+    trapezoid's plateau, where one flux level covers an interval or is
+    ill-conditioned, as the benchmark's round-trip check has it) the two
+    agree within the search tolerance.  The fast residual
+    |Q(rho) - min(level, C)| is at most 4 ulp of C at every level from 0
+    to C + FLUX_TOL/2, except below Kerner-Konhauser's Q(rho_jam) ~ 3.4e-8
+    veh/s, where both return rho_jam.  The fan inverse of Q'(rho) = xi
+    agrees within the tolerance across the open range
+    (Q'(rho_jam), Q'(0)); at its ends the hook's one-sided difference
+    quotient is off by h*Q''/2."""
+    fd = _BUILT_IN[name]()
+    hook = _hook_twin(fd)
+    cap, tol = fd.capacity, _SEARCH_TOL * fd.rho_jam
+    plateau_end = fd.rho_jam - cap / fd.v_cong if name == "trapezoid" else fd.rho_crit
+    band_lo, band_hi = fd.rho_crit - 1e-3 * fd.rho_jam, plateau_end + 1e-3 * fd.rho_jam
+    levels = np.linspace(0.0, cap, 403)[1:-1].tolist() + [0.0, cap, cap + 0.5 * FLUX_TOL]
+    for method in ("inv_demand", "inv_supply"):
+        for level in levels:
+            rho, ref = getattr(fd, method)(level), getattr(hook, method)(level)
+            where = (method, level, rho, ref)
+            if not (band_lo <= rho <= band_hi and band_lo <= ref <= band_hi):
+                assert abs(rho - ref) <= tol, where
+            if method == "inv_supply" and level < fd.flux_curve(fd.rho_jam):
+                assert rho == ref == fd.rho_jam, where
+            else:
+                residual = abs(fd.flux_curve(rho) - min(level, cap))
+                assert residual <= 4 * math.ulp(cap), where
+    if isinstance(fd, TriangularDiagram):
+        return  # Q' is a step: the fan bisects on every class
+    xis = np.linspace(fd.derivative(fd.rho_jam), fd.derivative(0.0), 403)[1:-1]
+    for xi in xis.tolist():
+        rho = _fan_density(fd, 0.0, fd.rho_jam, xi)
+        assert abs(rho - _fan_density(hook, 0.0, fd.rho_jam, xi)) <= tol, xi
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_kk_newton_slopes_are_derivatives(lanes):
+    """The Kerner-Konhauser Newton steps use Q with the bits of
+    ``flux_curve`` and an analytic Q' and Q'' that match central
+    difference quotients (step 1e-5*rho_jam)."""
+    fd = KernerKonhauserDiagram(lanes=lanes)
+    slopes = fundamental_diagram._kk_slopes
+    h, v0 = 1e-5 * fd.rho_jam, fd.max_wave_speed()
+    for rho in np.linspace(h, fd.rho_jam - h, 201).tolist():
+        q, dq, d2q = slopes(rho, fd)
+        assert q == fd.flux_curve(rho)
+        up, down = slopes(rho + h, fd), slopes(rho - h, fd)
+        assert dq == pytest.approx((up[0] - down[0]) / (2 * h), abs=1e-7 * v0)
+        assert d2q == pytest.approx((up[1] - down[1]) / (2 * h), abs=1e-7 * v0 / fd.rho_jam)
+
+
+def test_builtin_inversions_skip_bisection(monkeypatch):
+    """No exact built-in class bisects to invert a branch, and neither
+    Greenshields nor Kerner-Konhauser to invert a fan; a subclass does."""
+
+    def refuse(*args):
+        raise AssertionError("bisection")
+
+    monkeypatch.setattr(fundamental_diagram, "_bisect", refuse)
+    monkeypatch.setattr(riemann_solver, "_bisect", refuse)
+    for name, make in _BUILT_IN.items():
+        fd = make()
+        for gamma in (0.0, 0.25, 1.0, 4.0, math.inf):
+            assert 0.0 <= fd.rho_of_gamma(gamma) <= fd.rho_jam, (name, gamma)
+        if not isinstance(fd, TriangularDiagram):
+            assert 0.0 < _fan_density(fd, 0.0, fd.rho_jam, 0.0) < fd.rho_jam, name
+    hook = _hook_twin(_BUILT_IN["kk1"]())
+    for invert in (hook.inv_demand, hook.inv_supply):
+        with pytest.raises(AssertionError, match="bisection"):
+            invert(0.5 * hook.capacity)
+    with pytest.raises(AssertionError, match="bisection"):
+        _fan_density(hook, 0.0, hook.rho_jam, 0.0)

@@ -21,14 +21,20 @@ from sdlwr import (
 )
 
 # Regression values for the 16.8 km ring with the 2.8 km single-lane
-# bottleneck.  Cross-checked against brentq/minimize_scalar at 1e-13;
-# the package's own inverse searches live at ~2e-8 veh/km, so counts
-# carry ~5e-7 veh of method noise.
-N_LOWER = 470.3312855078813
-N_UPPER = 1757.4749088735452
+# bottleneck: the package's own outputs, pinned at 1e-9.  A 40-digit
+# mpmath solution of the same model (test_thresholds_match_exact_reference)
+# gives rho_crit_1 = 35.894437152546349, R2(C1/C2) = 26.416204364744158,
+# R2(C2/C1) = 118.35503462303220, N_a = 470.33128513354799 and
+# N_c = 1757.4749087495806.  The Newton inverses hit both R2 to the last
+# digit, where bisection was +4.1e-9 and -1.4e-8 veh/km off.  At the crest
+# Q is flat in floating point, so R1(1) = D1^-1(C1) sits 1.17e-7 veh/km
+# above the exact crest (bisection: 1.13e-7); that alone puts N_a and N_c
+# +3.3e-7 veh off (bisection: +3.7e-7 and +1.2e-7).
+N_LOWER = 470.33128546001427
+N_UPPER = 1757.4749090760467
 N_SINE_28 = 858.3892954340843
 SHOCK_POS_28 = 12.579171772019539
-RHO_CRIT_1 = 35.894437265711964
+RHO_CRIT_1 = 35.894437269141434
 
 
 # -- geometry and validation ----------------------------------------------
@@ -62,6 +68,32 @@ def test_thresholds_frozen_and_published_values(ring):
     assert n_a == pytest.approx(470.3311, abs=1e-3)
     assert n_c == pytest.approx(1757.4746, abs=1e-3)
     assert 0.0 < n_a < n_c < ring.max_vehicles
+
+
+def test_thresholds_match_exact_reference(ring, kk1, kk2):
+    """The threshold densities and counts against a 40-digit mpmath
+    solution of the same Kerner-Konhauser model: R2(C1/C2) and R2(C2/C1)
+    to 1e-12 relative, N_a and N_c to 1e-6 veh, the limit the flat crest
+    of Q sets on D1^-1(C1) in floating point."""
+    mp = pytest.importorskip("mpmath")
+
+    def flux(rho, lanes):  # KernerKonhauserDiagram's law in exact decimals
+        x = (rho / (180 * lanes) - mp.mpf("0.25")) / mp.mpf("0.06")
+        speed = mp.mpf("5.0461") * (1 / (1 + mp.exp(x)) - mp.mpf("3.72e-6"))
+        return rho * speed * mp.mpf("0.028") / 5
+
+    with mp.workdps(40):
+        crest = mp.findroot(lambda r: mp.diff(lambda x: flux(x, 1), r), 36)
+        c1 = flux(crest, 1)  # and C2 = 2 C1: Q(rho, 2a) = 2 Q(rho/2, a)
+        free = mp.findroot(lambda r: flux(r, 2) - c1, (1, 2 * crest),
+                           solver="anderson")
+        cong = mp.findroot(lambda r: flux(r, 2) - c1, (2 * crest, 359),
+                           solver="anderson")
+        n_a, n_c = (float(crest * mp.mpf("2.8") + rho * 14) for rho in (free, cong))
+    c1, c2 = kk1.capacity, kk2.capacity
+    assert kk2.rho_of_gamma(c1 / c2) == pytest.approx(float(free), rel=1e-12)
+    assert kk2.rho_of_gamma(c2 / c1) == pytest.approx(float(cong), rel=1e-12)
+    assert thresholds(ring) == pytest.approx((n_a, n_c), abs=1e-6)
 
 
 def test_threshold_densities(ring, kk1, kk2):
