@@ -1,5 +1,6 @@
 """CLI: config validation, reports, CSV output, self-checks."""
 
+import hashlib
 import math
 import os
 import re
@@ -593,11 +594,21 @@ simulation summary
 """,
 }
 
+# sha256 of each bench config's CSV
+_BENCH_CSVS = {
+    "riemann": ("riemann_profile.csv",
+                "87d0d39f0c82f2374fdd3070382326d551614aa34ac7cc9c8fc81dc06dc1efc7"),
+    "ring_predict": ("ring_predict.csv",
+                     "2938c566d55bfef0382bbe335494a839fb56428e8d0dc83c7c7a4094bfa26cc2"),
+    "simulate": ("simulate.csv",
+                 "4f884e403e9be002743e51e05922f9e26279798f19306590f639c67791571151"),
+}
+
 
 def test_bench_config_reports(tmp_path, capsys):
-    """The reports of the three bench configs, to their printed digits;
-    the conservation drift, printed down to its last bits, is held to
-    a bound instead."""
+    """The reports of the three bench configs, to their printed digits,
+    and their CSVs byte for byte; the conservation drift, printed down
+    to its last bits, is held to a bound instead."""
     for name, want in _BENCH_REPORTS.items():
         code = main([name.replace("_", "-"), "--config",
                      str(_BENCH_CONFIGS / f"{name}.yaml"), "--out", str(tmp_path)])
@@ -608,6 +619,8 @@ def test_bench_config_reports(tmp_path, capsys):
             assert float(drift.group(1)) < 1e-12
             want = want.format(drift=drift.group(1))
         assert out == want, name
+        csv, digest = _BENCH_CSVS[name]
+        assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest, csv
 
 
 def test_import_loads_no_scipy():
