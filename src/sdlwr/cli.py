@@ -561,6 +561,15 @@ def _build_grid(cfg: ScenarioConfig) -> SimGrid:
                               _initial_density_fn(cfg), boundaries)
 
 
+def _keyed(path: str, call, *args):
+    """``call(*args)``, reporting a ValueError it raises as a config
+    error at ``path``."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid config:\n  {path}: {exc}") from exc
+
+
 def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
     road = cfg.road
     if road is None:
@@ -569,14 +578,15 @@ def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
         raise ConfigError("ring-predict needs a ring road with exactly two "
                           "segments (bottleneck first)")
     (fd1, c1), (fd2, _) = road.segments
-    spec = RingSpec(road.length, c1 * road.dx, fd1, fd2)
+    spec = _keyed("road.segments", RingSpec, road.length, c1 * road.dx, fd1, fd2)
     if cfg.ring_vehicles is not None:
         return spec.with_vehicles(cfg.ring_vehicles)
     if cfg.initial is None:
         raise ConfigError("ring-predict needs ring.vehicles_veh or an "
                           "initial section")
     if cfg.initial.kind == "sinusoid":
-        n = vehicles_of_initial(spec, cfg.initial.rho, cfg.initial.amplitude)
+        n = _keyed("initial", vehicles_of_initial, spec, cfg.initial.rho,
+                   cfg.initial.amplitude)
     else:
         n = _build_grid(cfg).total_vehicles()
     return spec.with_vehicles(n)
@@ -719,7 +729,7 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:
 def cmd_ring_predict(cfg: ScenarioConfig, out_dir: Path) -> int:
     spec = _ring_spec(cfg)
     n_a, n_c = thresholds(spec)
-    pred = predict(spec)
+    pred = _keyed("ring.vehicles_veh", predict, spec)
 
     lines = [
         "two-link ring asymptotic state",
@@ -898,6 +908,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     vp.add_argument("--trials", type=int, default=200)
 
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.seed < 0:
+        vp.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
         if args.command == "verify":
             return cmd_verify(args.seed, args.trials)

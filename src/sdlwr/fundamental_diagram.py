@@ -12,10 +12,13 @@ their branch inverses, and the ratio-parameterised density map
     R(gamma) = D^{-1}(C*gamma)  for gamma <= 1,
                S^{-1}(C/gamma)  for gamma > 1,
 
-so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.  The exact
-built-in classes invert the branches (and the fan's Q' = xi) in closed
-form, or by Newton on the analytic Q' for Kerner-Konhauser; every other
-class, subclasses included, bisects over ``flux_curve`` (``derivative``).
+so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.
+
+Every method rests on one hook, ``flux_curve``.  A family may define
+closed forms for the ``_CLOSED_FORMS`` (critical point, max wave speed,
+Q', demand, supply, branch and fan inverses, per-cell table form); each
+serves only the class that defines it.  Any other class, subclasses of
+the built-ins included, gets the generic method over its own hook.
 
 Units are fixed package-wide: density in veh/km, flux in veh/s, length
 in km and time in s.  Speeds are therefore km/s; multiply by 1000 for
@@ -64,6 +67,10 @@ DENSITY_SLACK = 1e-9
 _SEARCH_TOL = 1e-10
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# The names a family may define in closed form; see the module docstring.
+_CLOSED_FORMS = ("_locate_critical", "_scan_max_speed", "derivative", "demand",
+                 "supply", "_invert_branch", "_invert_fan", "_table_form")
 
 
 def _scalarize(x):
@@ -156,15 +163,25 @@ def _speed_of_flux(rho, q, rho_jam, v0):
 class FundamentalDiagram(abc.ABC):
     """Unimodal flux-density law with demand/supply transforms.
 
-    Subclasses set ``rho_jam`` and implement ``flux``; the critical
-    point is located in ``__init__`` (closed form where available,
-    golden-section search otherwise), and a curve found not to be
-    unimodal is refused.  Instances are immutable after construction
-    and safe to share between workers.
+    Subclasses set ``rho_jam`` and implement ``flux_curve``; the critical
+    point is located in ``__init__``, and a curve found not to be
+    unimodal is refused.  A class that does not define one of the
+    ``_CLOSED_FORMS`` itself gets this class's generic method for it.
+    Instances are immutable after construction and safe to share between
+    workers.
     """
 
     #: absolute tolerance on |Q(0)| and |Q(rho_jam)| for this family (veh/s)
     zero_flux_tol: float = FLUX_TOL
+
+    #: per-cell table form for the simulator: ((formula, attribute names),
+    #: ...) for Q, then optionally for exact D and S; None: no table form
+    _table_form = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in set(_CLOSED_FORMS) - vars(cls).keys():
+            setattr(cls, name, vars(FundamentalDiagram)[name])
 
     def __init__(self) -> None:
         self.rho_crit, self.capacity = self._locate_critical()
@@ -176,10 +193,12 @@ class FundamentalDiagram(abc.ABC):
     def flux_curve(self, rho):
         """Q(rho) without domain checks; accepts scalars or arrays.
 
-        This is the one hook every inversion, search and derivative of
-        the diagram calls.  The built-in families answer a float with a
-        float carrying the same bits as the array path (see the module
-        docstring for why that rules out ``math.exp``).
+        This is the one hook every generic inversion, search and
+        derivative of the diagram calls.  Override it to define a family:
+        the built-in closed forms never carry over to a subclass.  The
+        built-in families answer a float with a float carrying the same
+        bits as the array path (see the module docstring for why that
+        rules out ``math.exp``).
         """
 
     def _locate_critical(self) -> tuple[float, float]:
@@ -282,12 +301,18 @@ class FundamentalDiagram(abc.ABC):
         end = lo if rising else hi  # Q(0) >= d or Q(rho_jam) >= s
         if self.flux_curve(end) >= level:
             return end
-        fast = _BRANCH_INVERSES.get(type(self))
-        if fast is not None:
-            return min(max(fast(self, level, lo, hi, rising), lo), hi)
+        return min(max(self._invert_branch(level, lo, hi, rising), lo), hi)
+
+    def _invert_branch(self, level, lo, hi, rising):
+        """Where the rising or falling branch on [lo, hi] meets ``level``."""
         # below the sought point: Q < level on the rising branch, else Q >= level
         return _bisect(lambda rho: (self.flux_curve(rho) < level) == rising,
                        lo, hi, _SEARCH_TOL * self.rho_jam)
+
+    def _invert_fan(self, xi, lo, hi):
+        """Where Q'(rho) = xi on [lo, hi]; Q' is nonincreasing there."""
+        return _bisect(lambda rho: self.derivative(rho) > xi, lo, hi,
+                       _SEARCH_TOL * self.rho_jam)
 
     def _check_flux_level(self, value: float) -> None:
         if not (-FLUX_TOL <= value <= self.capacity + FLUX_TOL):
@@ -325,17 +350,6 @@ def _greenshields_flux(rho, v_free, rho_jam):
     return v_free * rho * (1.0 - rho / rho_jam)
 
 
-def _greenshields_inverse(fd, level, lo, hi, rising):
-    # the roots rho and rho_jam - rho of Q = level, rho free of cancellation
-    root = math.sqrt(max(1.0 - level / fd.capacity, 0.0))
-    rho = 2.0 * level / (fd.v_free * (1.0 + root))
-    return rho if rising else fd.rho_jam - rho
-
-
-def _greenshields_fan(fd, xi, lo, hi):
-    return fd.rho_crit * (1.0 - xi / fd.v_free)
-
-
 @dataclass
 class GreenshieldsDiagram(FundamentalDiagram):
     """Parabolic law Q(rho) = v_free * rho * (1 - rho/rho_jam).
@@ -350,6 +364,8 @@ class GreenshieldsDiagram(FundamentalDiagram):
 
     v_free: float
     rho_jam: float
+
+    _table_form = ((_greenshields_flux, ("v_free", "rho_jam")),)
 
     def __post_init__(self):
         if not (0 < self.v_free < math.inf and 0 < self.rho_jam < math.inf):
@@ -369,6 +385,15 @@ class GreenshieldsDiagram(FundamentalDiagram):
     def _scan_max_speed(self):
         return self.v_free
 
+    def _invert_branch(self, level, lo, hi, rising):
+        # the roots rho and rho_jam - rho of Q = level, rho free of cancellation
+        root = math.sqrt(max(1.0 - level / self.capacity, 0.0))
+        rho = 2.0 * level / (self.v_free * (1.0 + root))
+        return rho if rising else self.rho_jam - rho
+
+    def _invert_fan(self, xi, lo, hi):
+        return self.rho_crit * (1.0 - xi / self.v_free)
+
 
 def _triangular_flux(rho, v_free, v_cong, rho_jam, q_max):
     return _minimum(_minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
@@ -380,11 +405,6 @@ def _triangular_demand(rho, v_free, peak):
 
 def _triangular_supply(rho, v_cong, rho_jam, peak):
     return _minimum(v_cong * (rho_jam - rho), peak)
-
-
-def _triangular_inverse(fd, level, lo, hi, rising):
-    # the linear branches; at level C these are the plateau edges
-    return level / fd.v_free if rising else fd.rho_jam - level / fd.v_cong
 
 
 @dataclass
@@ -409,6 +429,11 @@ class TriangularDiagram(FundamentalDiagram):
 
     zero_flux_tol = 0.0  # Q(0) and Q(rho_jam) are exactly zero
 
+    # Q, and the exact CTM demand and supply
+    _table_form = ((_triangular_flux, ("v_free", "v_cong", "rho_jam", "q_max")),
+                   (_triangular_demand, ("v_free", "_peak")),
+                   (_triangular_supply, ("v_cong", "rho_jam", "_peak")))
+
     def __post_init__(self):
         if self.v_cong is None:
             self.v_cong = self.v_free
@@ -420,8 +445,6 @@ class TriangularDiagram(FundamentalDiagram):
         # apex of the unclipped triangle
         apex = self.v_cong * self.rho_jam / (self.v_free + self.v_cong)
         self._peak = min(self.q_max, self.v_free * apex)
-        self._left_edge = self._peak / self.v_free
-        self._right_edge = self.rho_jam - self._peak / self.v_cong
         super().__init__()
 
     def flux_curve(self, rho):
@@ -429,7 +452,7 @@ class TriangularDiagram(FundamentalDiagram):
                                 self.rho_jam, self.q_max)
 
     def _locate_critical(self):
-        return self._left_edge, self._peak
+        return self._peak / self.v_free, self._peak
 
     def demand(self, rho):
         # exact sending flow: the CTM form min(v_free*rho, peak)
@@ -445,29 +468,25 @@ class TriangularDiagram(FundamentalDiagram):
         )
 
     def derivative(self, rho, side=0):
-        """Branch slope; one-sided at the kinks (side < 0 from below)."""
-        at_left = abs(rho - self._left_edge) <= 1e-12 * self.rho_jam
-        at_right = abs(rho - self._right_edge) <= 1e-12 * self.rho_jam
-        if at_left:
-            below = side < 0 or (side == 0)
-            return self.v_free if below else self._plateau_slope()
-        if at_right:
-            return self._plateau_slope() if side < 0 or side == 0 else -self.v_cong
-        if rho < self._left_edge:
+        """Branch slope, one-sided at a kink: from above if side > 0."""
+        eps = 1e-12 * self.rho_jam
+        right = self.rho_jam - self._peak / self.v_cong
+        # a pure triangle has no plateau: its apex turns onto the congested branch
+        plateau = 0.0 if right - self.rho_crit > eps else -self.v_cong
+        if abs(rho - self.rho_crit) <= eps:
+            return self.v_free if side <= 0 else plateau
+        if abs(rho - right) <= eps:
+            return plateau if side <= 0 else -self.v_cong
+        if rho < self.rho_crit:
             return self.v_free
-        if rho > self._right_edge:
-            return -self.v_cong
-        return 0.0
-
-    def _plateau_slope(self):
-        # degenerate (pure triangle): left and right edges coincide, so the
-        # "plateau" slope from above is the congested branch
-        if self._right_edge - self._left_edge <= 1e-12 * self.rho_jam:
-            return -self.v_cong
-        return 0.0
+        return -self.v_cong if rho > right else 0.0
 
     def _scan_max_speed(self):
         return max(self.v_free, self.v_cong)
+
+    def _invert_branch(self, level, lo, hi, rising):
+        # the linear branches, plateau edges at C; the step Q' leaves the fan to bisect
+        return level / self.v_free if rising else self.rho_jam - level / self.v_cong
 
 
 # Constants of the Kerner-Konhauser speed function.  The logistic shape
@@ -509,17 +528,6 @@ def _kk_slopes(rho, fd):
     return rho * v, v - rho * k, k * (curl - 2.0)
 
 
-def _kk_inverse(fd, level, lo, hi, rising):
-    # demand from 0 (a concave branch), supply from its inflection, 0.3 rho_jam
-    return _newton(lambda rho: _kk_slopes(rho, fd)[:2], level, lo, hi,
-                   lo if rising else 0.3 * fd.rho_jam, rising, _SEARCH_TOL * fd.rho_jam)
-
-
-def _kk_fan(fd, xi, lo, hi):
-    return _newton(lambda rho: _kk_slopes(rho, fd)[1:], xi, lo, hi,
-                   0.5 * (lo + hi), False, _SEARCH_TOL * fd.rho_jam)
-
-
 @dataclass
 class KernerKonhauserDiagram(FundamentalDiagram):
     """Kerner-Konhauser law for a road with ``lanes`` identical lanes.
@@ -550,6 +558,8 @@ class KernerKonhauserDiagram(FundamentalDiagram):
 
     zero_flux_tol = 1e-7
 
+    _table_form = ((_kk_flux, ("rho_jam", "_speed_scale")),)
+
     def __post_init__(self):
         if not (0 < self.lanes < math.inf and 0 < self.rho_jam_lane < math.inf):
             raise ValueError("lanes and rho_jam_lane must be positive and finite")
@@ -562,11 +572,12 @@ class KernerKonhauserDiagram(FundamentalDiagram):
     def flux_curve(self, rho):
         return _kk_flux(_as_density(rho), self.rho_jam, self._speed_scale)
 
+    def _invert_branch(self, level, lo, hi, rising):
+        # demand from 0 (a concave branch), supply from its inflection, 0.3 rho_jam
+        return _newton(lambda rho: _kk_slopes(rho, self)[:2], level, lo, hi,
+                       lo if rising else 0.3 * self.rho_jam, rising,
+                       _SEARCH_TOL * self.rho_jam)
 
-# Exact classes only, as in the simulator's table: a subclass may override
-# ``flux_curve`` or ``derivative``.  The triangular Q' is a step; its fan bisects.
-_BRANCH_INVERSES = {GreenshieldsDiagram: _greenshields_inverse,
-                    TriangularDiagram: _triangular_inverse,
-                    KernerKonhauserDiagram: _kk_inverse}
-_FAN_INVERSES = {GreenshieldsDiagram: _greenshields_fan,
-                 KernerKonhauserDiagram: _kk_fan}
+    def _invert_fan(self, xi, lo, hi):
+        return _newton(lambda rho: _kk_slopes(rho, self)[1:], xi, lo, hi,
+                       0.5 * (lo + hi), False, _SEARCH_TOL * self.rho_jam)

@@ -18,12 +18,13 @@ Topology is a ring (interface 0 wraps) or open, in which case demand
 enters from the left and supply limits the right exit, both as
 functions of time.
 
-A grid builds a per-cell parameter table once: one part per built-in
-diagram family, holding that family's cell indices and per-cell
-parameter arrays, plus one part per diagram object of any other class.
-Demand, supply, flux and speed of every cell come from one pass over
-the parts, each part evaluating the same formula functions as the
-diagram methods, so the results equal ``fd.demand`` etc. bit for bit.
+A grid builds a per-cell parameter table once: one part per class that
+defines a table form (a built-in family, not a subclass of one), holding
+that class's cell indices and per-cell parameter arrays, plus one part
+per diagram object of any other class.  Demand, supply, flux and speed
+of every cell come from one pass over the parts, each part evaluating
+the same formula functions as the diagram methods, so the results equal
+``fd.demand`` etc. bit for bit.
 One kernel, ``_march``, serves ``step``, ``run`` and the CLI; it checks
 all densities once per step and raises ``SimulationDiverged`` with the
 step, cell and density of the first one outside [0, rho_jam].
@@ -42,19 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental_diagram import (
-    DENSITY_SLACK,
-    FundamentalDiagram,
-    GreenshieldsDiagram,
-    KernerKonhauserDiagram,
-    TriangularDiagram,
-    _greenshields_flux,
-    _kk_flux,
-    _speed_of_flux,
-    _triangular_demand,
-    _triangular_flux,
-    _triangular_supply,
-)
+from .fundamental_diagram import DENSITY_SLACK, FundamentalDiagram, _speed_of_flux
 
 __all__ = [
     "ConfigError",
@@ -205,19 +194,18 @@ class SimGrid:
 
 
 class _FamilyPart:
-    """Cells of one built-in family with per-cell parameter arrays.
+    """Cells of one diagram class with a table form, and their parameters.
 
     ``cells`` indexes the road (None: every cell); ``diagrams`` are the
     part's distinct diagram objects and ``which`` maps each of its cells
-    to one of them.  ``flux`` is the family's formula and ``names`` the
-    diagram attributes it takes, in order.  Demand and supply are
-    Q(min(rho, rho_crit)) and Q(max(rho, rho_crit)) as in
+    to one of them.  The class's ``_table_form`` gives the flux formula
+    and the diagram attributes it takes, in order.  Demand and supply
+    are Q(min(rho, rho_crit)) and Q(max(rho, rho_crit)) as in
     ``FundamentalDiagram``, evaluated in one formula pass over both
-    halves of a stacked array.
+    halves of a stacked array, unless the table form also gives exact
+    demand and supply formulas; that pair is bound once, here, so a
+    step pays no branch for it.
     """
-
-    flux: Callable
-    names: tuple[str, ...]
 
     def __init__(self, cells, diagrams, which):
         self.cells = cells
@@ -225,8 +213,15 @@ class _FamilyPart:
         self.which = which
         self.rho_jam = self.column("rho_jam")
         self.rho_crit = self.column("rho_crit")
-        self.params = [self.column(name) for name in self.names]
+        (self.flux, names), *exact = diagrams[0]._table_form
+        self.params = [self.column(name) for name in names]
         self.params_twice = [np.tile(p, 2) for p in self.params]
+        if exact:
+            (demand, d_names), (supply, s_names) = exact
+            d_args = [self.column(name) for name in d_names]
+            s_args = [self.column(name) for name in s_names]
+            self.demand_supply = lambda rho: (demand(rho, *d_args),
+                                              supply(rho, *s_args))
 
     def column(self, name: str) -> np.ndarray:
         """Per-cell values of a diagram attribute."""
@@ -247,34 +242,10 @@ class _FamilyPart:
         return q, _speed_of_flux(rho, q, self.rho_jam, v0[self.which])
 
 
-class _GreenshieldsPart(_FamilyPart):
-    flux = staticmethod(_greenshields_flux)
-    names = ("v_free", "rho_jam")
-
-
-class _KernerKonhauserPart(_FamilyPart):
-    flux = staticmethod(_kk_flux)
-    names = ("rho_jam", "_speed_scale")
-
-
-class _TriangularPart(_FamilyPart):
-    flux = staticmethod(_triangular_flux)
-    names = ("v_free", "v_cong", "rho_jam", "q_max")
-
-    def __init__(self, cells, diagrams, which):
-        super().__init__(cells, diagrams, which)
-        self.v_free = self.column("v_free")
-        self.v_cong = self.column("v_cong")
-        self.peak = self.column("_peak")
-
-    def demand_supply(self, rho):
-        return (_triangular_demand(rho, self.v_free, self.peak),
-                _triangular_supply(rho, self.v_cong, self.rho_jam, self.peak))
-
-
 class _DiagramPart:
-    """Cells of one diagram object whose class has no table form (a user
-    subclass, or one overriding the flux), evaluated by its own methods."""
+    """Cells of one diagram object whose class defines no table form of
+    its own (a user family, or any subclass of a built-in one), evaluated
+    by its own methods."""
 
     def __init__(self, cells, fd):
         self.cells = cells
@@ -285,15 +256,6 @@ class _DiagramPart:
 
     def flux_speed(self, rho):
         return self.fd.flux(rho), self.fd.speed(rho)
-
-
-# Exact classes only: a subclass may override any method the table
-# stands in for, so it is evaluated through its own methods.
-_TABLE_FORMS = {
-    GreenshieldsDiagram: _GreenshieldsPart,
-    KernerKonhauserDiagram: _KernerKonhauserPart,
-    TriangularDiagram: _TriangularPart,
-}
 
 
 class _CellTable:
@@ -308,7 +270,7 @@ class _CellTable:
         # part key -> positions of its diagrams in self.diagrams
         members_of: dict[object, list[int]] = {}
         for k, fd in enumerate(self.diagrams):
-            key = type(fd) if type(fd) in _TABLE_FORMS else k
+            key = type(fd) if fd._table_form else k
             members_of.setdefault(key, []).append(k)
         self.parts = []
         for key, members in members_of.items():
@@ -317,11 +279,9 @@ class _CellTable:
             if len(members_of) == 1:
                 cells = None
             diagrams = [self.diagrams[k] for k in members]
-            if key in _TABLE_FORMS:
-                part = _TABLE_FORMS[key](cells, diagrams, local)
-            else:
-                part = _DiagramPart(cells, diagrams[0])
-            self.parts.append(part)
+            self.parts.append(_FamilyPart(cells, diagrams, local)
+                              if diagrams[0]._table_form
+                              else _DiagramPart(cells, diagrams[0]))
         self.rho_jam = np.array([fd.rho_jam for fd in self.diagrams],
                                 dtype=float)[which]
         self._upper = self.rho_jam + DENSITY_SLACK

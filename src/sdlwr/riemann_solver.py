@@ -27,8 +27,7 @@ from typing import Union
 
 import numpy as np
 
-from .fundamental_diagram import (_FAN_INVERSES, _SEARCH_TOL, FLUX_TOL,
-                                  FundamentalDiagram, _bisect)
+from .fundamental_diagram import FLUX_TOL, FundamentalDiagram
 from .supply_demand import SDState, classify, from_density, to_density
 
 __all__ = [
@@ -378,12 +377,8 @@ def stationary_pair_check(stat_up: SDState, stat_down: SDState,
 
 def _fan_density(fd: FundamentalDiagram, rho_lo: float, rho_hi: float,
                  xi: float) -> float:
-    # invert Q'(rho) = xi on [rho_lo, rho_hi] (Q' nonincreasing); fast on exact GS, KK
-    fast = _FAN_INVERSES.get(type(fd))
-    if fast is not None:
-        return min(max(fast(fd, xi, rho_lo, rho_hi), rho_lo), rho_hi)
-    return _bisect(lambda rho: fd.derivative(rho) > xi, rho_lo, rho_hi,
-                   _SEARCH_TOL * fd.rho_jam)
+    # invert Q'(rho) = xi on [rho_lo, rho_hi], where Q' is nonincreasing
+    return min(max(fd._invert_fan(xi, rho_lo, rho_hi), rho_lo), rho_hi)
 
 
 def _sample_side(fd, wave: Wave, stat: SDState, xi):

@@ -523,6 +523,41 @@ def test_boundary_numbers_are_keyed_config_errors(tmp_path, capsys, side, form):
         assert f"{key}: must be finite" in err, (key, value, err)
 
 
+def _swap_segments(raw):
+    raw["road"]["segments"].reverse()
+
+
+@pytest.mark.parametrize("edit, key, message", [
+    (_swap_segments, "road.segments", "link 1 must be the bottleneck"),
+    (lambda raw: raw.update(ring={"vehicles_veh": 99999}),
+     "ring.vehicles_veh", "N=99999.0 veh outside [0, 5544]"),
+    (lambda raw: raw["initial"].update(rho0_veh_km=2, amplitude_veh_km=5),
+     "initial", "initial density dips below 0"),
+], ids=["swapped-segments", "vehicles", "sinusoid"])
+def test_ring_predict_bad_ring_is_keyed_config_error(tmp_path, capsys, edit, key,
+                                                     message):
+    """A ring the predictor refuses ends in a config error naming the
+    section, with exit code 2 and no traceback."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / "ring_predict.yaml").read_text())
+    edit(raw)
+    cfg = tmp_path / "ring.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code = main(["ring-predict", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"invalid config:\n  {key}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_negative_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdlwr verify")
+    assert "--seed: must be a non-negative integer, got -1" in err
+
+
 def test_override_cfl_flag_end_to_end(tmp_path, capsys):
     cfg = SIM_CFG.replace("dt_s: 0.5", "dt_s: 0.96").replace(
         "duration_s: 200.0", "duration_s: 9.6"
