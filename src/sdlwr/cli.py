@@ -22,6 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from collections.abc import Hashable
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -212,6 +213,16 @@ class RoadConfig:
         return self.n_cells * self.dx
 
 
+def _diagram_of(node, path, diagrams, err) -> FundamentalDiagram | None:
+    """The diagram ``node["diagram"]`` names; None, with a keyed error,
+    when it names none."""
+    name = node.get("diagram")
+    fd = diagrams.get(name) if isinstance(name, Hashable) else None
+    if fd is None:
+        err.add(f"{path}.diagram", f"unknown diagram {name!r}")
+    return fd
+
+
 def _build_road(node, diagrams, err) -> RoadConfig | None:
     path = "road"
     node = _section(node, path, err, {"topology", "dx_km", "segments"})
@@ -227,18 +238,17 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
     for i, seg in enumerate(segments):
         spath = f"{path}.segments[{i}]"
         seg = _section(seg, spath, err, {"diagram", "length_km"})
-        name = seg.get("diagram")
-        fd = diagrams.get(name)
+        fd = _diagram_of(seg, spath, diagrams, err)
         if fd is None:
-            err.add(f"{spath}.diagram", f"unknown diagram {name!r}")
             continue
         length = _get_number(seg, "length_km", spath, err, positive=True)
         if length is None or dx is None:
             continue
         cells = length / dx
-        if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
+        if round(cells) < 1 or abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
             err.add(f"{spath}.length_km",
-                    f"{length} km is not a whole number of dx={dx} km cells")
+                    f"{length} km is not a whole number of dx={dx} km cells, "
+                    "one or more")
             continue
         built.append((fd, int(round(cells))))
     if dx is None or not built:
@@ -358,9 +368,8 @@ def _build_boundaries(node, err) -> BoundarySpec | None:
 def _build_state(node, diagrams, path, err) -> tuple[FundamentalDiagram, SDState] | None:
     node = _section(node, path, err,
                     {"diagram", "rho_veh_km", "demand_veh_s", "supply_veh_s"})
-    fd = diagrams.get(node.get("diagram"))
+    fd = _diagram_of(node, path, diagrams, err)
     if fd is None:
-        err.add(f"{path}.diagram", f"unknown diagram {node.get('diagram')!r}")
         return None
     has_rho = "rho_veh_km" in node
     has_ds = "demand_veh_s" in node or "supply_veh_s" in node
@@ -908,8 +917,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     vp.add_argument("--trials", type=int, default=200)
 
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.seed < 0:
-        vp.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
+    if args.command == "verify":
+        for flag in ("seed", "trials"):
+            if getattr(args, flag) < 0:
+                vp.error(f"argument --{flag}: must be a non-negative integer, "
+                         f"got {getattr(args, flag)}")
     try:
         if args.command == "verify":
             return cmd_verify(args.seed, args.trials)

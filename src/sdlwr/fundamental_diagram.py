@@ -14,11 +14,13 @@ their branch inverses, and the ratio-parameterised density map
 
 so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.
 
-Every method rests on one hook, ``flux_curve``.  A family may define
-closed forms for the ``_CLOSED_FORMS`` (critical point, max wave speed,
-Q', demand, supply, branch and fan inverses, per-cell table form); each
-serves only the class that defines it.  Any other class, subclasses of
-the built-ins included, gets the generic method over its own hook.
+Every method rests on one hook, ``flux_curve``.  Demand and supply
+have one definition, the pair above, for every diagram and in the
+simulator's per-cell table alike.  A family may define closed forms for
+the ``_CLOSED_FORMS`` (critical point, max wave speed, Q', branch and
+fan inverses, per-cell table form); each serves only the class that
+defines it.  Any other class, subclasses of the built-ins included,
+gets the generic method over its own hook.
 
 Units are fixed package-wide: density in veh/km, flux in veh/s, length
 in km and time in s.  Speeds are therefore km/s; multiply by 1000 for
@@ -69,8 +71,8 @@ _SEARCH_TOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # The names a family may define in closed form; see the module docstring.
-_CLOSED_FORMS = ("_locate_critical", "_scan_max_speed", "derivative", "demand",
-                 "supply", "_invert_branch", "_invert_fan", "_table_form")
+_CLOSED_FORMS = ("_locate_critical", "_scan_max_speed", "derivative",
+                 "_invert_branch", "_invert_fan", "_table_form")
 
 
 def _scalarize(x):
@@ -174,8 +176,9 @@ class FundamentalDiagram(abc.ABC):
     #: absolute tolerance on |Q(0)| and |Q(rho_jam)| for this family (veh/s)
     zero_flux_tol: float = FLUX_TOL
 
-    #: per-cell table form for the simulator: ((formula, attribute names),
-    #: ...) for Q, then optionally for exact D and S; None: no table form
+    #: per-cell table form for the simulator: (formula, attribute names),
+    #: the flux formula and the diagram attributes it takes, in order;
+    #: None: the table evaluates the diagram's own ``flux_curve``
     _table_form = None
 
     def __init_subclass__(cls, **kwargs):
@@ -365,7 +368,7 @@ class GreenshieldsDiagram(FundamentalDiagram):
     v_free: float
     rho_jam: float
 
-    _table_form = ((_greenshields_flux, ("v_free", "rho_jam")),)
+    _table_form = (_greenshields_flux, ("v_free", "rho_jam"))
 
     def __post_init__(self):
         if not (0 < self.v_free < math.inf and 0 < self.rho_jam < math.inf):
@@ -399,14 +402,6 @@ def _triangular_flux(rho, v_free, v_cong, rho_jam, q_max):
     return _minimum(_minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
 
 
-def _triangular_demand(rho, v_free, peak):
-    return _minimum(v_free * rho, peak)
-
-
-def _triangular_supply(rho, v_cong, rho_jam, peak):
-    return _minimum(v_cong * (rho_jam - rho), peak)
-
-
 @dataclass
 class TriangularDiagram(FundamentalDiagram):
     """Triangular/trapezoidal law Q = min(v_free*rho, v_cong*(rho_jam-rho), q_max).
@@ -420,6 +415,8 @@ class TriangularDiagram(FundamentalDiagram):
 
     rho_crit is the left plateau edge.  When the ceiling is inactive the
     slopes satisfy v_cong = v_free*rho_crit/(rho_jam - rho_crit).
+    Demand and supply equal the cell transmission model's
+    min(v_free*rho, C) and min(v_cong*(rho_jam - rho), C) to rounding.
     """
 
     v_free: float
@@ -429,10 +426,7 @@ class TriangularDiagram(FundamentalDiagram):
 
     zero_flux_tol = 0.0  # Q(0) and Q(rho_jam) are exactly zero
 
-    # Q, and the exact CTM demand and supply
-    _table_form = ((_triangular_flux, ("v_free", "v_cong", "rho_jam", "q_max")),
-                   (_triangular_demand, ("v_free", "_peak")),
-                   (_triangular_supply, ("v_cong", "rho_jam", "_peak")))
+    _table_form = (_triangular_flux, ("v_free", "v_cong", "rho_jam", "q_max"))
 
     def __post_init__(self):
         if self.v_cong is None:
@@ -453,19 +447,6 @@ class TriangularDiagram(FundamentalDiagram):
 
     def _locate_critical(self):
         return self._peak / self.v_free, self._peak
-
-    def demand(self, rho):
-        # exact sending flow: the CTM form min(v_free*rho, peak)
-        return _scalarize(
-            _triangular_demand(self._check_density(rho), self.v_free, self._peak)
-        )
-
-    def supply(self, rho):
-        # exact receiving flow: min(v_cong*(rho_jam - rho), peak)
-        return _scalarize(
-            _triangular_supply(self._check_density(rho), self.v_cong,
-                               self.rho_jam, self._peak)
-        )
 
     def derivative(self, rho, side=0):
         """Branch slope, one-sided at a kink: from above if side > 0."""
@@ -558,7 +539,7 @@ class KernerKonhauserDiagram(FundamentalDiagram):
 
     zero_flux_tol = 1e-7
 
-    _table_form = ((_kk_flux, ("rho_jam", "_speed_scale")),)
+    _table_form = (_kk_flux, ("rho_jam", "_speed_scale"))
 
     def __post_init__(self):
         if not (0 < self.lanes < math.inf and 0 < self.rho_jam_lane < math.inf):

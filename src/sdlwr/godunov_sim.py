@@ -18,13 +18,16 @@ Topology is a ring (interface 0 wraps) or open, in which case demand
 enters from the left and supply limits the right exit, both as
 functions of time.
 
-A grid builds a per-cell parameter table once: one part per class that
-defines a table form (a built-in family, not a subclass of one), holding
-that class's cell indices and per-cell parameter arrays, plus one part
-per diagram object of any other class.  Demand, supply, flux and speed
-of every cell come from one pass over the parts, each part evaluating
-the same formula functions as the diagram methods, so the results equal
-``fd.demand`` etc. bit for bit.
+A grid builds a per-cell parameter table once.  Each part of it is one
+flux formula with its per-cell parameter columns: one part per class
+that defines a table form (a built-in family, not a subclass of one),
+holding that class's cell indices and parameter arrays, plus one part
+per diagram object of any other class, whose formula is its own
+``flux_curve`` and which has no columns.  Every part takes demand and
+supply from one pass of its formula over Q([min(rho, rho_crit),
+max(rho, rho_crit)]), the rule of ``FundamentalDiagram``, so demand,
+supply, flux and speed of every cell equal ``fd.demand`` etc. bit for
+bit.
 One kernel, ``_march``, serves ``step``, ``run`` and the CLI; it checks
 all densities once per step and raises ``SimulationDiverged`` with the
 step, cell and density of the first one outside [0, rho_jam].
@@ -193,18 +196,17 @@ class SimGrid:
         return grid
 
 
-class _FamilyPart:
-    """Cells of one diagram class with a table form, and their parameters.
+class _Part:
+    """Cells sharing one flux formula, and its per-cell parameter columns.
 
     ``cells`` indexes the road (None: every cell); ``diagrams`` are the
     part's distinct diagram objects and ``which`` maps each of its cells
-    to one of them.  The class's ``_table_form`` gives the flux formula
-    and the diagram attributes it takes, in order.  Demand and supply
-    are Q(min(rho, rho_crit)) and Q(max(rho, rho_crit)) as in
-    ``FundamentalDiagram``, evaluated in one formula pass over both
-    halves of a stacked array, unless the table form also gives exact
-    demand and supply formulas; that pair is bound once, here, so a
-    step pays no branch for it.
+    to one of them.  Their class's ``_table_form`` gives the formula and
+    the diagram attributes it takes, in order; a class without one makes
+    a part of a single diagram, whose bound ``flux_curve`` is the formula
+    and which has no columns.  Demand and supply are Q(min(rho, rho_crit))
+    and Q(max(rho, rho_crit)) as in ``FundamentalDiagram``, evaluated in
+    one formula pass over both halves of a stacked array.
     """
 
     def __init__(self, cells, diagrams, which):
@@ -213,15 +215,9 @@ class _FamilyPart:
         self.which = which
         self.rho_jam = self.column("rho_jam")
         self.rho_crit = self.column("rho_crit")
-        (self.flux, names), *exact = diagrams[0]._table_form
+        self.flux, names = diagrams[0]._table_form or (diagrams[0].flux_curve, ())
         self.params = [self.column(name) for name in names]
         self.params_twice = [np.tile(p, 2) for p in self.params]
-        if exact:
-            (demand, d_names), (supply, s_names) = exact
-            d_args = [self.column(name) for name in d_names]
-            s_args = [self.column(name) for name in s_names]
-            self.demand_supply = lambda rho: (demand(rho, *d_args),
-                                              supply(rho, *s_args))
 
     def column(self, name: str) -> np.ndarray:
         """Per-cell values of a diagram attribute."""
@@ -240,22 +236,6 @@ class _FamilyPart:
         q = self.flux(rho, *self.params)
         v0 = np.array([fd.derivative(0.0, side=+1) for fd in self.diagrams])
         return q, _speed_of_flux(rho, q, self.rho_jam, v0[self.which])
-
-
-class _DiagramPart:
-    """Cells of one diagram object whose class defines no table form of
-    its own (a user family, or any subclass of a built-in one), evaluated
-    by its own methods."""
-
-    def __init__(self, cells, fd):
-        self.cells = cells
-        self.fd = fd
-
-    def demand_supply(self, rho):
-        return self.fd.demand(rho), self.fd.supply(rho)
-
-    def flux_speed(self, rho):
-        return self.fd.flux(rho), self.fd.speed(rho)
 
 
 class _CellTable:
@@ -278,10 +258,8 @@ class _CellTable:
             local = np.searchsorted(members, which[cells])  # members ascend
             if len(members_of) == 1:
                 cells = None
-            diagrams = [self.diagrams[k] for k in members]
-            self.parts.append(_FamilyPart(cells, diagrams, local)
-                              if diagrams[0]._table_form
-                              else _DiagramPart(cells, diagrams[0]))
+            self.parts.append(
+                _Part(cells, [self.diagrams[k] for k in members], local))
         self.rho_jam = np.array([fd.rho_jam for fd in self.diagrams],
                                 dtype=float)[which]
         self._upper = self.rho_jam + DENSITY_SLACK

@@ -1,8 +1,9 @@
 """Traffic states in supply-demand coordinates.
 
 Instead of density, a state on a link with capacity C is the pair
-U = (D, S) of its demand and supply.  Because max(D, S) = C always
-holds, the image of [0, rho_jam] is the L-shaped set
+U = (D, S) of its demand and supply.  Because max(D, S) = C holds,
+exactly for the Greenshields and Kerner-Konhauser laws and to rounding
+for the triangular one, the image of [0, rho_jam] is the L-shaped set
 
     {(d, C) : 0 <= d <= C}  union  {(C, s) : 0 <= s <= C},
 

@@ -558,6 +558,52 @@ def test_verify_rejects_negative_seed(capsys):
     assert "--seed: must be a non-negative integer, got -1" in err
 
 
+def test_verify_rejects_negative_trials(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--trials", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdlwr verify")
+    assert "--trials: must be a non-negative integer, got -5" in err
+
+
+@pytest.mark.parametrize("ref", [["wide"], {"x": 1}], ids=["list", "dict"])
+@pytest.mark.parametrize("command, config, key", [
+    ("ring-predict", "ring_predict.yaml", "road.segments[1]"),
+    ("riemann", "riemann.yaml", "riemann.upstream"),
+], ids=["segment", "riemann-state"])
+def test_unhashable_diagram_reference_is_keyed_config_error(
+        tmp_path, capsys, ref, command, config, key):
+    raw = yaml.safe_load((_BENCH_CONFIGS / config).read_text())
+    if command == "riemann":
+        raw["riemann"]["upstream"]["diagram"] = ref
+    else:
+        raw["road"]["segments"][1]["diagram"] = ref
+    cfg = tmp_path / config
+    cfg.write_text(yaml.safe_dump(raw))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"{key}.diagram: unknown diagram {ref!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["ring-predict", "simulate"])
+def test_segment_below_one_cell_is_keyed_config_error(tmp_path, capsys, command):
+    """A segment that rounds to 0 cells is refused, not dropped from the road."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / "ring_predict.yaml").read_text())
+    raw["road"]["segments"][1]["length_km"] = 1.0e-12
+    if command == "simulate":
+        raw["numerics"] = {"dt_s": 0.5, "duration_s": 1.0}
+    cfg = tmp_path / "ring.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert ("invalid config:\n  road.segments[1].length_km: 1e-12 km is not a "
+            "whole number of dx=0.028 km cells, one or more") in err
+
+
 def test_override_cfl_flag_end_to_end(tmp_path, capsys):
     cfg = SIM_CFG.replace("dt_s: 0.5", "dt_s: 0.96").replace(
         "duration_s: 200.0", "duration_s: 9.6"

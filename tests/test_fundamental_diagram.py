@@ -283,6 +283,37 @@ def test_ctm_sending_receiving_equivalence():
         )
 
 
+@given(v_free=st.floats(1e-3, 3.0), cong_ratio=st.floats(-3.0, 3.0),
+       rho_jam=st.floats(1.0, 1000.0),
+       ceiling=st.none() | st.floats(0.05, 1.5),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_triangular_demand_supply_match_ctm_forms(v_free, cong_ratio, rho_jam,
+                                                  ceiling, fracs):
+    """D = Q(min(rho, rho_crit)) and S = Q(max(rho, rho_crit)) equal the
+    cell transmission forms min(v_free*rho, C) and min(v_cong*(rho_jam -
+    rho), C) to rounding, and max(D, S) = C likewise.
+
+    Q(rho_crit) takes rho_jam - rho_crit, whose rounding error grows by
+    rho_jam/(rho_jam - rho_crit) <= 1 + v_cong/v_free: the bound is
+    8 ulp of C while v_cong <= v_free and grows with v_cong/v_free beyond.
+    """
+    v_cong = v_free * 10.0**cong_ratio
+    apex_flux = v_free * v_cong * rho_jam / (v_free + v_cong)
+    q_max = math.inf if ceiling is None else ceiling * apex_flux
+    fd = TriangularDiagram(v_free, rho_jam, q_max, v_cong)
+    cap = fd.capacity
+    tol = 8.0 * max(1.0, v_cong / v_free) * np.spacing(cap)
+    rho = np.array([0.0, fd.rho_crit, fd.inv_supply(cap), rho_jam]
+                   + [f * rho_jam for f in fracs])
+    ctm_d = np.minimum(v_free * rho, cap)
+    ctm_s = np.minimum(v_cong * (rho_jam - rho), cap)
+    for d, s in [(fd.demand(rho), fd.supply(rho)),
+                 ([fd.demand(r) for r in rho], [fd.supply(r) for r in rho])]:
+        assert np.max(np.abs(np.subtract(d, ctm_d))) <= tol
+        assert np.max(np.abs(np.subtract(s, ctm_s))) <= tol
+        assert np.max(np.abs(np.maximum(d, s) - cap)) <= tol
+
+
 def test_max_wave_speed_bounds_derivative(family_zoo):
     for fd in family_zoo:
         vmax = fd.max_wave_speed()

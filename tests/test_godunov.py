@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sdlwr import (
     BoundarySpec,
     ConfigError,
+    FundamentalDiagram,
     GreenshieldsDiagram,
     KernerKonhauserDiagram,
     RiemannProblem,
@@ -303,15 +304,36 @@ class _DampedKK(KernerKonhauserDiagram):
         return 0.9 * super().flux_curve(rho)
 
 
+class _Cubic(FundamentalDiagram):
+    """A user family subclassing ``FundamentalDiagram`` directly:
+    Q = v_free * rho * (1 - rho/rho_jam) * (1 - rho/(2 rho_jam))."""
+
+    def __init__(self, v_free, rho_jam):
+        self.v_free, self.rho_jam = v_free, rho_jam
+        super().__init__()
+
+    def flux_curve(self, rho):
+        x = rho / self.rho_jam
+        return self.v_free * rho * (1.0 - x) * (1.0 - 0.5 * x)
+
+
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
 def _mixed_road(family_zoo, seed, n=48, fill=1.0):
-    """Random runs of the three families and the user subclass, with
-    densities at 0, a tiny value, rho_crit, fill*rho_jam and in between."""
+    """Random runs of the three families, a triangle and a trapezoid drawn
+    from ``seed``, and the two user families, with densities at 0, a tiny
+    value, rho_crit, fill*rho_jam and in between."""
     rng = np.random.default_rng(seed)
-    zoo = list(family_zoo) + [_DampedKK(lanes=1)]
+    v_free, v_cong = rng.uniform(0.005, 0.05, 2)
+    rho_jam = rng.uniform(20.0, 200.0)
+    apex_flux = v_free * v_cong * rho_jam / (v_free + v_cong)
+    zoo = list(family_zoo) + [
+        _DampedKK(lanes=1), _Cubic(rng.uniform(0.01, 0.04), rho_jam),
+        TriangularDiagram(v_free, rho_jam, v_cong=v_cong),
+        TriangularDiagram(v_free, rho_jam, rng.uniform(0.3, 0.95) * apex_flux,
+                          v_cong)]
     fds = []
     while len(fds) < n:
         fds += [zoo[rng.integers(len(zoo))]] * int(rng.integers(1, 6))
