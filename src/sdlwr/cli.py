@@ -1,7 +1,10 @@
 """Command-line front end: YAML scenarios, reports, CSV, verification.
 
 Four subcommands share one config format (see the README for the full
-schema; every numeric field carries its unit in the key name):
+schema; every numeric field carries its unit in the key name).  Parsing
+builds the library's objects once: each diagram from its family's class,
+whose fields give the keys and defaults, and ``initial`` as one density
+function of x, a sinusoid by ``ring_analysis``'s lane-weighted rule.
 
 * ``riemann``      solve one boundary Riemann problem, report states,
                    flux and waves, optionally sample rho(x/t) to CSV.
@@ -12,15 +15,17 @@ schema; every numeric field carries its unit in the key name):
 
 Reports print values to 4 decimal places; CSV files carry 6
 significant digits.  Exit codes: 0 success, 1 failed property
-(verify), 2 configuration error or a simulation that diverged.
+(verify), 2 a config that cannot be read or is invalid, an output that
+cannot be written, or a simulation that diverged.
 """
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from collections.abc import Hashable
 from typing import Any, Callable, Sequence
@@ -61,6 +66,7 @@ from .riemann_solver import (
 )
 from .ring_analysis import (
     RingSpec,
+    _lane_sinusoid,
     predict,
     thresholds,
     vehicles_of_initial,
@@ -146,56 +152,45 @@ def _get_number(node: dict, key: str, path: str, err: _Errors,
     return number
 
 
-_DIAGRAM_KEYS = {
-    "greenshields": {"family", "v_free_m_s", "rho_jam_veh_km"},
-    "triangular": {"family", "v_free_m_s", "rho_jam_veh_km", "q_max_veh_s",
-                   "v_cong_m_s"},
-    "kerner_konhauser": {"family", "lanes", "rho_jam_lane_veh_km", "tau_s",
-                         "unit_len_km"},
+# family -> (class, its YAML keys in constructor-field order): each key is its
+# field's name plus a unit, optional when the field has a default; m/s -> km/s
+_FAMILIES = {
+    "greenshields": (GreenshieldsDiagram, ("v_free_m_s", "rho_jam_veh_km")),
+    "triangular": (TriangularDiagram, ("v_free_m_s", "rho_jam_veh_km",
+                                       "q_max_veh_s", "v_cong_m_s")),
+    "kerner_konhauser": (KernerKonhauserDiagram,
+                         ("lanes", "rho_jam_lane_veh_km", "tau_s", "unit_len_km")),
 }
 
 
 def _build_diagram(name: str, node: Any, err: _Errors) -> FundamentalDiagram | None:
     path = f"diagrams.{name}"
     family = node.get("family") if isinstance(node, dict) else None
-    keys = _DIAGRAM_KEYS.get(family) if isinstance(family, str) else None
-    node = _section(node, path, err, keys)
+    entry = _FAMILIES.get(family) if isinstance(family, str) else None
+    node = _section(node, path, err, entry and {"family", *entry[1]})
+    if entry is None:
+        err.add(f"{path}.family",
+                f"unknown family {family!r} ({', '.join(_FAMILIES)})")
+        return None
+    cls, keys = entry
+    # an absent or invalid optional key leaves the class default
+    args, missing = {}, False
+    for field, key in zip(fields(cls), keys):
+        required = field.default is MISSING
+        value = _get_number(node, key, path, err, required=required,
+                            positive=True)
+        if value is None:
+            missing |= required
+        else:
+            args[field.name] = (value / _KM_S_TO_M_S if key.endswith("_m_s")
+                                else value)
+    if missing:
+        return None
     try:
-        if family == "greenshields":
-            v = _get_number(node, "v_free_m_s", path, err, positive=True)
-            rj = _get_number(node, "rho_jam_veh_km", path, err, positive=True)
-            if v is None or rj is None:
-                return None
-            return GreenshieldsDiagram(v / _KM_S_TO_M_S, rj)
-        if family == "triangular":
-            v = _get_number(node, "v_free_m_s", path, err, positive=True)
-            rj = _get_number(node, "rho_jam_veh_km", path, err, positive=True)
-            qm = _get_number(node, "q_max_veh_s", path, err, required=False,
-                             default=math.inf, positive=True)
-            vc = _get_number(node, "v_cong_m_s", path, err, required=False,
-                             positive=True)
-            if v is None or rj is None:
-                return None
-            return TriangularDiagram(
-                v / _KM_S_TO_M_S, rj, qm,
-                None if vc is None else vc / _KM_S_TO_M_S,
-            )
-        if family == "kerner_konhauser":
-            lanes = _get_number(node, "lanes", path, err, required=False,
-                                default=1.0, positive=True)
-            rj = _get_number(node, "rho_jam_lane_veh_km", path, err,
-                             required=False, default=180.0, positive=True)
-            tau = _get_number(node, "tau_s", path, err, required=False,
-                              default=5.0, positive=True)
-            ul = _get_number(node, "unit_len_km", path, err, required=False,
-                             default=0.028, positive=True)
-            return KernerKonhauserDiagram(lanes, rj, tau, ul)
+        return cls(**args)
     except ValueError as exc:
         err.add(path, str(exc))
         return None
-    err.add(f"{path}.family",
-            f"unknown family {family!r} ({', '.join(_DIAGRAM_KEYS)})")
-    return None
 
 
 @dataclass
@@ -245,6 +240,10 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
         if length is None or dx is None:
             continue
         cells = length / dx
+        if math.isinf(cells):
+            err.add(f"{path}.dx_km", f"{dx} km makes the cell count overflow")
+            dx = None
+            continue
         if round(cells) < 1 or abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
             err.add(f"{spath}.length_km",
                     f"{length} km is not a whole number of dx={dx} km cells, "
@@ -256,14 +255,6 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
     return RoadConfig(topology, dx, built)
 
 
-@dataclass
-class InitialConfig:
-    kind: str
-    rho: float = 0.0
-    amplitude: float = 0.0
-    pieces: list[tuple[float, float]] | None = None  # (length_km, rho)
-
-
 _INITIAL_KEYS = {
     "uniform": {"kind", "rho_veh_km"},
     "sinusoid": {"kind", "rho0_veh_km", "amplitude_veh_km"},
@@ -271,36 +262,48 @@ _INITIAL_KEYS = {
 }
 
 
-def _build_initial(node, err) -> InitialConfig | None:
+def _build_initial(node, road: RoadConfig | None, err):
+    """(density of x, (rho0, amplitude) of a sinusoid or None); None for the
+    density when it, ``road`` or an earlier section did not parse."""
     path = "initial"
     kind = node.get("kind") if isinstance(node, dict) else None
     keys = _INITIAL_KEYS.get(kind) if isinstance(kind, str) else None
     node = _section(node, path, err, keys)
     if kind == "uniform":
         rho = _get_number(node, "rho_veh_km", path, err)
-        return None if rho is None else InitialConfig("uniform", rho)
+        return (None if rho is None else lambda x: rho), None
     if kind == "sinusoid":
         rho0 = _get_number(node, "rho0_veh_km", path, err)
         amp = _get_number(node, "amplitude_veh_km", path, err, required=False,
                           default=0.0)
-        return None if rho0 is None else InitialConfig("sinusoid", rho0, amp)
+        if road is None or err.items:
+            return None, None
+        bounds = np.cumsum([c * road.dx for _, c in road.segments])[:-1]
+        return _lane_sinusoid(bounds.tolist(), [fd for fd, _ in road.segments],
+                              road.length, rho0, amp), (rho0, amp)
     if kind == "piecewise":
         pieces = node.get("pieces")
         if not isinstance(pieces, list) or not pieces:
             err.add(f"{path}.pieces", "expected a nonempty list")
-            return None
-        built = []
+            return None, None
+        lengths, values = [], []
         for i, piece in enumerate(pieces):
             ppath = f"{path}.pieces[{i}]"
             piece = _section(piece, ppath, err, {"length_km", "rho_veh_km"})
-            length = _get_number(piece, "length_km", ppath, err, positive=True)
-            rho = _get_number(piece, "rho_veh_km", ppath, err)
-            if length is not None and rho is not None:
-                built.append((length, rho))
-        return InitialConfig("piecewise", pieces=built)
+            lengths.append(_get_number(piece, "length_km", ppath, err,
+                                       positive=True))
+            values.append(_get_number(piece, "rho_veh_km", ppath, err))
+        if road is None or err.items:
+            return None, None
+        *bounds, total = np.cumsum(lengths).tolist()
+        if abs(total - road.length) > 1e-9 * road.length:
+            err.add(f"{path}.pieces",
+                    f"cover {total} km but the road is {road.length} km")
+            return None, None
+        return lambda x: values[bisect.bisect_right(bounds, x)], None
     err.add(f"{path}.kind",
             f"must be uniform, sinusoid or piecewise, got {kind!r}")
-    return None
+    return None, None
 
 
 @dataclass
@@ -323,6 +326,9 @@ def _build_numerics(node, override_cfl, err) -> NumericsConfig | None:
         err.add(f"{path}.record_every", f"expected an integer >= 0, got {record!r}")
         record = 0
     if dt is None or duration is None:
+        return None
+    if math.isinf(duration / dt):
+        err.add(f"{path}.dt_s", f"{dt} s makes the step count overflow")
         return None
     # record_every 0 means snapshots only at start and end
     steps = max(1, int(round(duration / dt)))
@@ -440,7 +446,8 @@ def _build_riemann(node, diagrams, err) -> RiemannConfig | None:
 class ScenarioConfig:
     diagrams: dict[str, FundamentalDiagram]
     road: RoadConfig | None
-    initial: InitialConfig | None
+    initial: Callable[[float], float] | None  # density of x (km)
+    sinusoid: tuple[float, float] | None  # (rho0, amplitude)
     numerics: NumericsConfig | None
     boundaries: BoundarySpec | None
     riemann: RiemannConfig | None
@@ -481,7 +488,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
                 diagrams[name] = fd
 
     road = _build_road(raw["road"], diagrams, err) if "road" in raw else None
-    initial = _build_initial(raw["initial"], err) if "initial" in raw else None
+    initial, sinusoid = (_build_initial(raw["initial"], road, err)
+                         if "initial" in raw else (None, None))
     numerics = (_build_numerics(raw["numerics"], override_cfl, err)
                 if "numerics" in raw else None)
     boundaries = (_build_boundaries(raw["boundaries"], err)
@@ -522,52 +530,18 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
                     f"dx={road.dx} km); reduce dt_s or pass --override-cfl")
 
     err.raise_if_any()
-    return ScenarioConfig(diagrams, road, initial, numerics, boundaries,
-                          riemann, ring_vehicles, outputs)
+    return ScenarioConfig(diagrams, road, initial, sinusoid, numerics,
+                          boundaries, riemann, ring_vehicles, outputs)
 
 
 # ------------------------------------------------------------- building
 
-def _initial_density_fn(cfg: ScenarioConfig) -> Callable[[float], float]:
-    road, initial = cfg.road, cfg.initial
-    if initial.kind == "uniform":
-        return lambda x: initial.rho
-    if initial.kind == "sinusoid":
-        length = road.length
-        bounds = np.cumsum([0.0] + [c * road.dx for _, c in road.segments])
-        weights = [float(getattr(fd, "lanes", 1.0)) for fd, _ in road.segments]
-
-        def rho(x: float) -> float:
-            i = min(np.searchsorted(bounds, x, side="right") - 1,
-                    len(weights) - 1)
-            return weights[i] * (initial.rho + initial.amplitude
-                                 * math.sin(2.0 * math.pi * x / length))
-
-        return rho
-    # piecewise
-    edges = np.cumsum([0.0] + [length for length, _ in initial.pieces])
-    values = [rho for _, rho in initial.pieces]
-
-    def rho(x: float) -> float:
-        i = min(np.searchsorted(edges, x, side="right") - 1, len(values) - 1)
-        return values[i]
-
-    return rho
-
-
 def _build_grid(cfg: ScenarioConfig) -> SimGrid:
     if cfg.road is None or cfg.initial is None:
         raise ConfigError("simulate needs road and initial sections")
-    if cfg.initial.kind == "piecewise":
-        total = sum(length for length, _ in cfg.initial.pieces)
-        if abs(total - cfg.road.length) > 1e-9 * cfg.road.length:
-            raise ConfigError(
-                f"initial.pieces cover {total} km but the road is "
-                f"{cfg.road.length} km"
-            )
     boundaries = cfg.boundaries if cfg.road.topology == "open" else None
     return grid_from_segments(cfg.road.segments, cfg.road.dx,
-                              _initial_density_fn(cfg), boundaries)
+                              cfg.initial, boundaries)
 
 
 def _keyed(path: str, call, *args):
@@ -593,9 +567,8 @@ def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
     if cfg.initial is None:
         raise ConfigError("ring-predict needs ring.vehicles_veh or an "
                           "initial section")
-    if cfg.initial.kind == "sinusoid":
-        n = _keyed("initial", vehicles_of_initial, spec, cfg.initial.rho,
-                   cfg.initial.amplitude)
+    if cfg.sinusoid is not None:
+        n = _keyed("initial", vehicles_of_initial, spec, *cfg.sinusoid)
     else:
         n = _build_grid(cfg).total_vehicles()
     return spec.with_vehicles(n)
@@ -626,8 +599,11 @@ def _describe_wave(wave: Wave) -> str:
 
 
 def _write(path: Path, lines: list[str]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _report(cfg: ScenarioConfig, out_dir: Path, lines: list[str]) -> None:
@@ -895,8 +871,8 @@ def _load_config(path: str | None, override_cfl: bool) -> ScenarioConfig:
         raise ConfigError("--config is required for this subcommand")
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     return parse_config(text, override_cfl)
 

@@ -84,12 +84,18 @@ def _scalarize(x):
     return float(arr) if arr.shape == () else arr
 
 
+def _floor_tol(tol: float, lo: float, hi: float) -> float:
+    """``tol``, at least 8 ulps of [lo, hi]: a search ends if it underflows."""
+    return max(tol, 8.0 * math.ulp(max(abs(lo), abs(hi))))
+
+
 def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Locate the maximum of a unimodal function on [lo, hi].
 
     Plain golden-section search, shrinking the bracket until its width
     drops below ``tol``.  Returns (argmax, max).
     """
+    tol = _floor_tol(tol, lo, hi)
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -113,6 +119,7 @@ def _bisect(below, lo: float, hi: float, tol: float) -> float:
     ``below(x)`` says whether the sought point lies above x: each step
     keeps the half of the bracket that holds it.
     """
+    tol = _floor_tol(tol, lo, hi)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if below(mid):
@@ -125,6 +132,7 @@ def _bisect(below, lo: float, hi: float, tol: float) -> float:
 def _newton(value_slope, level, lo, hi, x, rising, tol):
     """Newton from ``x`` to where a monotone f, ``value_slope(x) = (f, f')``,
     meets ``level`` in [lo, hi] inside ``_bisect``'s bracket; steps out of it bisect."""
+    tol = _floor_tol(tol, lo, hi)
     while hi - lo > tol:
         f, slope = value_slope(x)
         lo, hi = (x, hi) if (f < level) == rising else (lo, x)
@@ -167,7 +175,8 @@ class FundamentalDiagram(abc.ABC):
 
     Subclasses set ``rho_jam`` and implement ``flux_curve``; the critical
     point is located in ``__init__``, and a curve found not to be
-    unimodal is refused.  A class that does not define one of the
+    unimodal, or whose capacity or max wave speed is not finite and
+    positive, is refused.  A class that does not define one of the
     ``_CLOSED_FORMS`` itself gets this class's generic method for it.
     Instances are immutable after construction and safe to share between
     workers.
@@ -189,6 +198,9 @@ class FundamentalDiagram(abc.ABC):
     def __init__(self) -> None:
         self.rho_crit, self.capacity = self._locate_critical()
         self._max_speed = self._scan_max_speed()
+        if not (0 < self.capacity < math.inf and 0 < self._max_speed < math.inf):
+            raise ValueError(f"degenerate diagram: capacity {self.capacity!r} "
+                             f"veh/s, max wave speed {self._max_speed!r} km/s")
 
     # -- family hooks -------------------------------------------------
 
@@ -340,7 +352,9 @@ class FundamentalDiagram(abc.ABC):
                 "flux profile is not unimodal: a sample exceeds the located "
                 f"capacity {self.capacity:.6g} veh/s"
             )
-        slopes = (q_hi - self.flux_curve(lo)) / (hi - lo)
+        # a step h that underflows gives NaN slopes, refused in __init__
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = (q_hi - self.flux_curve(lo)) / (hi - lo)
         return float(np.max(np.abs(slopes)))
 
 

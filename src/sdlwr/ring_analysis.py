@@ -22,10 +22,11 @@ five of which contradict the admissible boundary transitions.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -267,21 +268,30 @@ def _lane_weight(fd: FundamentalDiagram) -> float:
     return float(getattr(fd, "lanes", 1.0))
 
 
+def _lane_sinusoid(bounds: Sequence[float], fds: Sequence[FundamentalDiagram],
+                   length: float, rho0: float, amplitude: float
+                   ) -> Callable[[float], float]:
+    """a(x) * (rho0 + amplitude*sin(2 pi x/length)), a(x) the lane count of
+    ``fds[i]`` on piece i of a road cut at the ascending ``bounds``."""
+    weights = [_lane_weight(fd) for fd in fds]
+
+    def rho(x: float) -> float:
+        return weights[bisect.bisect_right(bounds, x)] * (
+            rho0 + amplitude * math.sin(2.0 * math.pi * x / length))
+
+    return rho
+
+
 def initial_density(spec: RingSpec, rho0: float, amplitude: float = 0.0
                     ) -> Callable[[float], float]:
     """The experiment's initial profile a(x) * (rho0 + amplitude*sin(2 pi x/L)).
 
     a(x) is each link's lane count (1 for diagrams without lanes), so
     the perturbed base density scales onto wide links the way the
-    stationary densities do.
+    stationary densities do.  The CLI lays its ``sinusoid`` by this rule.
     """
-    w1, w2 = _lane_weight(spec.fd1), _lane_weight(spec.fd2)
-
-    def rho(x: float) -> float:
-        w = w1 if x < spec.L1 else w2
-        return w * (rho0 + amplitude * math.sin(2.0 * math.pi * x / spec.L))
-
-    return rho
+    return _lane_sinusoid((spec.L1,), (spec.fd1, spec.fd2), spec.L, rho0,
+                          amplitude)
 
 
 def vehicles_of_initial(spec: RingSpec, rho0: float, amplitude: float = 0.0

@@ -1,5 +1,8 @@
 """Shared fixtures: the diagram families and ring geometry used throughout."""
 
+import contextlib
+import signal
+
 import pytest
 
 from sdlwr import (
@@ -46,3 +49,29 @@ def family_zoo():
         KernerKonhauserDiagram(lanes=1),
         KernerKonhauserDiagram(lanes=2),
     ]
+
+
+class DeadlineExpired(Exception):
+    """A block outran its ``deadline``."""
+
+
+@pytest.fixture
+def deadline():
+    """``with deadline(seconds):`` raises DeadlineExpired in a block that
+    runs longer, so that a search that never ends fails its test instead
+    of stalling the suite (SIGALRM: POSIX, main thread)."""
+
+    @contextlib.contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise DeadlineExpired(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

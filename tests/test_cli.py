@@ -1,7 +1,10 @@
 """CLI: config validation, reports, CSV output, self-checks."""
 
+import copy
+import dataclasses
 import hashlib
 import math
+import operator
 import os
 import re
 import subprocess
@@ -13,8 +16,14 @@ import pytest
 import yaml
 
 import sdlwr
-from sdlwr import ConfigError
-from sdlwr.cli import _MAX_PROFILE_POINTS, main, parse_config
+from sdlwr import (
+    ConfigError,
+    GreenshieldsDiagram,
+    KernerKonhauserDiagram,
+    TriangularDiagram,
+    initial_density,
+)
+from sdlwr.cli import _FAMILIES, _MAX_PROFILE_POINTS, _ring_spec, main, parse_config
 
 RIEMANN_CFG = textwrap.dedent("""\
     diagrams:
@@ -198,6 +207,75 @@ def test_parse_rejects_uneven_segments():
     text = SIM_CFG.replace("length_km: 16.0", "length_km: 16.3")
     with pytest.raises(ConfigError, match="not a whole number"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("family, required, want", [
+    ("greenshields", {"v_free_m_s": 27.8, "rho_jam_veh_km": 120},
+     GreenshieldsDiagram(27.8 / 1000.0, 120.0)),
+    ("triangular", {"v_free_m_s": 30, "rho_jam_veh_km": 150},
+     TriangularDiagram(30 / 1000.0, 150.0)),
+    ("kerner_konhauser", {}, KernerKonhauserDiagram()),
+])
+def test_diagram_family_parses_to_its_class(family, required, want):
+    """A family given its required keys alone parses to its class called
+    with the same arguments, the rest at their defaults.  It accepts
+    ``family`` and one key per constructor field, each the field's name
+    plus a unit, and refuses any other."""
+    cls, keys = _FAMILIES[family]
+    assert type(want) is cls
+    fields = [f.name for f in dataclasses.fields(cls)]
+    assert len(keys) == len(fields)
+    assert all(key.startswith(name) for key, name in zip(keys, fields))
+    node = {"family": family, **required}
+    assert parse_config(yaml.safe_dump({"diagrams": {"d": node}})).diagrams == {
+        "d": want}
+    for key in required:
+        text = yaml.safe_dump({"diagrams": {"d": {**node, key: None}}})
+        with pytest.raises(ConfigError, match=rf"diagrams\.d\.{key}: expected a number"):
+            parse_config(text)
+    text = yaml.safe_dump({"diagrams": {"d": {**node, "lanes_m_s": 1}}})
+    with pytest.raises(ConfigError, match=r"diagrams\.d\.lanes_m_s: unknown key"):
+        parse_config(text)
+
+
+def test_pieces_must_cover_the_road():
+    """Pieces that miss the road length are a keyed parse error, checked
+    only when the road and every piece parsed; pieces that cover it step
+    at the piece ends."""
+    raw = yaml.safe_load(SIM_CFG)
+    raw["road"]["segments"].append({"diagram": "main", "length_km": 4.0})
+    raw["initial"] = {"kind": "piecewise",
+                      "pieces": [{"length_km": 6.0, "rho_veh_km": 0.5},
+                                 {"length_km": 14.0, "rho_veh_km": 1.0}]}
+    cfg = parse_config(yaml.safe_dump(raw))  # a 20 km road
+    assert [cfg.initial(x) for x in (0.0, 5.9, 6.0, 19.9)] == [0.5, 0.5, 1.0, 1.0]
+    # a dropped segment or piece leaves nothing whole to compare
+    for key, edit in [
+        ("road.segments[1].diagram",
+         lambda raw: raw["road"]["segments"][1].update(diagram="nope")),
+        ("initial.pieces[0].length_km",
+         lambda raw: raw["initial"]["pieces"][0].update(length_km="x")),
+    ]:
+        broken = copy.deepcopy(raw)
+        edit(broken)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(yaml.safe_dump(broken))
+        lines = str(exc.value).splitlines()  # one error, at the broken key
+        assert len(lines) == 2 and lines[1].startswith(f"  {key}: "), lines
+    raw["initial"]["pieces"][1]["length_km"] = 13.0
+    with pytest.raises(ConfigError) as exc:
+        parse_config(yaml.safe_dump(raw))
+    assert str(exc.value) == ("invalid config:\n  initial.pieces: cover 19.0 km "
+                              "but the road is 20.0 km")
+
+
+def test_sinusoid_is_initial_density_at_every_cell():
+    """simulate lays, bit for bit, the profile whose vehicles ring-predict
+    counts."""
+    cfg = parse_config((_BENCH_CONFIGS / "ring_predict.yaml").read_text())
+    want = initial_density(_ring_spec(cfg), 28, 3)
+    x = [(i + 0.5) * cfg.road.dx for i in range(cfg.road.n_cells)]
+    assert [cfg.initial(xi) for xi in x] == [want(xi) for xi in x]
 
 
 def test_parse_rejects_ambiguous_state():
@@ -602,6 +680,102 @@ def test_segment_below_one_cell_is_keyed_config_error(tmp_path, capsys, command)
     assert code == 2, err
     assert ("invalid config:\n  road.segments[1].length_km: 1e-12 km is not a "
             "whole number of dx=0.028 km cells, one or more") in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: raw["road"].update(dx_km=1.0e-320),
+     "road.dx_km: 1e-320 km makes the cell count overflow"),
+    (lambda raw: raw["numerics"].update(dt_s=1.0e-320),
+     "numerics.dt_s: 1e-320 s makes the step count overflow"),
+    (lambda raw: raw["diagrams"]["wide"].update(lanes=1.0e-320),
+     "diagrams.wide: degenerate diagram"),
+], ids=["dx", "dt", "lanes"])
+def test_overflowing_or_degenerate_numbers_are_keyed_config_errors(
+        tmp_path, capsys, deadline, edit, message):
+    """A dx or dt small enough to overflow the cell or step count, and a
+    diagram whose searches underflow, end in a keyed config error."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / "simulate.yaml").read_text())
+    edit(raw)
+    cfg = tmp_path / "simulate.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    with deadline(5):
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"invalid config:\n  {message}" in err
+
+
+def test_unreadable_config_and_unwritable_out_exit_2(tmp_path, capsys):
+    """A config that is not UTF-8 cannot be read, and an --out below a
+    file cannot be written: both exit 2 with a message, no traceback."""
+    cfg = tmp_path / "latin1.yaml"
+    cfg.write_bytes("# caf\xe9\n".encode("latin-1"))
+    assert main(["riemann", "--config", str(cfg)]) == 2
+    assert f"cannot read config {cfg}: 'utf-8' codec" in capsys.readouterr().err
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"
+    code = main(["riemann", "--config", str(_BENCH_CONFIGS / "riemann.yaml"),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"cannot write {out / 'riemann_profile.csv'}: ")
+
+
+# one-edit values: every kind YAML can carry, and the edge of each
+_EDIT_VALUES = [None, -1, 0, 1.0e-320, "x", [1], {"a": 1}, True, 2.5,
+                _BEYOND_FLOAT[0], math.nan]
+
+
+def _one_edit_configs(raw):
+    """(edit, config) for every config one edit from ``raw``: each node
+    set to each of _EDIT_VALUES or deleted, an unknown key added to each
+    mapping, and each family put in each diagram."""
+    def nodes(node, path=()):
+        yield path, node
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, sub in items:
+            yield from nodes(sub, path + (key,))
+
+    def edited(path, change, *value):
+        cfg = copy.deepcopy(raw)
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        change(node, path[-1], *value)
+        return cfg
+
+    for path, node in nodes(raw):
+        if path:
+            for value in _EDIT_VALUES:
+                yield f"{path} = {value!r}", edited(path, operator.setitem, value)
+            yield f"{path} deleted", edited(path, operator.delitem)
+        if isinstance(node, dict):
+            yield f"{path} + unknown key", edited(path + ("unknown",),
+                                                  operator.setitem, 1)
+    for name in raw["diagrams"]:
+        for family in _FAMILIES:
+            yield f"diagrams.{name} as {family}", edited(
+                ("diagrams", name, "family"), operator.setitem, family)
+
+
+def test_one_edit_configs_parse_or_raise_config_error(deadline):
+    """Every config one edit from a bench config parses or raises
+    ConfigError: no other exception, and no search that never ends."""
+    failures, cases = [], 0
+    for name in ("riemann", "ring_predict", "simulate"):
+        raw = yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
+        for edit, cfg in _one_edit_configs(raw):
+            cases += 1
+            try:
+                with deadline(5):
+                    parse_config(yaml.safe_dump(cfg))
+            except ConfigError:
+                pass
+            except Exception as exc:
+                failures.append(f"{name}: {edit}: {type(exc).__name__}: {exc}")
+    assert cases == 825
+    assert not failures, "\n".join(failures)
 
 
 def test_override_cfl_flag_end_to_end(tmp_path, capsys):

@@ -23,7 +23,13 @@ from sdlwr import (
     to_density,
 )
 from sdlwr import fundamental_diagram
-from sdlwr.fundamental_diagram import _SEARCH_TOL, FLUX_TOL
+from sdlwr.fundamental_diagram import (
+    _SEARCH_TOL,
+    FLUX_TOL,
+    _bisect,
+    _golden_section_max,
+    _newton,
+)
 from sdlwr.riemann_solver import _fan_density
 
 # frozen reference values for the Kerner-Konhauser single-lane diagram
@@ -186,6 +192,28 @@ def test_unimodality_check_costs_no_flux_evaluation():
 def test_constructors_reject_non_finite_parameters(make):
     with pytest.raises(ValueError, match="must be positive"):
         make()
+
+
+def test_searches_end_when_tolerance_underflows(deadline):
+    """A tolerance of 0, what 1e-10*rho_jam gives on a denormal rho_jam,
+    still ends each search a few ulps from the answer."""
+    with deadline(5):
+        argmax, _ = _golden_section_max(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.0)
+        root = _bisect(lambda x: x * x < 2.0, 0.0, 2.0, 0.0)
+        newton = _newton(lambda x: (x * x, 2.0 * x), 2.0, 0.0, 2.0, 2.0, True, 0.0)
+    assert argmax == pytest.approx(1.0, abs=1e-7)
+    # the floor: 8 ulps of the bracket's end 2.0
+    assert root == pytest.approx(math.sqrt(2.0), abs=8 * math.ulp(2.0))
+    assert newton == pytest.approx(math.sqrt(2.0), abs=8 * math.ulp(2.0))
+
+
+@pytest.mark.parametrize("field", ["lanes", "rho_jam_lane"])
+def test_underflowing_kerner_konhauser_is_refused(field, deadline):
+    """At rho_jam ~ 1e-318 veh/km the search for the critical point
+    ends, and the diagram, whose scanned max wave speed is NaN, is
+    refused as degenerate."""
+    with deadline(5), pytest.raises(ValueError, match="degenerate diagram"):
+        KernerKonhauserDiagram(**{field: 1e-320})
 
 
 def test_density_domain_checked(gs):

@@ -13,6 +13,7 @@ from sdlwr import (
     LinkPattern,
     RingScenario,
     RingSpec,
+    TriangularDiagram,
     feasibility_table,
     initial_density,
     predict,
@@ -229,6 +230,17 @@ def test_cell_index_face_and_interior():
     assert InteriorSite(1.1, BoundarySide.PLUS).cell_index(0.25, 8) == 4
     # wrap at the ring seam
     assert InteriorSite(2.0, BoundarySide.PLUS).cell_index(0.25, 8) == 0
+
+
+def test_predict_ends_when_flux_tolerance_underflows(deadline):
+    """A link of capacity 1.5e-321 veh/s makes the bisection tolerance
+    1e-10*C1 underflow to 0; the prediction still ends."""
+    fd1 = TriangularDiagram(1e-323, 150.0, 0.6, 6e-3)
+    spec = RingSpec(5.0, 2.0, fd1, GreenshieldsDiagram(27.8e-3, 120.0))
+    with deadline(5):
+        pred = predict(spec.with_vehicles(100.0))
+    assert pred.scenario is RingScenario.BOTH_UC
+    assert 0.0 < pred.q <= fd1.capacity
 
 
 # -- initial condition bookkeeping -----------------------------------------
