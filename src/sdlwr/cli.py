@@ -41,6 +41,7 @@ from .fundamental_diagram import (
 )
 from .godunov_sim import (
     _CFL_GUARD,
+    _boundary_value,
     BoundarySpec,
     ConfigError,
     SimGrid,
@@ -83,6 +84,10 @@ _KM_S_TO_M_S = 1000.0
 # Largest riemann.profile.count accepted: a profile is one numpy array of
 # this many points, each costing up to one bisection.
 _MAX_PROFILE_POINTS = 100_000
+
+# Largest road cell count accepted: simulate and ring-predict hold their
+# CSV as one line of text per cell (per snapshot), about 100 bytes each.
+_MAX_CELLS = 1_000_000
 
 
 def _fmt(x: float) -> str:
@@ -252,6 +257,9 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
         built.append((fd, int(round(cells))))
     if dx is None or not built:
         return None
+    if sum(count for _, count in built) > _MAX_CELLS:
+        err.add(f"{path}.dx_km", f"{dx} km makes more than {_MAX_CELLS} cells")
+        return None
     return RoadConfig(topology, dx, built)
 
 
@@ -306,6 +314,20 @@ def _build_initial(node, road: RoadConfig | None, err):
     return None, None
 
 
+def _check_initial(initial, road: RoadConfig, err) -> None:
+    """Report densities of ``initial`` outside [0, rho_jam] at the cell
+    centres, the densities a grid of ``road`` would start from."""
+    counts = [count for _, count in road.segments]
+    rho = np.array([initial((i + 0.5) * road.dx) for i in range(sum(counts))])
+    jam = np.repeat([fd.rho_jam for fd, _ in road.segments], counts)
+    # written so that NaN fails the first test
+    for bad, what in ((~(rho >= 0), "dips below 0"), (rho > jam, "exceeds rho_jam")):
+        cells = np.flatnonzero(bad)
+        if cells.size:
+            err.add("initial", f"initial density {what} in {cells.size} of "
+                    f"{rho.size} cells, the first cell {cells[0]}")
+
+
 @dataclass
 class NumericsConfig:
     step: StepConfig
@@ -336,36 +358,52 @@ def _build_numerics(node, override_cfl, err) -> NumericsConfig | None:
                           duration, record if record > 0 else steps)
 
 
-def _build_step_fn(node, key, path, err) -> Callable[[float], float] | None:
+def _build_step_fn(node, key, path, err, cap) -> Callable[[float], float] | None:
     """The boundary flow ``node[key]``: a constant or a list of
-    {t_s, value_veh_s}."""
+    {t_s, value_veh_s}, each value held to [0, ``cap``] by the march's
+    rule unless ``cap`` is None."""
     if not isinstance(node.get(key), list):
         value = _get_number(node, key, path, err)
-        return None if value is None else StepFunction((0.0,), (value,))
-    path = f"{path}.{key}"
-    times, values = [], []
-    for i, pt in enumerate(node[key]):
-        ppath = f"{path}[{i}]"
-        pt = _section(pt, ppath, err, {"t_s", "value_veh_s"})
-        t = _get_number(pt, "t_s", ppath, err)
-        v = _get_number(pt, "value_veh_s", ppath, err)
-        if t is not None and v is not None:
-            times.append(t)
-            values.append(v)
-    if times and times[0] != 0.0:
-        err.add(path, "first breakpoint must start at t_s=0")
-    try:
-        return StepFunction(tuple(times), tuple(values))
-    except ConfigError as exc:
-        err.add(path, str(exc))
-        return None
+        if value is None:
+            return None
+        fn, keys = StepFunction((0.0,), (value,)), [f"{path}.{key}"]
+    else:
+        path = f"{path}.{key}"
+        times, values, keys = [], [], []
+        for i, pt in enumerate(node[key]):
+            ppath = f"{path}[{i}]"
+            pt = _section(pt, ppath, err, {"t_s", "value_veh_s"})
+            t = _get_number(pt, "t_s", ppath, err)
+            v = _get_number(pt, "value_veh_s", ppath, err)
+            if t is not None and v is not None:
+                times.append(t)
+                values.append(v)
+                keys.append(f"{ppath}.value_veh_s")
+        if times and times[0] != 0.0:
+            err.add(path, "first breakpoint must start at t_s=0")
+        try:
+            fn = StepFunction(tuple(times), tuple(values))
+        except ConfigError as exc:
+            err.add(path, str(exc))
+            return None
+    if cap is not None:
+        what = key.removesuffix("_veh_s").replace("_", " ")  # "left demand"
+        for t, vkey in zip(fn.times, keys):
+            try:
+                _boundary_value(fn, t, cap, what)
+            except ConfigError as exc:
+                err.add(vkey, str(exc))
+    return fn
 
 
-def _build_boundaries(node, err) -> BoundarySpec | None:
+def _build_boundaries(node, road, err) -> BoundarySpec | None:
     path = "boundaries"
     node = _section(node, path, err, {"left_demand_veh_s", "right_supply_veh_s"})
-    left = _build_step_fn(node, "left_demand_veh_s", path, err)
-    right = _build_step_fn(node, "right_supply_veh_s", path, err)
+    # the capacities of the end links bound the flows, as in the march
+    caps = ((None, None) if road is None else
+            (road.segments[0][0].capacity, road.segments[-1][0].capacity))
+    left = _build_step_fn(node, "left_demand_veh_s", path, err, caps[0])
+    right = _build_step_fn(node, "right_supply_veh_s", path, err, caps[1])
     if left is None or right is None:
         return None
     return BoundarySpec(left, right)
@@ -463,8 +501,9 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     """Parse and validate a YAML scenario.
 
     Collects every problem (unknown keys, wrong types, unresolved
-    diagram references, CFL violations) and raises one ConfigError
-    listing all of them with their key paths.
+    diagram references, CFL violations, boundary flows and initial
+    densities out of range) and raises one ConfigError listing all of
+    them with their key paths.
     """
     err = _Errors()
     try:
@@ -490,9 +529,11 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     road = _build_road(raw["road"], diagrams, err) if "road" in raw else None
     initial, sinusoid = (_build_initial(raw["initial"], road, err)
                          if "initial" in raw else (None, None))
+    if initial is not None and road is not None:
+        _check_initial(initial, road, err)
     numerics = (_build_numerics(raw["numerics"], override_cfl, err)
                 if "numerics" in raw else None)
-    boundaries = (_build_boundaries(raw["boundaries"], err)
+    boundaries = (_build_boundaries(raw["boundaries"], road, err)
                   if "boundaries" in raw else None)
     riemann = (_build_riemann(raw["riemann"], diagrams, err)
                if "riemann" in raw else None)
@@ -828,7 +869,7 @@ def _check_idempotence(rng, fams, trials) -> str | None:
 def _check_conservation(rng, trials) -> str | None:
     fd = GreenshieldsDiagram(1.0, 4.0)
     rho0 = rng.uniform(0.2, 3.8, size=16)
-    grid = SimGrid([fd] * 16, rho0, dx=1.0)
+    grid = SimGrid([(fd, 16)], rho0, dx=1.0)
     cfg = StepConfig(dt=0.5)
     steps = min(max(trials, 1) * 10, 20_000)
     record = run(grid, cfg, duration=steps * cfg.dt, record_every=steps)

@@ -18,16 +18,16 @@ Topology is a ring (interface 0 wraps) or open, in which case demand
 enters from the left and supply limits the right exit, both as
 functions of time.
 
-A grid builds a per-cell parameter table once.  Each part of it is one
-flux formula with its per-cell parameter columns: one part per class
-that defines a table form (a built-in family, not a subclass of one),
-holding that class's cell indices and parameter arrays, plus one part
-per diagram object of any other class, whose formula is its own
+A road is its segments, ``(diagram, count)`` runs of cells, from which
+a grid builds its parameter table once.  Each part of the table is one
+flux formula with its parameter columns, each run's value repeated over
+its cells: one part gathers every run of a class that defines a table
+form (a built-in family, not a subclass of one), and one part holds each
+diagram object of any other class, whose formula is its own
 ``flux_curve`` and which has no columns.  Every part takes demand and
 supply from one pass of its formula over Q([min(rho, rho_crit),
 max(rho, rho_crit)]), the rule of ``FundamentalDiagram``, so demand,
-supply, flux and speed of every cell equal ``fd.demand`` etc. bit for
-bit.
+supply, flux and speed of every cell equal ``fd.demand`` etc. bit for bit.
 One kernel, ``_march``, serves ``step``, ``run`` and the CLI; it checks
 all densities once per step and raises ``SimulationDiverged`` with the
 step, cell and density of the first one outside [0, rho_jam].
@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -125,29 +126,30 @@ class BoundarySpec:
 
 
 class SimGrid:
-    """Cell densities plus one diagram per cell.
+    """Cell densities on a road of ``(diagram, count)`` segments.
 
-    ``boundaries=None`` makes the road a ring.  Construction builds the
-    per-cell parameter table (see the module docstring) that every
-    demand, supply, flux and speed evaluation of the grid goes through;
-    ``with_density`` copies share it.  ``rho_jam`` is the per-cell jam
-    density array.
+    ``segments`` are the road's homogeneous links in order, as
+    ``grid_from_segments`` takes them.  ``boundaries=None`` makes the road
+    a ring.  Construction builds the parameter table (see the module
+    docstring) that every demand, supply, flux and speed evaluation of
+    the grid goes through; ``with_density`` copies share it.  ``rho_jam``
+    is the per-cell jam density array.
     """
 
-    def __init__(self, fds: Sequence[FundamentalDiagram], rho,
+    def __init__(self, segments: Sequence[tuple[FundamentalDiagram, int]], rho,
                  dx: float, boundaries: BoundarySpec | None = None):
-        self.fds = list(fds)
+        self.segments, n = _runs(segments)
         self.rho = np.asarray(rho, dtype=float).copy()
         self.dx = float(dx)
         self.boundaries = boundaries
-        if len(self.fds) != self.rho.size or self.rho.size < 2:
+        if n != self.rho.size or n < 2:
             raise ConfigError(
-                f"need one diagram per cell and at least 2 cells, got "
-                f"{len(self.fds)} diagrams / {self.rho.size} densities"
+                f"need one density per cell and at least 2 cells, got "
+                f"{n} cells / {self.rho.size} densities"
             )
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ConfigError(f"dx must be positive and finite, got {self.dx!r}")
-        self._table = _CellTable(self.fds)
+        self._table = _CellTable(self.segments)
         self.rho_jam = self._table.rho_jam
         # written so that NaN fails it
         bad = ~((self.rho >= 0) & (self.rho <= self.rho_jam))
@@ -156,6 +158,11 @@ class SimGrid:
                 f"initial densities outside [0, rho_jam] in cells "
                 f"{np.flatnonzero(bad).tolist()}"
             )
+
+    @property
+    def fds(self) -> list[FundamentalDiagram]:
+        """The diagram of each cell, derived from ``segments``."""
+        return [fd for fd, count in self.segments for _ in range(count)]
 
     @property
     def n(self) -> int:
@@ -187,7 +194,7 @@ class SimGrid:
         return float(np.sum(rho) * self.dx)
 
     def max_wave_speed(self) -> float:
-        return max(fd.max_wave_speed() for fd in self._table.diagrams)
+        return max(fd.max_wave_speed() for fd, _ in self.segments)
 
     def with_density(self, rho) -> "SimGrid":
         """The same road holding a copy of ``rho``."""
@@ -196,36 +203,54 @@ class SimGrid:
         return grid
 
 
+def _runs(segments) -> tuple[list[tuple[FundamentalDiagram, int]], int]:
+    """``segments`` as checked (diagram, count) runs, and their cell count."""
+    try:
+        runs = [(fd, operator.index(count)) for fd, count in segments]
+    except TypeError as exc:
+        raise ConfigError(f"segments are (diagram, integer count) runs: {exc}") from exc
+    if any(count < 1 for _, count in runs):
+        raise ConfigError("every segment needs at least one cell")
+    return runs, sum(count for _, count in runs)
+
+
+def _repeat(values, counts) -> np.ndarray:
+    """Per-cell column of one value per run."""
+    return np.repeat(np.array(values, dtype=float), counts)
+
+
 class _Part:
     """Cells sharing one flux formula, and its per-cell parameter columns.
 
-    ``cells`` indexes the road (None: every cell); ``diagrams`` are the
-    part's distinct diagram objects and ``which`` maps each of its cells
-    to one of them.  Their class's ``_table_form`` gives the formula and
-    the diagram attributes it takes, in order; a class without one makes
-    a part of a single diagram, whose bound ``flux_curve`` is the formula
-    and which has no columns.  Demand and supply are Q(min(rho, rho_crit))
-    and Q(max(rho, rho_crit)) as in ``FundamentalDiagram``, evaluated in
-    one formula pass over both halves of a stacked array.
+    ``runs`` are the part's (first cell, diagram, count) runs in road
+    order; ``cells`` joins their cell ranges, or is None (every cell) when
+    the part is not ``indexed``, being the road's only one.  The diagrams'
+    class's ``_table_form`` gives the formula and the diagram attributes
+    it takes, in order; a class without one makes a part of a single
+    diagram, whose bound ``flux_curve`` is the formula and which has no
+    columns.  Demand and supply are Q(min(rho, rho_crit)) and
+    Q(max(rho, rho_crit)) as in ``FundamentalDiagram``, evaluated in one
+    formula pass over both halves of a stacked array.
     """
 
-    def __init__(self, cells, diagrams, which):
-        self.cells = cells
-        self.diagrams = diagrams
-        self.which = which
+    def __init__(self, runs, indexed):
+        self.cells = (np.concatenate([np.arange(first, first + count)
+                                      for first, _, count in runs])
+                      if indexed else None)
+        self.fds = fds = [fd for _, fd, _ in runs]
+        self.counts = [count for _, _, count in runs]
         self.rho_jam = self.column("rho_jam")
         self.rho_crit = self.column("rho_crit")
-        self.flux, names = diagrams[0]._table_form or (diagrams[0].flux_curve, ())
+        self.flux, names = fds[0]._table_form or (fds[0].flux_curve, ())
         self.params = [self.column(name) for name in names]
-        self.params_twice = [np.tile(p, 2) for p in self.params]
+        self.params_twice = [np.concatenate((p, p)) for p in self.params]
 
     def column(self, name: str) -> np.ndarray:
         """Per-cell values of a diagram attribute."""
-        return np.array([getattr(fd, name) for fd in self.diagrams],
-                        dtype=float)[self.which]
+        return _repeat([getattr(fd, name) for fd in self.fds], self.counts)
 
     def demand_supply(self, rho):
-        m = self.which.size
+        m = self.rho_crit.size
         both = np.empty(2 * m)
         np.minimum(rho, self.rho_crit, out=both[:m])
         np.maximum(rho, self.rho_crit, out=both[m:])
@@ -234,34 +259,24 @@ class _Part:
 
     def flux_speed(self, rho):
         q = self.flux(rho, *self.params)
-        v0 = np.array([fd.derivative(0.0, side=+1) for fd in self.diagrams])
-        return q, _speed_of_flux(rho, q, self.rho_jam, v0[self.which])
+        v0 = _repeat([fd.derivative(0.0, side=+1) for fd in self.fds], self.counts)
+        return q, _speed_of_flux(rho, q, self.rho_jam, v0)
 
 
 class _CellTable:
-    """The per-cell parameter table of a road: its parts, the distinct
-    diagram objects and the per-cell jam density."""
+    """A road's parameter table: its parts and the per-cell jam density."""
 
-    def __init__(self, fds: Sequence[FundamentalDiagram]):
-        self.n = len(fds)
-        self.diagrams = list({id(fd): fd for fd in fds}.values())
-        position = {id(fd): k for k, fd in enumerate(self.diagrams)}
-        which = np.array([position[id(fd)] for fd in fds])
-        # part key -> positions of its diagrams in self.diagrams
-        members_of: dict[object, list[int]] = {}
-        for k, fd in enumerate(self.diagrams):
-            key = type(fd) if fd._table_form else k
-            members_of.setdefault(key, []).append(k)
-        self.parts = []
-        for key, members in members_of.items():
-            cells = np.flatnonzero(np.isin(which, members))
-            local = np.searchsorted(members, which[cells])  # members ascend
-            if len(members_of) == 1:
-                cells = None
-            self.parts.append(
-                _Part(cells, [self.diagrams[k] for k in members], local))
-        self.rho_jam = np.array([fd.rho_jam for fd in self.diagrams],
-                                dtype=float)[which]
+    def __init__(self, segments: list[tuple[FundamentalDiagram, int]]):
+        # part key -> its (first cell, diagram, count) runs
+        runs_of: dict[object, list] = {}
+        self.n = 0
+        for fd, count in segments:
+            key = type(fd) if fd._table_form else id(fd)
+            runs_of.setdefault(key, []).append((self.n, fd, count))
+            self.n += count
+        self.parts = [_Part(runs, len(runs_of) > 1) for runs in runs_of.values()]
+        self.rho_jam = _repeat([fd.rho_jam for fd, _ in segments],
+                               [count for _, count in segments])
         self._upper = self.rho_jam + DENSITY_SLACK
 
     def clamp(self, rho, scratch=None, steps=None):
@@ -316,17 +331,11 @@ def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
     ``rho`` may be a constant, an array of the full cell count, or a
     callable of cell-center position x (km).
     """
-    fds: list[FundamentalDiagram] = []
-    for fd, count in segments:
-        if count < 1:
-            raise ConfigError("every segment needs at least one cell")
-        fds.extend([fd] * count)
-    n = len(fds)
+    segments, n = _runs(segments)
     if callable(rho):
-        rho = np.array([rho((i + 0.5) * dx) for i in range(n)])
-    else:
-        rho = np.broadcast_to(np.asarray(rho, dtype=float), (n,))
-    return SimGrid(fds, rho, dx, boundaries)
+        rho = [rho((i + 0.5) * dx) for i in range(n)]
+    return SimGrid(segments, np.broadcast_to(np.asarray(rho, dtype=float), (n,)),
+                   dx, boundaries)
 
 
 @dataclass(frozen=True)
@@ -405,9 +414,9 @@ def _fill_fluxes(grid: SimGrid, rho: np.ndarray, t: float, f: np.ndarray,
         f[0] = f[-1] = min(d[-1], s[0])
         return
     f[0] = min(_boundary_value(grid.boundaries.left_demand, t,
-                               grid.fds[0].capacity, "left demand"), s[0])
+                               grid.segments[0][0].capacity, "left demand"), s[0])
     f[-1] = min(d[-1], _boundary_value(grid.boundaries.right_supply, t,
-                                       grid.fds[-1].capacity, "right supply"))
+                                       grid.segments[-1][0].capacity, "right supply"))
 
 
 def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarray:
@@ -441,11 +450,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     dt = cfg.dt
     r = dt / grid.dx
     rho = grid.rho.copy()
-    nxt = np.empty(n)
-    change = np.empty(n)
-    scratch = np.empty(n)
-    d = np.empty(n)
-    s = np.empty(n)
+    nxt, change, scratch, d, s = np.empty((5, n))
     f = np.empty(n + 1)
     f_in, f_out = f[:-1], f[1:]
     steps, snaps, deltas = [0], [rho.copy()], [0.0]
@@ -571,20 +576,15 @@ def detect_interior_states(record: SimRecord,
     grid = record.grid
     rho = record.final_rho
     n = rho.size
-    found = []
-    for i in range(n):
-        if grid.is_ring:
-            left = [rho[(i - k) % n] for k in (1, 2, 3)]
-            right = [rho[(i + k) % n] for k in (1, 2, 3)]
-        else:
-            if i < 3 or i > n - 4:
-                continue
-            left = [rho[i - k] for k in (1, 2, 3)]
-            right = [rho[i + k] for k in (1, 2, 3)]
+    cells = []
+    # an open road's three end cells on either side lack a neighbourhood
+    for i in range(n) if grid.is_ring else range(3, n - 3):
+        left = [rho[(i - k) % n] for k in (1, 2, 3)]
+        right = [rho[(i + k) % n] for k in (1, 2, 3)]
         if abs(rho[i] - left[0]) <= JUMP_TOL or abs(rho[i] - right[0]) <= JUMP_TOL:
             continue
         if max(left) - min(left) > run_tol or max(right) - min(right) > run_tol:
             continue
-        found.append(InteriorCell(i, float(rho[i]),
-                                  float(grid.fds[i].flux(rho[i]))))
-    return found
+        cells.append(i)
+    q, _ = grid.flux_speed(rho)
+    return [InteriorCell(i, float(rho[i]), float(q[i])) for i in cells]

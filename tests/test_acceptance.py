@@ -239,7 +239,7 @@ def test_07_flux_formula_and_first_step():
         assert boundary_flux(p) == q
         # the first finite-volume flux of the two-cell discretization is
         # the same number whatever the step size
-        grid = SimGrid([fd1, fd2], [rho1, rho2], dx=1.0)
+        grid = SimGrid([(fd1, 1), (fd2, 1)], [rho1, rho2], dx=1.0)
         base = 0.5 / grid.max_wave_speed()
         for dt_step in (0.01 * base, 0.1 * base, base):
             assert interface_fluxes(grid, StepConfig(dt_step))[1] == q
@@ -254,7 +254,7 @@ def test_08_invariants():
     # long-run conservation on a ring
     rng = np.random.default_rng(8)
     gs = GreenshieldsDiagram(1.0, 4.0)
-    grid = SimGrid([gs] * 16, rng.uniform(0.2, 3.8, 16), dx=1.0)
+    grid = SimGrid([(gs, 16)], rng.uniform(0.2, 3.8, 16), dx=1.0)
     steps = 1_000_000
     rec = run(grid, StepConfig(dt=0.5), duration=steps * 0.5,
               record_every=steps)

@@ -23,7 +23,14 @@ from sdlwr import (
     TriangularDiagram,
     initial_density,
 )
-from sdlwr.cli import _FAMILIES, _MAX_PROFILE_POINTS, _ring_spec, main, parse_config
+from sdlwr.cli import (
+    _FAMILIES,
+    _MAX_CELLS,
+    _MAX_PROFILE_POINTS,
+    _ring_spec,
+    main,
+    parse_config,
+)
 
 RIEMANN_CFG = textwrap.dedent("""\
     diagrams:
@@ -703,6 +710,75 @@ def test_overflowing_or_degenerate_numbers_are_keyed_config_errors(
     err = capsys.readouterr().err
     assert code == 2, err
     assert f"invalid config:\n  {message}" in err
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("simulate", "simulate.yaml", ["--override-cfl"]),
+    ("ring-predict", "ring_predict.yaml", []),
+], ids=["simulate", "ring-predict"])
+def test_cell_count_beyond_cap_is_keyed_config_error(
+        tmp_path, capsys, deadline, command, config, flags):
+    """A dx that makes more cells than a road may hold is refused with its
+    key and exit code 2, not an OverflowError from the grid build or a
+    MemoryError from the per-cell CSV."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / config).read_text())
+    raw["road"]["dx_km"] = 1.0e-300
+    cfg = tmp_path / config
+    cfg.write_text(yaml.safe_dump(raw))
+    with deadline(5):
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path), *flags])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert (f"invalid config:\n  road.dx_km: 1e-300 km makes more than "
+            f"{_MAX_CELLS} cells") in err
+
+
+def test_largest_road_parses():
+    raw = yaml.safe_load(SIM_CFG)
+    raw["road"]["dx_km"] = 16.0 / _MAX_CELLS
+    parsed = parse_config(yaml.safe_dump(raw), override_cfl=True)
+    assert parsed.road.n_cells == _MAX_CELLS
+    raw["road"]["dx_km"] = 16.0 / (2 * _MAX_CELLS)
+    with pytest.raises(ConfigError, match="road.dx_km: .* makes more than"):
+        parse_config(yaml.safe_dump(raw), override_cfl=True)
+
+
+def _schedule(*values):
+    return [{"t_s": 50.0 * i, "value_veh_s": v} for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("edit, key, message", [
+    (lambda raw: raw["boundaries"].update(left_demand_veh_s=2.5),
+     "boundaries.left_demand_veh_s",
+     "boundary left demand(0.0) = 2.5 veh/s outside [0, 1]"),
+    (lambda raw: raw["boundaries"].update(right_supply_veh_s=_schedule(1.0, -0.5)),
+     "boundaries.right_supply_veh_s[1].value_veh_s",
+     "boundary right supply(50.0) = -0.5 veh/s outside [0, 1]"),
+    (lambda raw: raw["initial"].update(rho_veh_km=5.0),
+     "initial", "initial density exceeds rho_jam in 16 of 16 cells, the first cell 0"),
+    (lambda raw: raw.update(initial={"kind": "piecewise", "pieces": [
+        {"length_km": 9.0, "rho_veh_km": 1.0}, {"length_km": 7.0, "rho_veh_km": -0.1}]}),
+     "initial", "initial density dips below 0 in 7 of 16 cells, the first cell 9"),
+], ids=["left-demand", "right-supply-schedule", "initial-above-jam",
+        "initial-below-0"])
+def test_out_of_range_flows_and_densities_are_keyed_at_parse(edit, key, message):
+    """Boundary flows outside [0, capacity] of the end links and initial
+    densities outside [0, rho_jam] are refused at parse time with their
+    key, by the rules the grid and the march apply."""
+    raw = yaml.safe_load(SIM_CFG)
+    edit(raw)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(yaml.safe_dump(raw))
+    assert f"invalid config:\n  {key}: {message}" in str(exc.value)
+
+
+def test_flows_within_the_march_slack_parse():
+    """The march lets a boundary flow pass the capacity by 1e-9 veh/s of
+    roundoff, and so does the parser."""
+    raw = yaml.safe_load(SIM_CFG)
+    raw["boundaries"]["left_demand_veh_s"] = 1.0 + 5e-10
+    raw["boundaries"]["right_supply_veh_s"] = _schedule(0.0, 1.0)
+    assert parse_config(yaml.safe_dump(raw)).boundaries is not None
 
 
 def test_unreadable_config_and_unwritable_out_exit_2(tmp_path, capsys):

@@ -392,7 +392,7 @@ def test_scalar_methods_match_grid_table(name):
     table (the array path) bit for bit, and are plain floats."""
     fd = _BUILT_IN[name]()
     rhos = _scalar_densities(fd, seed=6)
-    grid = SimGrid([fd] * len(rhos), np.array(rhos), dx=0.5)
+    grid = SimGrid([(fd, len(rhos))], np.array(rhos), dx=0.5)
     d, s = grid.demand_supply()
     q, v = grid.flux_speed()
     for method, table in (("demand", d), ("supply", s), ("flux", q), ("speed", v)):
@@ -510,7 +510,7 @@ def test_overridden_flux_curve_drives_every_method(name):
             assert rho == getattr(hook, method)(level), (method, level)
             assert rho == pytest.approx(getattr(base, method)(level), abs=tol)
     rhos = np.linspace(0.0, base.rho_jam, 41).tolist()
-    d, s = SimGrid([fd] * len(rhos), np.array(rhos), dx=0.5).demand_supply()
+    d, s = SimGrid([(fd, len(rhos))], np.array(rhos), dx=0.5).demand_supply()
     for k, rho in enumerate(rhos):
         assert fd.demand(rho) == d[k] == 2.0 * base.demand(rho), rho
         assert fd.supply(rho) == s[k] == 2.0 * base.supply(rho), rho

@@ -97,7 +97,7 @@ def test_step_uniform_critical_ring_is_fixed_point(gs):
 def test_step_two_cell_hand_example(gs):
     """Wrap flux 1.0 into cell 0, interface flux 0.75 into cell 1: the
     half-second step moves an eighth of a vehicle per km each way."""
-    grid = SimGrid([gs, gs], [1.0, 3.0], dx=1.0)
+    grid = SimGrid([(gs, 2)], [1.0, 3.0], dx=1.0)
     after = step(grid, StepConfig(dt=0.5))
     assert after.rho == pytest.approx([1.125, 2.875], abs=1e-15)
 
@@ -291,6 +291,15 @@ def test_grid_from_segments_layout(gs, kk1):
 def test_grid_requires_two_cells(gs):
     with pytest.raises(ConfigError, match="at least 2 cells"):
         grid_from_segments([(gs, 1)], dx=1.0, rho=1.0)
+    with pytest.raises(ConfigError, match="at least 2 cells"):
+        SimGrid([], [], dx=1.0)
+    for count in (0, -1):
+        with pytest.raises(ConfigError, match="at least one cell"):
+            SimGrid([(gs, count), (gs, 2)], [1.0, 1.0], dx=1.0)
+    with pytest.raises(ConfigError, match="integer count"):
+        SimGrid([(gs, 2.5)], [1.0, 1.0], dx=1.0)
+    with pytest.raises(ConfigError, match="one density per cell"):
+        SimGrid([(gs, 2), (gs, np.int64(1))], [1.0, 1.0], dx=1.0)
 
 
 # -- the per-cell parameter table ----------------------------------------
@@ -322,9 +331,11 @@ def _bits(values):
 
 
 def _mixed_road(family_zoo, seed, n=48, fill=1.0):
-    """Random runs of the three families, a triangle and a trapezoid drawn
-    from ``seed``, and the two user families, with densities at 0, a tiny
-    value, rho_crit, fill*rho_jam and in between."""
+    """(diagram, count) runs of 1 to 5 cells, n cells in all, drawn from the
+    three families, a triangle and a trapezoid drawn from ``seed``, and
+    the two user families, so that one diagram object recurs in runs far
+    apart; with densities at 0, a tiny value, rho_crit, fill*rho_jam and
+    in between."""
     rng = np.random.default_rng(seed)
     v_free, v_cong = rng.uniform(0.005, 0.05, 2)
     rho_jam = rng.uniform(20.0, 200.0)
@@ -334,17 +345,20 @@ def _mixed_road(family_zoo, seed, n=48, fill=1.0):
         TriangularDiagram(v_free, rho_jam, v_cong=v_cong),
         TriangularDiagram(v_free, rho_jam, rng.uniform(0.3, 0.95) * apex_flux,
                           v_cong)]
-    fds = []
-    while len(fds) < n:
-        fds += [zoo[rng.integers(len(zoo))]] * int(rng.integers(1, 6))
-    fds = fds[:n]
+    segments, cells = [], 0
+    while cells < n:
+        fd = zoo[rng.integers(len(zoo))]
+        count = min(int(rng.integers(1, 6)), n - cells)
+        segments.append((fd, count))
+        cells += count
     special = rng.integers(0, 8, n)
     rho = np.array([
         (0.0, 1e-13 * fd.rho_jam, fd.rho_crit, fill * fd.rho_jam)[k] if k < 4
         else rng.uniform(0.0, fill * fd.rho_jam)
-        for fd, k in zip(fds, special)
+        for fd, k in zip((fd for fd, count in segments for _ in range(count)),
+                         special)
     ])
-    return fds, rho
+    return segments, rho
 
 
 @settings(max_examples=25, deadline=None)
@@ -364,14 +378,14 @@ def test_table_matches_diagram_methods(family_zoo, seed):
 @given(seed=st.integers(0, 2**32 - 1), ring=st.booleans())
 def test_run_equals_repeated_step(family_zoo, seed, ring):
     # below jam: Kerner-Konhauser cells at rho_jam still accept ~1e-8 veh/s
-    fds, rho = _mixed_road(family_zoo, seed, n=24, fill=0.9)
-    cfg = StepConfig(dt=0.9 * 0.5 / max(fd.max_wave_speed() for fd in fds))
+    segments, rho = _mixed_road(family_zoo, seed, n=24, fill=0.9)
+    cfg = StepConfig(dt=0.9 * 0.5 / max(fd.max_wave_speed() for fd, _ in segments))
     bs = None
     if not ring:
-        cap = min(fds[0].capacity, fds[-1].capacity)
+        cap = min(segments[0][0].capacity, segments[-1][0].capacity)
         bs = BoundarySpec(StepFunction((0.0, 4 * cfg.dt), (0.0, 0.9 * cap)),
                           StepFunction((0.0, 7 * cfg.dt), (cap, 0.2 * cap)))
-    grid = SimGrid(fds, rho, dx=0.5, boundaries=bs)
+    grid = SimGrid(segments, rho, dx=0.5, boundaries=bs)
     k = 12
     rec = run(grid, cfg, k * cfg.dt)
     g = grid
@@ -393,14 +407,14 @@ def test_grid_rejects_densities_outside_range(gs, cell, bad):
     rho = np.full(8, 1.0)
     rho[cell] = bad
     with pytest.raises(ConfigError, match=rf"cells \[{cell}\]"):
-        SimGrid([gs] * 8, rho, dx=1.0)
+        SimGrid([(gs, 8)], rho, dx=1.0)
 
 
 @settings(max_examples=20, deadline=None)
 @given(dx=_NONFINITE | st.floats(max_value=0.0))
 def test_grid_rejects_bad_dx(gs, dx):
     with pytest.raises(ConfigError, match="dx must be"):
-        SimGrid([gs] * 4, np.ones(4), dx=dx)
+        SimGrid([(gs, 4)], np.ones(4), dx=dx)
 
 
 @settings(max_examples=20, deadline=None)
