@@ -19,18 +19,22 @@ enters from the left and supply limits the right exit, both as
 functions of time.
 
 A road is its segments, ``(diagram, count)`` runs of cells, from which
-a grid builds its parameter table once.  Each part of the table is one
-flux formula with its parameter columns, each run's value repeated over
-its cells: one part gathers every run of a class that defines a table
-form (a built-in family, not a subclass of one), and one part holds each
-diagram object of any other class, whose formula is its own
-``flux_curve`` and which has no columns.  Every part takes demand and
-supply from one pass of its formula over Q([min(rho, rho_crit),
-max(rho, rho_crit)]), the rule of ``FundamentalDiagram``, so demand,
-supply, flux and speed of every cell equal ``fd.demand`` etc. bit for bit.
-One kernel, ``_march``, serves ``step``, ``run`` and the CLI; it checks
-all densities once per step and raises ``SimulationDiverged`` with the
-step, cell and density of the first one outside [0, rho_jam].
+a grid builds its parts once.  Each part is one flux formula with its
+parameter columns, each run's value repeated over its cells: one part
+gathers every run of a class that defines a table form (a built-in
+family, not a subclass of one), and one part holds each diagram object
+of any other class, whose formula is its own ``flux_curve`` and which
+has no columns.  Every part takes demand and supply from one pass of its
+formula over Q([min(rho, rho_crit), max(rho, rho_crit)]), the rule of
+``FundamentalDiagram``, so demand, supply, flux and speed of every cell
+equal ``fd.demand`` etc. bit for bit.
+
+A grid checks its densities by one range rule, ``_density_problems``
+(the CLI's too), and every boundary breakpoint against its end link's
+capacity once, when it is built.  One kernel, ``_march``, serves
+``step``, ``run`` and the CLI; it checks all densities once per step and
+raises ``SimulationDiverged`` with the step, cell and density of the
+first one outside [0, rho_jam].
 
 Stability requires the CFL number max|Q'| * dt / dx to stay at or
 below 1; runs refuse anything above 0.95 unless explicitly overridden.
@@ -43,7 +47,7 @@ import copy
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,8 +125,8 @@ class StepFunction:
 class BoundarySpec:
     """Open-road boundary data: inflow demand and outflow supply, veh/s."""
 
-    left_demand: Callable[[float], float]
-    right_supply: Callable[[float], float]
+    left_demand: StepFunction
+    right_supply: StepFunction
 
 
 class SimGrid:
@@ -130,10 +134,12 @@ class SimGrid:
 
     ``segments`` are the road's homogeneous links in order, as
     ``grid_from_segments`` takes them.  ``boundaries=None`` makes the road
-    a ring.  Construction builds the parameter table (see the module
-    docstring) that every demand, supply, flux and speed evaluation of
-    the grid goes through; ``with_density`` copies share it.  ``rho_jam``
-    is the per-cell jam density array.
+    a ring.  Construction builds the parts (see the module docstring)
+    that every demand, supply, flux and speed evaluation of the grid goes
+    through, and raises ConfigError for a density outside [0, rho_jam]
+    or a boundary breakpoint outside [0, capacity] of its end link;
+    ``with_density`` copies share the parts.  ``rho_jam`` is the per-cell
+    jam density array.
     """
 
     def __init__(self, segments: Sequence[tuple[FundamentalDiagram, int]], rho,
@@ -149,15 +155,24 @@ class SimGrid:
             )
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ConfigError(f"dx must be positive and finite, got {self.dx!r}")
-        self._table = _CellTable(self.segments)
-        self.rho_jam = self._table.rho_jam
-        # written so that NaN fails it
-        bad = ~((self.rho >= 0) & (self.rho <= self.rho_jam))
-        if np.any(bad):
-            raise ConfigError(
-                f"initial densities outside [0, rho_jam] in cells "
-                f"{np.flatnonzero(bad).tolist()}"
-            )
+        # part key -> its (first cell, diagram, count) runs
+        runs_of: dict[object, list] = {}
+        first = 0
+        for fd, count in self.segments:
+            key = type(fd) if fd._table_form else id(fd)
+            runs_of.setdefault(key, []).append((first, fd, count))
+            first += count
+        self._parts = [_Part(runs, len(runs_of) > 1) for runs in runs_of.values()]
+        self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments], self.segments)
+        self._upper = self.rho_jam + DENSITY_SLACK
+        problems = _density_problems(self.rho, self.segments)
+        if boundaries is not None:
+            for fn, (fd, _), what in (
+                    (boundaries.left_demand, self.segments[0], "left demand"),
+                    (boundaries.right_supply, self.segments[-1], "right supply")):
+                problems += [p for _, p in _flow_problems(fn, fd.capacity, what)]
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     @property
     def fds(self) -> list[FundamentalDiagram]:
@@ -179,7 +194,7 @@ class SimGrid:
     def demand_supply(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell demand and supply (veh/s)."""
         rho = self.rho if rho is None else np.asarray(rho, dtype=float)
-        return self._table.demand_supply(self._table.clamp(rho))
+        return self._demand_supply(self._clamp(rho))
 
     def flux_speed(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell equilibrium flux (veh/s) and speed (km/s).
@@ -187,7 +202,15 @@ class SimGrid:
         ``rho`` may carry leading axes, such as one row per snapshot.
         """
         rho = self.rho if rho is None else np.asarray(rho, dtype=float)
-        return self._table.flux_speed(self._table.clamp(rho))
+        rho = self._clamp(rho)
+        if len(self._parts) == 1:
+            return self._parts[0].flux_speed(rho)
+        q = np.empty(rho.shape)
+        v = np.empty(rho.shape)
+        for part in self._parts:
+            q[..., part.cells], v[..., part.cells] = part.flux_speed(
+                rho[..., part.cells])
+        return q, v
 
     def total_vehicles(self, rho=None) -> float:
         rho = self.rho if rho is None else rho
@@ -202,84 +225,7 @@ class SimGrid:
         grid.rho = np.asarray(rho, dtype=float).copy()
         return grid
 
-
-def _runs(segments) -> tuple[list[tuple[FundamentalDiagram, int]], int]:
-    """``segments`` as checked (diagram, count) runs, and their cell count."""
-    try:
-        runs = [(fd, operator.index(count)) for fd, count in segments]
-    except TypeError as exc:
-        raise ConfigError(f"segments are (diagram, integer count) runs: {exc}") from exc
-    if any(count < 1 for _, count in runs):
-        raise ConfigError("every segment needs at least one cell")
-    return runs, sum(count for _, count in runs)
-
-
-def _repeat(values, counts) -> np.ndarray:
-    """Per-cell column of one value per run."""
-    return np.repeat(np.array(values, dtype=float), counts)
-
-
-class _Part:
-    """Cells sharing one flux formula, and its per-cell parameter columns.
-
-    ``runs`` are the part's (first cell, diagram, count) runs in road
-    order; ``cells`` joins their cell ranges, or is None (every cell) when
-    the part is not ``indexed``, being the road's only one.  The diagrams'
-    class's ``_table_form`` gives the formula and the diagram attributes
-    it takes, in order; a class without one makes a part of a single
-    diagram, whose bound ``flux_curve`` is the formula and which has no
-    columns.  Demand and supply are Q(min(rho, rho_crit)) and
-    Q(max(rho, rho_crit)) as in ``FundamentalDiagram``, evaluated in one
-    formula pass over both halves of a stacked array.
-    """
-
-    def __init__(self, runs, indexed):
-        self.cells = (np.concatenate([np.arange(first, first + count)
-                                      for first, _, count in runs])
-                      if indexed else None)
-        self.fds = fds = [fd for _, fd, _ in runs]
-        self.counts = [count for _, _, count in runs]
-        self.rho_jam = self.column("rho_jam")
-        self.rho_crit = self.column("rho_crit")
-        self.flux, names = fds[0]._table_form or (fds[0].flux_curve, ())
-        self.params = [self.column(name) for name in names]
-        self.params_twice = [np.concatenate((p, p)) for p in self.params]
-
-    def column(self, name: str) -> np.ndarray:
-        """Per-cell values of a diagram attribute."""
-        return _repeat([getattr(fd, name) for fd in self.fds], self.counts)
-
-    def demand_supply(self, rho):
-        m = self.rho_crit.size
-        both = np.empty(2 * m)
-        np.minimum(rho, self.rho_crit, out=both[:m])
-        np.maximum(rho, self.rho_crit, out=both[m:])
-        q = self.flux(both, *self.params_twice)
-        return q[:m], q[m:]
-
-    def flux_speed(self, rho):
-        q = self.flux(rho, *self.params)
-        v0 = _repeat([fd.derivative(0.0, side=+1) for fd in self.fds], self.counts)
-        return q, _speed_of_flux(rho, q, self.rho_jam, v0)
-
-
-class _CellTable:
-    """A road's parameter table: its parts and the per-cell jam density."""
-
-    def __init__(self, segments: list[tuple[FundamentalDiagram, int]]):
-        # part key -> its (first cell, diagram, count) runs
-        runs_of: dict[object, list] = {}
-        self.n = 0
-        for fd, count in segments:
-            key = type(fd) if fd._table_form else id(fd)
-            runs_of.setdefault(key, []).append((self.n, fd, count))
-            self.n += count
-        self.parts = [_Part(runs, len(runs_of) > 1) for runs in runs_of.values()]
-        self.rho_jam = _repeat([fd.rho_jam for fd, _ in segments],
-                               [count for _, count in segments])
-        self._upper = self.rho_jam + DENSITY_SLACK
-
-    def clamp(self, rho, scratch=None, steps=None):
+    def _clamp(self, rho, scratch=None, steps=None):
         """``rho`` with drift of up to DENSITY_SLACK beyond [0, rho_jam]
         clamped away.  Any other density (NaN included) raises, naming
         its cell: SimulationDiverged when ``steps`` is given, else
@@ -300,27 +246,99 @@ class _CellTable:
             raise SimulationDiverged(message, steps, cell, density)
         return np.where(rho < 0.0, 0.0, np.minimum(rho, self.rho_jam))
 
-    def demand_supply(self, rho, d=None, s=None):
+    def _demand_supply(self, rho, d=None, s=None):
         """Per-cell demand and supply of clamped densities, written into
         ``d`` and ``s`` unless one part covers the whole road."""
-        if len(self.parts) == 1:
-            return self.parts[0].demand_supply(rho)
+        if len(self._parts) == 1:
+            return self._parts[0].demand_supply(rho)
         d = np.empty(self.n) if d is None else d
         s = np.empty(self.n) if s is None else s
-        for part in self.parts:
+        for part in self._parts:
             d[part.cells], s[part.cells] = part.demand_supply(rho[part.cells])
         return d, s
 
+
+def _runs(segments) -> tuple[list[tuple[FundamentalDiagram, int]], int]:
+    """``segments`` as checked (diagram, count) runs, and their cell count."""
+    try:
+        runs = [(fd, operator.index(count)) for fd, count in segments]
+    except TypeError as exc:
+        raise ConfigError(f"segments are (diagram, integer count) runs: {exc}") from exc
+    if any(count < 1 for _, count in runs):
+        raise ConfigError("every segment needs at least one cell")
+    return runs, sum(count for _, count in runs)
+
+
+def _repeat(values, runs) -> np.ndarray:
+    """Per-cell column of one value per run, each run ending in its count."""
+    return np.repeat(np.array(values, dtype=float), [run[-1] for run in runs])
+
+
+def _density_problems(rho: np.ndarray, segments) -> list[str]:
+    """The range rule of a road's densities: a message for each way some
+    leave [0, rho_jam] (NaN, below 0, above), with their count and first."""
+    jam = _repeat([fd.rho_jam for fd, _ in segments], segments)
+    problems = []
+    for bad, what in ((np.isnan(rho), "is NaN"), (rho < 0, "dips below 0"),
+                      (rho > jam, "exceeds rho_jam")):
+        cells = np.flatnonzero(bad)
+        if cells.size:
+            problems.append(f"initial density {what} in {cells.size} of "
+                            f"{rho.size} cells, the first cell {cells[0]}")
+    return problems
+
+
+def _flow_problems(fn: StepFunction, cap: float, what: str):
+    """(index, message) of each breakpoint of boundary schedule ``fn``
+    whose flow lies outside [0, ``cap``], with 1e-9 veh/s slack."""
+    for i, (t, value) in enumerate(zip(fn.times, fn.values)):
+        if not 0 <= value <= cap + 1e-9:  # NaN fails this
+            yield i, (f"boundary {what}({t}) = {float(value)} veh/s "
+                      f"outside [0, {cap:.6g}]")
+
+
+class _Part:
+    """Cells sharing one flux formula, and its per-cell parameter columns.
+
+    ``runs`` are the part's (first cell, diagram, count) runs in road
+    order; ``cells`` joins their cell ranges, or is None (every cell) when
+    the part is not ``indexed``, being the road's only one.  The diagrams'
+    class's ``_table_form`` gives the formula and the diagram attributes
+    it takes, in order; a class without one makes a part of a single
+    diagram, whose bound ``flux_curve`` is the formula and which has no
+    columns.  Demand and supply are Q(min(rho, rho_crit)) and
+    Q(max(rho, rho_crit)) as in ``FundamentalDiagram``, evaluated in one
+    formula pass over both halves of a stacked array.
+    """
+
+    def __init__(self, runs, indexed):
+        self.cells = (np.concatenate([np.arange(first, first + count)
+                                      for first, _, count in runs])
+                      if indexed else None)
+        self.runs = runs
+        self.fds = fds = [fd for _, fd, _ in runs]
+        self.rho_jam = self.column("rho_jam")
+        self.rho_crit = self.column("rho_crit")
+        self.v0 = _repeat([fd.derivative(0.0, side=+1) for fd in fds], runs)
+        self.flux, names = fds[0]._table_form or (fds[0].flux_curve, ())
+        self.params = [self.column(name) for name in names]
+        self.params_twice = [np.concatenate((p, p)) for p in self.params]
+
+    def column(self, name: str) -> np.ndarray:
+        """Per-cell values of a diagram attribute."""
+        return _repeat([getattr(fd, name) for fd in self.fds], self.runs)
+
+    def demand_supply(self, rho):
+        m = self.rho_crit.size
+        both = np.empty(2 * m)
+        np.minimum(rho, self.rho_crit, out=both[:m])
+        np.maximum(rho, self.rho_crit, out=both[m:])
+        q = self.flux(both, *self.params_twice)
+        return q[:m], q[m:]
+
     def flux_speed(self, rho):
-        """Per-cell flux and speed of clamped densities, over the last axis."""
-        if len(self.parts) == 1:
-            return self.parts[0].flux_speed(rho)
-        q = np.empty(rho.shape)
-        v = np.empty(rho.shape)
-        for part in self.parts:
-            q[..., part.cells], v[..., part.cells] = part.flux_speed(
-                rho[..., part.cells])
-        return q, v
+        q = self.flux(rho, *self.params)
+        return q, _speed_of_flux(rho, q, self.rho_jam, self.v0)
 
 
 def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
@@ -332,10 +350,15 @@ def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
     callable of cell-center position x (km).
     """
     segments, n = _runs(segments)
+    return SimGrid(segments, _cell_densities(rho, n, dx), dx, boundaries)
+
+
+def _cell_densities(rho, n: int, dx: float) -> np.ndarray:
+    """The densities of n cells of width ``dx`` from ``rho`` as
+    ``grid_from_segments`` takes it."""
     if callable(rho):
         rho = [rho((i + 0.5) * dx) for i in range(n)]
-    return SimGrid(segments, np.broadcast_to(np.asarray(rho, dtype=float), (n,)),
-                   dx, boundaries)
+    return np.broadcast_to(np.asarray(rho, dtype=float), (n,))
 
 
 @dataclass(frozen=True)
@@ -390,33 +413,22 @@ def _check_cfl(grid: SimGrid, cfg: StepConfig) -> None:
         )
 
 
-def _boundary_value(fn, t: float, cap: float, what: str) -> float:
-    value = float(fn(t))
-    if not 0 <= value <= cap + 1e-9:  # NaN fails this
-        raise ConfigError(
-            f"boundary {what}({t}) = {value} veh/s outside [0, {cap:.6g}]"
-        )
-    return value
-
-
 def _fill_fluxes(grid: SimGrid, rho: np.ndarray, t: float, f: np.ndarray,
                  d=None, s=None) -> None:
     """Write the n+1 interface fluxes min(D_left, S_right) at time t into
     ``f``: f[i] crosses into cell i from cell i-1, and f[0] = f[n] is the
     wrap on a ring.
 
-    ``rho`` holds densities clamped by the table; demand and supply go
+    ``rho`` holds densities clamped by the grid; demand and supply go
     into ``d``/``s`` when given.
     """
-    d, s = grid._table.demand_supply(rho, d, s)
+    d, s = grid._demand_supply(rho, d, s)
     np.minimum(d[:-1], s[1:], out=f[1:-1])
     if grid.is_ring:
         f[0] = f[-1] = min(d[-1], s[0])
         return
-    f[0] = min(_boundary_value(grid.boundaries.left_demand, t,
-                               grid.segments[0][0].capacity, "left demand"), s[0])
-    f[-1] = min(d[-1], _boundary_value(grid.boundaries.right_supply, t,
-                                       grid.segments[-1][0].capacity, "right supply"))
+    f[0] = min(grid.boundaries.left_demand(t), s[0])
+    f[-1] = min(d[-1], grid.boundaries.right_supply(t))
 
 
 def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarray:
@@ -428,7 +440,7 @@ def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarr
     callers passing it positionally keep working.
     """
     f = np.empty(grid.n + 1)
-    _fill_fluxes(grid, grid._table.clamp(grid.rho), t, f)
+    _fill_fluxes(grid, grid._clamp(grid.rho), t, f)
     return f[:-1] if grid.is_ring else f
 
 
@@ -445,7 +457,6 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     ring, both ways).
     """
     _check_cfl(grid, cfg)
-    table = grid._table
     n = grid.n
     dt = cfg.dt
     r = dt / grid.dx
@@ -456,7 +467,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     steps, snaps, deltas = [0], [rho.copy()], [0.0]
     inflow = outflow = 0.0
     for j in range(n_steps):
-        _fill_fluxes(grid, table.clamp(rho, scratch, j), t0 + j * dt, f, d, s)
+        _fill_fluxes(grid, grid._clamp(rho, scratch, j), t0 + j * dt, f, d, s)
         np.subtract(f_out, f_in, out=change)
         np.multiply(change, r, out=change)
         np.subtract(rho, change, out=nxt)
@@ -467,7 +478,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
             snaps.append(nxt.copy())
             deltas.append(float(np.max(np.abs(nxt - rho))))
         rho, nxt = nxt, rho
-    table.clamp(rho, scratch, n_steps)
+    grid._clamp(rho, scratch, n_steps)
     return steps, snaps, deltas, inflow, outflow
 
 

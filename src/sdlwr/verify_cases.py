@@ -1,21 +1,30 @@
-"""Exhaustive checks of the boundary Riemann case grid.
+"""Every check behind the CLI ``verify`` subcommand, run by ``run_checks``.
 
-With equal capacities on both links, the regime pairing of the two
-initial states leaves exactly six configurations.  Each has a known
-stationary pair, boundary flux, and wave pattern; this module
-enumerates every configuration with all of its order sub-branches and
-compares the solver output against the closed-form answer.  A second
-check runs the capacity-step example (free flow into a wider road):
-no wave upstream, forward rarefaction downstream.
-
-Used by the CLI ``verify`` subcommand and the acceptance tests.
+Five draw random instances: the supply-demand flux against the osher
+flux, the boundary flux formula, S1/D2 independence and the stationary
+pair as a fixed point on the verify families, and the conservation of a
+random ring.  The case table is exhaustive: with equal capacities on
+both links, the regime pairing of the two initial states leaves exactly
+six configurations.  Each has a known stationary pair, boundary flux,
+and wave pattern; the table enumerates every configuration with all of
+its order sub-branches and compares the solver output against the
+closed-form answer.  It ends with the capacity-step example (free flow
+into a wider road): no wave upstream, forward rarefaction downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fundamental_diagram import FundamentalDiagram, GreenshieldsDiagram, KernerKonhauserDiagram
+import numpy as np
+
+from .fundamental_diagram import (
+    FundamentalDiagram,
+    GreenshieldsDiagram,
+    KernerKonhauserDiagram,
+    TriangularDiagram,
+)
+from .godunov_sim import SimGrid, StepConfig, osher_flux, run, sd_flux
 from .riemann_solver import (
     Family,
     RiemannProblem,
@@ -210,3 +219,94 @@ def run_case_table() -> str | None:
             if problem is not None:
                 return f"{type(fd).__name__} {problem}"
     return check_capacity_step()
+
+
+def _verify_families() -> list[FundamentalDiagram]:
+    """The four diagram families the randomized checks draw from."""
+    return [
+        GreenshieldsDiagram(27.8e-3, 120.0),
+        TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3),
+        KernerKonhauserDiagram(lanes=1.0),
+        KernerKonhauserDiagram(lanes=2.0),
+    ]
+
+
+def _random_problem(rng, fams) -> RiemannProblem:
+    """A problem between two drawn families at uniformly drawn densities."""
+    fd1, fd2 = (fams[i] for i in rng.choice(len(fams), size=2))
+    return RiemannProblem.from_densities(fd1, fd2, rng.uniform(0.0, fd1.rho_jam),
+                                         rng.uniform(0.0, fd2.rho_jam))
+
+
+def _check_osher(rng, fams, trials) -> str | None:
+    for fd in fams:
+        for _ in range(trials):
+            a = rng.uniform(0.0, fd.rho_jam)
+            b = rng.uniform(0.0, fd.rho_jam)
+            got = sd_flux(fd, a, fd, b)
+            want = osher_flux(fd, a, b)
+            tol = 1e-12 * max(abs(want), 1e-30)
+            if abs(got - want) > tol:
+                return (f"sd_flux {got!r} != osher {want!r} at "
+                        f"rho=({a:.6g},{b:.6g}) on {type(fd).__name__}")
+    return None
+
+
+def _check_flux_formula(solved) -> str | None:
+    for p, sol in solved:
+        if sol.boundary_flux != min(p.u1.demand, p.u2.supply):
+            return f"flux formula broken for {p.u1}, {p.u2}"
+    return None
+
+
+def _check_independence(rng, solved) -> str | None:
+    for p, sol in solved:
+        u1, u2 = p.u1, p.u2
+        if u1.is_over_critical(p.fd_up.capacity):
+            u1 = SDState(u1.demand, rng.uniform(0.0, p.fd_up.capacity))
+        if u2.is_under_critical(p.fd_down.capacity):
+            u2 = SDState(rng.uniform(0.0, p.fd_down.capacity), u2.supply)
+        alt = solve(RiemannProblem(p.fd_up, p.fd_down, u1, u2))
+        if (alt.boundary_flux != sol.boundary_flux
+                or alt.stat_up != sol.stat_up
+                or alt.stat_down != sol.stat_down):
+            return f"solution changed under S1/D2 perturbation of {p.u1}, {p.u2}"
+    return None
+
+
+def _check_idempotence(solved) -> str | None:
+    for p, sol in solved:
+        again = solve(RiemannProblem(p.fd_up, p.fd_down, sol.stat_up, sol.stat_down))
+        if not (again.stat_up == sol.stat_up
+                and again.stat_down == sol.stat_down
+                and again.wave_up.is_none and again.wave_down.is_none):
+            return f"stationary pair not a fixed point for {p.u1}, {p.u2}"
+    return None
+
+
+def _check_conservation(rng, trials) -> str | None:
+    fd = GreenshieldsDiagram(1.0, 4.0)
+    rho0 = rng.uniform(0.2, 3.8, size=16)
+    grid = SimGrid([(fd, 16)], rho0, dx=1.0)
+    cfg = StepConfig(dt=0.5)
+    steps = min(max(trials, 1) * 10, 20_000)
+    record = run(grid, cfg, duration=steps * cfg.dt, record_every=steps)
+    drift = record.conservation_drift()
+    if drift > 1e-9:
+        return f"ring conservation drift {drift:.3e} over {steps} steps"
+    return None
+
+
+def run_checks(seed: int, trials: int):
+    """Yield (name, first failure or None) for each of verify's checks in
+    order, the random ones drawing ``trials`` instances from ``seed``."""
+    rng = np.random.default_rng(seed)
+    fams = _verify_families()
+    yield "osher-equivalence", _check_osher(rng, fams, trials)
+    problems = [_random_problem(rng, fams) for _ in range(trials)]
+    solved = [(p, solve(p)) for p in problems]  # shared by the checks of solve
+    yield "boundary-flux-formula", _check_flux_formula(solved)
+    yield "s1-d2-independence", _check_independence(rng, solved)
+    yield "stationary-idempotence", _check_idempotence(solved)
+    yield "homogeneous-case-table", run_case_table()
+    yield "ring-conservation", _check_conservation(rng, trials)

@@ -21,8 +21,12 @@ from sdlwr import (
     GreenshieldsDiagram,
     KernerKonhauserDiagram,
     TriangularDiagram,
+    Wave,
+    WaveDirection,
+    WaveKind,
     initial_density,
 )
+from sdlwr import verify_cases
 from sdlwr.cli import (
     _FAMILIES,
     _MAX_CELLS,
@@ -254,8 +258,8 @@ def test_pieces_must_cover_the_road():
     raw["initial"] = {"kind": "piecewise",
                       "pieces": [{"length_km": 6.0, "rho_veh_km": 0.5},
                                  {"length_km": 14.0, "rho_veh_km": 1.0}]}
-    cfg = parse_config(yaml.safe_dump(raw))  # a 20 km road
-    assert [cfg.initial(x) for x in (0.0, 5.9, 6.0, 19.9)] == [0.5, 0.5, 1.0, 1.0]
+    cfg = parse_config(yaml.safe_dump(raw))  # a 20 km road of 1 km cells
+    assert cfg.initial.tolist() == [0.5] * 6 + [1.0] * 14
     # a dropped segment or piece leaves nothing whole to compare
     for key, edit in [
         ("road.segments[1].diagram",
@@ -282,7 +286,23 @@ def test_sinusoid_is_initial_density_at_every_cell():
     cfg = parse_config((_BENCH_CONFIGS / "ring_predict.yaml").read_text())
     want = initial_density(_ring_spec(cfg), 28, 3)
     x = [(i + 0.5) * cfg.road.dx for i in range(cfg.road.n_cells)]
-    assert [cfg.initial(xi) for xi in x] == [want(xi) for xi in x]
+    assert cfg.initial.tolist() == [want(xi) for xi in x]
+
+
+def test_simulate_evaluates_the_initial_profile_once(tmp_path, capsys, monkeypatch):
+    """Parse lays the profile at the cell centres once, and simulate
+    starts from those densities without evaluating it again."""
+    calls = []
+
+    def counted(*args):
+        profile = lane_sinusoid(*args)
+        return lambda x: calls.append(x) or profile(x)
+
+    lane_sinusoid = sdlwr.cli._lane_sinusoid
+    monkeypatch.setattr(sdlwr.cli, "_lane_sinusoid", counted)
+    config = RING_CFG + "numerics:\n  dt_s: 0.8\n  duration_s: 8.0\n"
+    assert _run(tmp_path, "ring.yaml", ["simulate"], config) == 0
+    assert calls == [(i + 0.5) * 0.028 for i in range(600)]
 
 
 def test_parse_rejects_ambiguous_state():
@@ -469,14 +489,60 @@ def test_verify_zero_trials(capsys):
     assert out == "verify: 0 trials requested, nothing to run: PASS\n"
 
 
+_VERIFY_CHECKS = ["osher-equivalence", "boundary-flux-formula",
+                  "s1-d2-independence", "stationary-idempotence",
+                  "homogeneous-case-table", "ring-conservation"]
+
+
 def test_verify_small_run(capsys):
-    assert main(["verify", "--seed", "1", "--trials", "2"]) == 0
+    assert main(["verify", "--seed", "3", "--trials", "20"]) == 0
+    assert capsys.readouterr().out == "".join(f"PASS {name}\n"
+                                              for name in _VERIFY_CHECKS)
+
+
+def _editing(edit):
+    """A breaker of ``solve``: each solution passes through ``edit(p, sol)``."""
+    return lambda real: lambda p: edit(p, real(p))
+
+
+def _perturbed_final(real):
+    def run(*args, **kwargs):
+        record = real(*args, **kwargs)
+        record.rho[-1] *= 1.0 + 1e-6
+        return record
+    return run
+
+
+_BACKWARD_SHOCK = Wave(WaveKind.SHOCK, WaveDirection.BACKWARD, (-0.1, -0.1),
+                       3.0, 2.5)
+
+# each check, and a dependency inside verify_cases that breaks it
+_BREAKS = {
+    "osher-equivalence": ("osher_flux", lambda real: (
+        lambda fd, a, b: real(fd, a, b) + 1e-6)),
+    "boundary-flux-formula": ("solve", _editing(lambda p, sol: dataclasses.replace(
+        sol, boundary_flux=sol.boundary_flux - 1e-6))),
+    # the upstream stationary state follows S1
+    "s1-d2-independence": ("solve", _editing(lambda p, sol: dataclasses.replace(
+        sol, stat_up=p.u1))),
+    "stationary-idempotence": ("solve", _editing(lambda p, sol: dataclasses.replace(
+        sol, wave_up=_BACKWARD_SHOCK))),
+    "homogeneous-case-table": ("check_capacity_step", lambda real: (
+        lambda: "capacity step: broken")),
+    "ring-conservation": ("run", _perturbed_final),
+}
+
+
+@pytest.mark.parametrize("name", list(_BREAKS))
+def test_verify_reports_a_failed_check(monkeypatch, capsys, name):
+    """A check that fails prints ``FAIL <name>: <its first failure>`` in
+    its place, and verify exits 1."""
+    attr, breaker = _BREAKS[name]
+    monkeypatch.setattr(verify_cases, attr, breaker(getattr(verify_cases, attr)))
+    assert main(["verify", "--seed", "3", "--trials", "20"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
-    assert all(line.startswith("PASS ") for line in lines)
-    names = {line.split()[1] for line in lines}
-    assert "homogeneous-case-table" in names
-    assert "osher-equivalence" in names
+    assert [line.split()[1].rstrip(":") for line in lines] == _VERIFY_CHECKS
+    assert lines[_VERIFY_CHECKS.index(name)].startswith(f"FAIL {name}: ")
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -570,7 +636,7 @@ def test_profile_count_out_of_range_is_keyed_config_error(tmp_path, capsys):
         assert want in err, (value, err)
     raw["riemann"]["profile"]["count"] = _MAX_PROFILE_POINTS
     parsed = parse_config(yaml.safe_dump(raw))
-    assert parsed.riemann.profile[2] == _MAX_PROFILE_POINTS
+    assert parsed.riemann_profile[2] == _MAX_PROFILE_POINTS
 
 
 def test_huge_yaml_integers_are_config_errors(tmp_path, capsys):

@@ -19,7 +19,7 @@ from sdlwr import (
     Side,
     StationaryPattern,
     StepConfig,
-    TriangularDiagram,
+    StepFunction,
     Unique,
     WaveDirection,
     WaveKind,
@@ -39,6 +39,7 @@ from sdlwr import (
     to_density,
 )
 from sdlwr.fundamental_diagram import FLUX_TOL
+from sdlwr.verify_cases import _verify_families
 
 
 def _lifted_problem(fd_up, fd_down, rho_up, rho_down):
@@ -298,13 +299,7 @@ def test_wave_speed_signs(family_zoo):
             assert min(sol.wave_down.speed_range) >= -1e-6
 
 
-# the four diagram families the ``verify`` command draws from
-_VERIFY_FAMILIES = (
-    GreenshieldsDiagram(27.8e-3, 120.0),
-    TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3),
-    KernerKonhauserDiagram(lanes=1.0),
-    KernerKonhauserDiagram(lanes=2.0),
-)
+_VERIFY_FAMILIES = _verify_families()
 
 
 def _oracle_problems(rng, per_pair):
@@ -477,7 +472,7 @@ def test_godunov_limit_matches_stationary_states():
         target_dn = to_density(fd_down, sol.stat_down)
         tol_up, tol_dn = 1e-3 * fd_up.rho_jam, 1e-3 * fd_down.rho_jam
         bs = BoundarySpec(
-            lambda t, d=p.u1.demand: d, lambda t, s=p.u2.supply: s
+            StepFunction((0.0,), (p.u1.demand,)), StepFunction((0.0,), (p.u2.supply,))
         )
         rho0 = np.concatenate(
             [np.full(n_side, rho_up), np.full(n_side, rho_down)]
