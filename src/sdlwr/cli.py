@@ -44,7 +44,7 @@ from .fundamental_diagram import (
     TriangularDiagram,
 )
 from .godunov_sim import (
-    _CFL_GUARD,
+    _cfl_problem,
     _cell_densities,
     _density_problems,
     _flow_problems,
@@ -540,16 +540,12 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     if road is not None and road.topology == "ring" and boundaries is not None:
         err.add("boundaries", "a ring road takes no boundary data")
 
-    # CFL precheck: the scheme is only stable when the fastest wave
-    # crosses less than one cell per step
+    # the CFL guard that run applies, keyed here
     if road is not None and numerics is not None and not override_cfl:
-        vmax = max(fd.max_wave_speed() for fd, _ in road.segments)
-        nu = vmax * numerics.step.dt / road.dx
-        if nu > _CFL_GUARD:
+        problem = _cfl_problem(road.segments, numerics.step.dt, road.dx)
+        if problem is not None:
             err.add("numerics.dt_s",
-                    f"CFL number {nu:.2f} exceeds {_CFL_GUARD} "
-                    f"(max wave speed {vmax * _KM_S_TO_M_S:.4f} m/s, "
-                    f"dx={road.dx} km); reduce dt_s or pass --override-cfl")
+                    f"{problem}; reduce dt_s or pass --override-cfl")
 
     err.raise_if_any()
     return ScenarioConfig(diagrams, road, initial, sinusoid, numerics,

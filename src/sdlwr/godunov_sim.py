@@ -36,8 +36,9 @@ capacity once, when it is built.  One kernel, ``_march``, serves
 raises ``SimulationDiverged`` with the step, cell and density of the
 first one outside [0, rho_jam].
 
-Stability requires the CFL number max|Q'| * dt / dx to stay at or
-below 1; runs refuse anything above 0.95 unless explicitly overridden.
+Stability needs the CFL number max|Q'| * dt / dx at or below 1; runs
+and the CLI refuse anything above 0.95 by one guard, ``_cfl_problem``,
+unless explicitly overridden.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ class SimGrid:
     ``grid_from_segments`` takes them.  ``boundaries=None`` makes the road
     a ring.  Construction builds the parts (see the module docstring)
     that every demand, supply, flux and speed evaluation of the grid goes
-    through, and raises ConfigError for a density outside [0, rho_jam]
-    or a boundary breakpoint outside [0, capacity] of its end link;
-    ``with_density`` copies share the parts.  ``rho_jam`` is the per-cell
-    jam density array.
+    through, and raises ConfigError for a density outside [0, rho_jam], a
+    boundary that is not a StepFunction or a breakpoint outside [0,
+    capacity] of its end link; ``with_density`` copies share the parts.
+    ``rho_jam`` is the per-cell jam density array.
     """
 
     def __init__(self, segments: Sequence[tuple[FundamentalDiagram, int]], rho,
@@ -163,13 +164,16 @@ class SimGrid:
             runs_of.setdefault(key, []).append((first, fd, count))
             first += count
         self._parts = [_Part(runs, len(runs_of) > 1) for runs in runs_of.values()]
-        self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments], self.segments)
+        self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments],
+                               [count for _, count in self.segments])
         self._upper = self.rho_jam + DENSITY_SLACK
         problems = _density_problems(self.rho, self.segments)
         if boundaries is not None:
             for fn, (fd, _), what in (
                     (boundaries.left_demand, self.segments[0], "left demand"),
                     (boundaries.right_supply, self.segments[-1], "right supply")):
+                if not isinstance(fn, StepFunction):
+                    raise ConfigError(f"boundary {what} must be a StepFunction")
                 problems += [p for _, p in _flow_problems(fn, fd.capacity, what)]
         if problems:
             raise ConfigError("; ".join(problems))
@@ -269,15 +273,16 @@ def _runs(segments) -> tuple[list[tuple[FundamentalDiagram, int]], int]:
     return runs, sum(count for _, count in runs)
 
 
-def _repeat(values, runs) -> np.ndarray:
-    """Per-cell column of one value per run, each run ending in its count."""
-    return np.repeat(np.array(values, dtype=float), [run[-1] for run in runs])
+def _repeat(values, counts) -> np.ndarray:
+    """Per-cell column of one value per run of ``counts`` cells."""
+    return np.repeat(np.array(values, dtype=float), counts)
 
 
 def _density_problems(rho: np.ndarray, segments) -> list[str]:
     """The range rule of a road's densities: a message for each way some
     leave [0, rho_jam] (NaN, below 0, above), with their count and first."""
-    jam = _repeat([fd.rho_jam for fd, _ in segments], segments)
+    jam = _repeat([fd.rho_jam for fd, _ in segments],
+                  [count for _, count in segments])
     problems = []
     for bad, what in ((np.isnan(rho), "is NaN"), (rho < 0, "dips below 0"),
                       (rho > jam, "exceeds rho_jam")):
@@ -315,18 +320,18 @@ class _Part:
         self.cells = (np.concatenate([np.arange(first, first + count)
                                       for first, _, count in runs])
                       if indexed else None)
-        self.runs = runs
+        self.counts = [count for _, _, count in runs]
         self.fds = fds = [fd for _, fd, _ in runs]
         self.rho_jam = self.column("rho_jam")
         self.rho_crit = self.column("rho_crit")
-        self.v0 = _repeat([fd.derivative(0.0, side=+1) for fd in fds], runs)
+        self.v0 = _repeat([fd.derivative(0.0, side=+1) for fd in fds], self.counts)
         self.flux, names = fds[0]._table_form or (fds[0].flux_curve, ())
         self.params = [self.column(name) for name in names]
         self.params_twice = [np.concatenate((p, p)) for p in self.params]
 
     def column(self, name: str) -> np.ndarray:
         """Per-cell values of a diagram attribute."""
-        return _repeat([getattr(fd, name) for fd in self.fds], self.runs)
+        return _repeat([getattr(fd, name) for fd in self.fds], self.counts)
 
     def demand_supply(self, rho):
         m = self.rho_crit.size
@@ -404,13 +409,13 @@ def cfl_number(grid: SimGrid, dt: float) -> float:
     return grid.max_wave_speed() * dt / grid.dx
 
 
-def _check_cfl(grid: SimGrid, cfg: StepConfig) -> None:
-    nu = cfl_number(grid, cfg.dt)
-    if nu > _CFL_GUARD and not cfg.allow_high_cfl:
-        raise ConfigError(
-            f"CFL number {nu:.2f} exceeds {_CFL_GUARD} "
-            f"(dt={cfg.dt} s, dx={grid.dx} km); reduce dt or override"
-        )
+def _cfl_problem(segments, dt: float, dx: float) -> str | None:
+    """Why time step ``dt`` (s) breaks the CFL guard on a road of
+    ``(diagram, count)`` segments and cell width ``dx`` (km), or None."""
+    vmax = max(fd.max_wave_speed() for fd, _ in segments)
+    nu = vmax * dt / dx
+    return (f"CFL number {nu:.2f} exceeds {_CFL_GUARD} (max wave speed "
+            f"{vmax * 1000.0:.4f} m/s, dx={dx} km)") if nu > _CFL_GUARD else None
 
 
 def _fill_fluxes(grid: SimGrid, rho: np.ndarray, t: float, f: np.ndarray,
@@ -456,9 +461,10 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     that crossed in at the left and out at the right (interface 0 on a
     ring, both ways).
     """
-    _check_cfl(grid, cfg)
-    n = grid.n
-    dt = cfg.dt
+    problem = not cfg.allow_high_cfl and _cfl_problem(grid.segments, cfg.dt, grid.dx)
+    if problem:
+        raise ConfigError(f"{problem}; reduce dt or override")
+    n, dt = grid.n, cfg.dt
     r = dt / grid.dx
     rho = grid.rho.copy()
     nxt, change, scratch, d, s = np.empty((5, n))

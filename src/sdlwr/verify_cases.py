@@ -224,7 +224,7 @@ def run_case_table() -> str | None:
 def _verify_families() -> list[FundamentalDiagram]:
     """The four diagram families the randomized checks draw from."""
     return [
-        GreenshieldsDiagram(27.8e-3, 120.0),
+        GreenshieldsDiagram(27.8 / 1000.0, 120.0),
         TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3),
         KernerKonhauserDiagram(lanes=1.0),
         KernerKonhauserDiagram(lanes=2.0),
@@ -286,8 +286,7 @@ def _check_idempotence(solved) -> str | None:
 
 def _check_conservation(rng, trials) -> str | None:
     fd = GreenshieldsDiagram(1.0, 4.0)
-    rho0 = rng.uniform(0.2, 3.8, size=16)
-    grid = SimGrid([(fd, 16)], rho0, dx=1.0)
+    grid = SimGrid([(fd, 16)], rng.uniform(0.2, 3.8, size=16), dx=1.0)
     cfg = StepConfig(dt=0.5)
     steps = min(max(trials, 1) * 10, 20_000)
     record = run(grid, cfg, duration=steps * cfg.dt, record_every=steps)

@@ -260,6 +260,14 @@ def test_pieces_must_cover_the_road():
                                  {"length_km": 14.0, "rho_veh_km": 1.0}]}
     cfg = parse_config(yaml.safe_dump(raw))  # a 20 km road of 1 km cells
     assert cfg.initial.tolist() == [0.5] * 6 + [1.0] * 14
+    # a cell centre on a piece end takes the next piece's density: with
+    # 2 km cells and a 5 km first piece, the centre at x = 5 reads 1.0
+    on_end = copy.deepcopy(raw)
+    on_end["road"]["dx_km"] = 2.0
+    on_end["initial"]["pieces"][0]["length_km"] = 5.0
+    on_end["initial"]["pieces"][1]["length_km"] = 15.0
+    assert parse_config(yaml.safe_dump(on_end)).initial.tolist() == (
+        [0.5] * 2 + [1.0] * 8)
     # a dropped segment or piece leaves nothing whole to compare
     for key, edit in [
         ("road.segments[1].diagram",

@@ -445,6 +445,10 @@ def test_boundary_rejects_bad_values(gs, bad):
                       StepFunction((0.0,), (1.0,)))
     with pytest.raises(ConfigError, match="left demand"):
         grid_from_segments([(gs, 4)], dx=1.0, rho=1.0, boundaries=bs)
+    # a plain callable, which carries no breakpoints to check
+    bs = BoundarySpec(lambda t: 0.5, StepFunction((0.0,), (1.0,)))
+    with pytest.raises(ConfigError, match="left demand must be a StepFunction"):
+        grid_from_segments([(gs, 4)], dx=1.0, rho=1.0, boundaries=bs)
 
 
 @settings(max_examples=30, deadline=None)
