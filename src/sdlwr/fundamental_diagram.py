@@ -567,6 +567,10 @@ class KernerKonhauserDiagram(FundamentalDiagram):
     def flux_curve(self, rho):
         return _kk_flux(_as_density(rho), self.rho_jam, self._speed_scale)
 
+    def derivative(self, rho, side=0):
+        # exact: Q' of the Newton steps, so the fan edge at rho = 0 is V(0)
+        return _kk_slopes(rho, self)[1]
+
     def _invert_branch(self, level, lo, hi, rising):
         # demand from 0 (a concave branch), supply from its inflection, 0.3 rho_jam
         return _newton(lambda rho: _kk_slopes(rho, self)[:2], level, lo, hi,

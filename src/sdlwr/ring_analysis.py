@@ -12,7 +12,10 @@ and the four regimes are: below N_a both links end up under-critical;
 between the thresholds link 1 runs exactly at capacity while link 2
 splits into a free head and a congested tail separated by a standing
 shock at L2; at N_c link 2 is uniformly congested at flux C1; above it
-both links are congested and the common flux drops below C1.
+both links are congested and the common flux drops below C1.  A
+bottleneck whose crest is a plateau (a trapezoid, plateau up to
+rho_right1) first fills it at flux C1, so the N_c pattern holds up to
+N_c + (rho_right1 - R1(1)) L1.
 
 Besides the prediction itself this module computes vehicle counts of
 the sinusoid-perturbed initial profiles used in the experiments, and
@@ -30,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fundamental_diagram import FundamentalDiagram, _bisect
+from .fundamental_diagram import _SEARCH_TOL, FundamentalDiagram, _newton
 from .riemann_solver import StationaryPattern, stationary_pair_check
 from .supply_demand import SDState
 
@@ -53,8 +56,6 @@ __all__ = [
 # |N - threshold| at or below this (veh) counts as sitting on the
 # threshold itself; thresholds are computed, so exact hits are luck.
 BOUNDARY_TOL = 1e-6
-
-_FLUX_BISECT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -183,31 +184,48 @@ def thresholds(spec: RingSpec) -> tuple[float, float]:
     return _threshold_densities(spec)[3:]
 
 
-def _count_both_uc(spec: RingSpec, q: float) -> float:
-    c1, c2 = spec.fd1.capacity, spec.fd2.capacity
-    return (spec.fd1.rho_of_gamma(q / c1) * spec.L1
-            + spec.fd2.rho_of_gamma(q / c2) * spec.L2_len)
+def _link1_density(spec: RingSpec, n: float, lo: float, hi: float,
+                   invert2) -> float:
+    """The link-1 density rho1 in [lo, hi] of a ring holding n vehicles
+    with link 2 at rho2 = invert2(Q1(rho1)), by safeguarded Newton on
+    N(rho1) = L1 rho1 + L2 rho2, which rises with rho1, from mid-bracket.
 
+    dN/drho1 = L1 + L2 Q1'(rho1)/Q2'(rho2) stays bounded at both ends,
+    where dN/dq does not.  A slope that is not finite comes back NaN, on
+    which ``_newton`` bisects.  Where rho2 sits at 0 or rho_jam2
+    (Kerner-Konhauser's Q2(rho_jam2) > 0 meets low levels there), it
+    does not move and the slope is L1.
+    """
+    fd1, fd2, l1, l2 = spec.fd1, spec.fd2, spec.L1, spec.L2_len
 
-def _count_both_soc(spec: RingSpec, q: float) -> float:
-    c1, c2 = spec.fd1.capacity, spec.fd2.capacity
-    g1 = math.inf if q == 0.0 else c1 / q
-    g2 = math.inf if q == 0.0 else c2 / q
-    return (spec.fd1.rho_of_gamma(g1) * spec.L1
-            + spec.fd2.rho_of_gamma(g2) * spec.L2_len)
+    def count_slope(rho1):
+        rho2 = invert2(fd1.flux_curve(rho1))
+        count = l1 * rho1 + l2 * rho2
+        if rho2 == 0.0 or rho2 == fd2.rho_jam:
+            return count, l1
+        d2 = fd2.derivative(rho2)
+        slope = l1 + l2 * fd1.derivative(rho1) / d2 if d2 else math.nan
+        return count, slope if math.isfinite(slope) else math.nan
+
+    return _newton(count_slope, n, lo, hi, 0.5 * (lo + hi), True,
+                   _SEARCH_TOL * fd1.rho_jam)
 
 
 def predict(spec: RingSpec) -> RingPrediction:
     """Asymptotic stationary profile, flux, and interior-state sites.
 
-    The common flux solves the vehicle-count equation of the regime N
-    falls in; both bisections shrink the flux bracket to 1e-10*C1.  The
-    three threshold densities are inverted once, and N on a threshold
-    takes them without a bisection.
+    Off the thresholds and the band between them, the link-1 density
+    solves the vehicle-count equation of the regime N falls in, by
+    Newton to the search tolerance of link 1 (``_link1_density``), and
+    the common flux is Q1 there.  The three threshold densities are
+    inverted once, and N on a threshold takes them without a search.
+    Above N_c a link 1 whose crest is a plateau (a trapezoid) holds the
+    extra vehicles on it at flux C1: that is the N_c pattern, with
+    rho1 on the plateau.
     Interior states occupy no length, so they never enter the count:
     one can appear at x = L- when N sits exactly on the lower
     threshold, at the standing shock (either face) in between, and at
-    x = L1+ when N hits the upper threshold.
+    x = L1+ when N hits the upper threshold or a plateau above it.
     """
     if spec.N is None:
         raise ValueError("RingSpec.N is not set")
@@ -216,18 +234,18 @@ def predict(spec: RingSpec) -> RingPrediction:
         raise ValueError(
             f"N={n} veh outside [0, {spec.max_vehicles:.6g}] for this ring"
         )
-    c1, c2 = spec.fd1.capacity, spec.fd2.capacity
+    fd1, fd2 = spec.fd1, spec.fd2
+    c1 = fd1.capacity
     rho_crit1, rho_free, rho_cong, n_a, n_c = _threshold_densities(spec)
-    tol = _FLUX_BISECT_TOL * c1
 
     if n <= n_a + BOUNDARY_TOL:
         at_boundary = abs(n - n_a) <= BOUNDARY_TOL
         if at_boundary:
             q, rho1, rho2 = c1, rho_crit1, rho_free
         else:
-            q = _bisect(lambda q: _count_both_uc(spec, q) < n, 0.0, c1, tol)
-            rho1 = spec.fd1.rho_of_gamma(q / c1)
-            rho2 = spec.fd2.rho_of_gamma(q / c2)
+            rho1 = _link1_density(spec, n, 0.0, rho_crit1, fd2.inv_demand)
+            q = fd1.flux_curve(rho1)
+            rho2 = fd2.inv_demand(q)
         sites = (InteriorSite(spec.L, BoundarySide.MINUS),) if at_boundary else ()
         profile = (
             ProfileSegment(0.0, spec.L1, rho1),
@@ -248,19 +266,19 @@ def predict(spec: RingSpec) -> RingPrediction:
         return RingPrediction(RingScenario.CRITICAL_WITH_SS, c1, profile,
                               sites, L2=l2)
 
-    if abs(n - n_c) <= BOUNDARY_TOL:
-        profile = (
-            ProfileSegment(0.0, spec.L1, rho_crit1),
-            ProfileSegment(spec.L1, spec.L, rho_cong),
-        )
+    if n <= n_c + BOUNDARY_TOL:
+        q, rho1, rho2 = c1, rho_crit1, rho_cong
+    else:
+        rho1 = _link1_density(spec, n, rho_crit1, fd1.rho_jam, fd2.inv_supply)
+        q = fd1.flux_curve(rho1)
+        rho2 = fd2.inv_supply(q)
+    profile = (
+        ProfileSegment(0.0, spec.L1, rho1),
+        ProfileSegment(spec.L1, spec.L, rho2),
+    )
+    if q >= c1:
         sites = (InteriorSite(spec.L1, BoundarySide.PLUS),)
         return RingPrediction(RingScenario.CRITICAL_WITH_SOC, c1, profile, sites)
-
-    q = _bisect(lambda q: _count_both_soc(spec, q) >= n, 0.0, c1, tol)
-    profile = (
-        ProfileSegment(0.0, spec.L1, spec.fd1.rho_of_gamma(c1 / q)),
-        ProfileSegment(spec.L1, spec.L, spec.fd2.rho_of_gamma(c2 / q)),
-    )
     return RingPrediction(RingScenario.BOTH_SOC, q, profile, ())
 
 

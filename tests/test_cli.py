@@ -970,7 +970,7 @@ riemann solution at the link boundary
   interior up:   unique (D=1.4182, S=0.7091) veh/s
   interior down: unique (D=0.7091, S=0.7091) veh/s
   wave on link 1: backward shock at -7.4920 m/s
-  wave on link 2: forward rarefaction, speeds [0.0002, 21.4358] m/s
+  wave on link 2: forward rarefaction, speeds [0.0000, 21.4359] m/s
 """,
     "ring_predict": """\
 two-link ring asymptotic state

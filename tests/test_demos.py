@@ -20,7 +20,7 @@ _STDOUT_SHA256 = {
     "godunov_simulation.py":
         "8fbb99a443c1a0388365af28978f2e38d595df4dd0a35a9ea24ada8a9ec2207b",
     "riemann_at_a_bottleneck.py":
-        "ca6dcb61ece0da4a172bf4b53566f2bc9da7756709076817cc600dd0eeb4d611",
+        "f1f6fdf0506e56ca697a743036198ce33056ee7c30bb911811d035668558d394",
     "ring_experiment.py":
         "0c55a4045e0b65f8927458c0c67cde4c7eaff92dc7711d84cdda169a250bd942",
 }

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -436,22 +437,24 @@ def test_solve_flux_curve_calls(family, scales, rhos, calls):
 
 
 @pytest.mark.parametrize("family, thresholds_calls, predicts", [
-    ("kk", 98, [(300.0, RingScenario.BOTH_UC, 2338),
+    ("kk", 98, [(300.0, RingScenario.BOTH_UC, 279),
                 (1000.0, RingScenario.CRITICAL_WITH_SS, 98),
                 (None, RingScenario.CRITICAL_WITH_SOC, 98),
-                (3000.0, RingScenario.BOTH_SOC, 2478)]),
-    ("gs", 102, [(300.0, RingScenario.BOTH_UC, 2482),
+                (3000.0, RingScenario.BOTH_SOC, 289)]),
+    ("gs", 102, [(300.0, RingScenario.BOTH_UC, 332),
                  (1800.0, RingScenario.CRITICAL_WITH_SS, 102),
                  (None, RingScenario.CRITICAL_WITH_SOC, 102),
-                 (3400.0, RingScenario.BOTH_SOC, 2482)]),
-    ("trapezoid", 99, [(150.0, RingScenario.BOTH_UC, 2339),
+                 (3400.0, RingScenario.BOTH_SOC, 332)]),
+    ("trapezoid", 99, [(150.0, RingScenario.BOTH_UC, 206),
                        (1600.0, RingScenario.CRITICAL_WITH_SS, 99),
                        (None, RingScenario.CRITICAL_WITH_SOC, 99),
-                       (3700.0, RingScenario.BOTH_SOC, 2549)]),
+                       (3700.0, RingScenario.BOTH_SOC, 215)]),
 ])
 def test_ring_flux_curve_calls(family, thresholds_calls, predicts):
     """thresholds and one predict per regime (None: exactly N_c) on a
-    ring of a one-lane and a two-lane link of one family."""
+    ring of a one-lane and a two-lane link of one family.  Each Newton
+    step of a ``both_*`` predict on the link-1 density costs one Q1 call,
+    a link-2 branch inverse and two difference quotients."""
     counting, (fd1, fd2) = _counted(family, 1, 2)
     ring = RingSpec(16.8, 2.8, fd1, fd2)
     counting.calls = 0
@@ -532,9 +535,9 @@ def test_fast_inverses_match_hook_bisection(name):
     |Q(rho) - min(level, C)| is at most 4 ulp of C at every level from 0
     to C + FLUX_TOL/2, except below Kerner-Konhauser's Q(rho_jam) ~ 3.4e-8
     veh/s, where both return rho_jam.  The fan inverse of Q'(rho) = xi
-    agrees within the tolerance across the open range
-    (Q'(rho_jam), Q'(0)); at its ends the hook's one-sided difference
-    quotient is off by h*Q''/2."""
+    agrees within the tolerance across the closed range
+    [Q'(rho_jam), Q'(0)] of the exact Q', and the fan edge Q'(0) inverts
+    to the empty road."""
     fd = _BUILT_IN[name]()
     hook = _hook_twin(fd)
     cap, tol = fd.capacity, _SEARCH_TOL * fd.rho_jam
@@ -554,10 +557,11 @@ def test_fast_inverses_match_hook_bisection(name):
                 assert residual <= 4 * math.ulp(cap), where
     if isinstance(fd, TriangularDiagram):
         return  # Q' is a step: the fan bisects on every class
-    xis = np.linspace(fd.derivative(fd.rho_jam), fd.derivative(0.0), 403)[1:-1]
+    xis = np.linspace(fd.derivative(fd.rho_jam), fd.derivative(0.0), 403)
     for xi in xis.tolist():
         rho = _fan_density(fd, 0.0, fd.rho_jam, xi)
         assert abs(rho - _fan_density(hook, 0.0, fd.rho_jam, xi)) <= tol, xi
+    assert _fan_density(fd, 0.0, fd.rho_jam, fd.derivative(0.0)) <= tol
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
@@ -578,18 +582,31 @@ def test_kk_newton_slopes_are_derivatives(lanes):
 
 def test_builtin_inversions_skip_bisection(monkeypatch):
     """No exact built-in class bisects to invert a branch, and neither
-    Greenshields nor Kerner-Konhauser to invert a fan; a subclass does."""
+    Greenshields nor Kerner-Konhauser to invert a fan; a subclass does.
+    Nor does a ring of exact links bisect to predict, in any regime."""
 
     def refuse(*args):
         raise AssertionError("bisection")
 
-    monkeypatch.setattr(fundamental_diagram, "_bisect", refuse)
+    # wherever a module of the package has bound it, by import included
+    for module in [m for name, m in sys.modules.items() if name.startswith("sdlwr")]:
+        if getattr(module, "_bisect", None) is _bisect:
+            monkeypatch.setattr(module, "_bisect", refuse)
     for name, make in _BUILT_IN.items():
         fd = make()
         for gamma in (0.0, 0.25, 1.0, 4.0, math.inf):
             assert 0.0 <= fd.rho_of_gamma(gamma) <= fd.rho_jam, (name, gamma)
         if not isinstance(fd, TriangularDiagram):
             assert 0.0 < _fan_density(fd, 0.0, fd.rho_jam, 0.0) < fd.rho_jam, name
+    for family, (counting, make) in _COUNTED_FAMILIES.items():
+        exact = counting.__base__
+        ring = RingSpec(16.8, 2.8, make(exact, 1), make(exact, 2))
+        n_a, n_c = thresholds(ring)
+        for n, scenario in ((0.5 * n_a, RingScenario.BOTH_UC),
+                            (0.5 * (n_a + n_c), RingScenario.CRITICAL_WITH_SS),
+                            (n_c, RingScenario.CRITICAL_WITH_SOC),
+                            (0.5 * (n_c + ring.max_vehicles), RingScenario.BOTH_SOC)):
+            assert predict(ring.with_vehicles(n)).scenario is scenario, (family, n)
     hook = _hook_twin(_BUILT_IN["kk1"]())
     for invert in (hook.inv_demand, hook.inv_supply):
         with pytest.raises(AssertionError, match="bisection"):

@@ -1,15 +1,18 @@
 """Two-link ring: thresholds, stationary predictions, feasibility."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sdlwr import (
     BoundarySide,
     FeasibilityCell,
     GreenshieldsDiagram,
     InteriorSite,
+    KernerKonhauserDiagram,
     LinkPattern,
     RingScenario,
     RingSpec,
@@ -20,6 +23,7 @@ from sdlwr import (
     thresholds,
     vehicles_of_initial,
 )
+from sdlwr.ring_analysis import BOUNDARY_TOL
 
 # Regression values for the 16.8 km ring with the 2.8 km single-lane
 # bottleneck: the package's own outputs, pinned at 1e-9.  A 40-digit
@@ -232,9 +236,88 @@ def test_cell_index_face_and_interior():
     assert InteriorSite(2.0, BoundarySide.PLUS).cell_index(0.25, 8) == 0
 
 
+def test_predict_trapezoid_plateau_above_n_c():
+    """Above N_c a trapezoidal bottleneck first fills its plateau at
+    flux C1: up to N_c + (rho_right1 - rho_crit1)*L1 the state is the N_c
+    pattern with link 1 on the plateau, and only beyond it does the flux
+    drop below C1."""
+    fd1 = TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3)
+    fd2 = TriangularDiagram(30e-3, 300.0, q_max=1.2, v_cong=6e-3)
+    ring = RingSpec(16.8, 2.8, fd1, fd2)
+    n_c = thresholds(ring)[1]
+    assert n_c == pytest.approx(2856.0, abs=1e-9)
+    rho_right1 = fd1.rho_jam - fd1.capacity / fd1.v_cong
+    for extra in (1.0, 40.0, (rho_right1 - fd1.rho_crit) * 2.8 - 1.0):
+        pred = predict(ring.with_vehicles(n_c + extra))
+        assert pred.scenario is RingScenario.CRITICAL_WITH_SOC, extra
+        assert pred.q == fd1.capacity
+        assert pred.profile[0].rho == pytest.approx(fd1.rho_crit + extra / 2.8,
+                                                    abs=1e-9)
+        assert pred.profile[1].rho == pytest.approx(
+            fd2.rho_of_gamma(fd2.capacity / fd1.capacity), abs=1e-9)
+        assert pred.interior_sites == (InteriorSite(2.8, BoundarySide.PLUS),)
+        assert pred.vehicle_count() == pytest.approx(n_c + extra, abs=1e-9)
+    beyond = predict(ring.with_vehicles(n_c + (rho_right1 - fd1.rho_crit) * 2.8 + 1.0))
+    assert beyond.scenario is RingScenario.BOTH_SOC
+    assert beyond.q < fd1.capacity
+    assert beyond.profile[0].rho > rho_right1
+
+
+def _pass_through(fd):
+    """``fd`` rebuilt as a subclass with the same curve, which the
+    closed forms of its class do not serve: it takes the generic path."""
+    cls = type(f"PassThrough{type(fd).__name__}", (type(fd),), {})
+    return cls(**{f.name: getattr(fd, f.name) for f in dataclasses.fields(fd)})
+
+
+_LINK = (st.builds(KernerKonhauserDiagram, lanes=st.floats(1.0, 3.0),
+                   tau=st.floats(3.0, 8.0))
+         | st.builds(GreenshieldsDiagram, st.floats(0.01, 0.05),
+                     st.floats(80.0, 400.0))
+         | st.builds(TriangularDiagram, st.floats(0.01, 0.05),
+                     st.floats(80.0, 400.0), q_max=st.floats(0.2, 1.5),
+                     v_cong=st.floats(3e-3, 0.03)))
+
+
+def test_predict_holds_the_vehicle_count(deadline):
+    """Off the thresholds and the band between them, the predicted
+    profile holds the ring's N vehicles to 1e-9 of N_max: on rings of
+    any two built-in links, mixed families and trapezoid plateaus
+    included, and with one link on the generic path; from the empty
+    ring up to N_max - 1 vehicles.  C1 stays 1e-6 below C2: as C1 -> C2
+    both links meet their flat crests together just above N_c, where one
+    ulp of Q1 moves rho2 by about rho_crit2 * ulp / sqrt(1 - C1/C2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(links=st.tuples(_LINK, _LINK), generic=st.sampled_from([None, 0, 1]),
+           l1=st.floats(0.5, 5.0), l2=st.floats(2.0, 20.0),
+           heavy=st.booleans(), frac=st.floats(0.0, 1.0))
+    def check(links, generic, l1, l2, heavy, frac):
+        links = list(links)
+        if generic is not None:
+            links[generic] = _pass_through(links[generic])
+        fd1, fd2 = sorted(links, key=lambda fd: fd.capacity)
+        assume(fd1.capacity < (1.0 - 1e-6) * fd2.capacity)
+        ring = RingSpec(l1 + l2, l1, fd1, fd2)
+        n_a, n_c = thresholds(ring)
+        if heavy:
+            lo, hi = n_c + BOUNDARY_TOL, ring.max_vehicles - 1.0
+            assume(lo < hi)
+            n = lo + frac * (hi - lo)
+            assume(n > lo)
+        else:
+            n = frac * n_a
+            assume(n < n_a - BOUNDARY_TOL)
+        pred = predict(ring.with_vehicles(n))
+        assert abs(pred.vehicle_count() - n) <= 1e-9 * ring.max_vehicles, pred
+
+    with deadline(60):
+        check()
+
+
 def test_predict_ends_when_flux_tolerance_underflows(deadline):
-    """A link of capacity 1.5e-321 veh/s makes the bisection tolerance
-    1e-10*C1 underflow to 0; the prediction still ends."""
+    """A link of capacity 1.5e-321 veh/s, on which any flux tolerance
+    relative to C1 underflows to 0; the prediction still ends."""
     fd1 = TriangularDiagram(1e-323, 150.0, 0.6, 6e-3)
     spec = RingSpec(5.0, 2.0, fd1, GreenshieldsDiagram(27.8e-3, 120.0))
     with deadline(5):
