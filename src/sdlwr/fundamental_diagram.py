@@ -12,7 +12,10 @@ their branch inverses, and the ratio-parameterised density map
     R(gamma) = D^{-1}(C*gamma)  for gamma <= 1,
                S^{-1}(C/gamma)  for gamma > 1,
 
-so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.
+so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.  On every exact
+built-in class R(1) is rho_crit bit for bit: the crest level C inverts
+to the critical point in closed form, where a search would stop
+anywhere on the crest, which is flat in floating point.
 
 Every method rests on one hook, ``flux_curve``.  Demand and supply
 have one definition, the pair above, for every diagram and in the
@@ -131,12 +134,20 @@ def _bisect(below, lo: float, hi: float, tol: float) -> float:
 
 def _newton(value_slope, level, lo, hi, x, rising, tol):
     """Newton from ``x`` to where a monotone f, ``value_slope(x) = (f, f')``,
-    meets ``level`` in [lo, hi] inside ``_bisect``'s bracket; steps out of it bisect."""
+    meets ``level`` in [lo, hi] inside ``_bisect``'s bracket; steps out of it bisect.
+
+    Given ``(f, f', f'')`` it takes Halley steps: the Newton step over
+    1 - (f - level) f''/(2 f'^2), while that exceeds 1/2."""
     tol = _floor_tol(tol, lo, hi)
     while hi - lo > tol:
-        f, slope = value_slope(x)
+        values = value_slope(x)
+        f, slope = values[0], values[1]
         lo, hi = (x, hi) if (f < level) == rising else (lo, x)
         step = (f - level) / slope if slope else math.inf
+        if len(values) > 2 and slope:
+            damping = 1.0 - 0.5 * step * values[2] / slope
+            if damping > 0.5:
+                step /= damping
         if abs(step) < 0.5 * tol:
             return x - step
         x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
@@ -412,6 +423,13 @@ class GreenshieldsDiagram(FundamentalDiagram):
         return self.rho_crit * (1.0 - xi / self.v_free)
 
 
+# A triangular law's D and S evaluate Q(rho_crit), which takes the
+# cancelling rho_jam - rho_crit, so they sit up to (1 + v_cong/v_free)
+# ulp(C) off C (never more than C itself); laws whose slope ratio lets
+# that reach this share of FLUX_TOL are refused.
+_TRIANGULAR_ROUNDING_LIMIT = FLUX_TOL / 8
+
+
 def _triangular_flux(rho, v_free, v_cong, rho_jam, q_max):
     return _minimum(_minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
 
@@ -430,7 +448,9 @@ class TriangularDiagram(FundamentalDiagram):
     rho_crit is the left plateau edge.  When the ceiling is inactive the
     slopes satisfy v_cong = v_free*rho_crit/(rho_jam - rho_crit).
     Demand and supply equal the cell transmission model's
-    min(v_free*rho, C) and min(v_cong*(rho_jam - rho), C) to rounding.
+    min(v_free*rho, C) and min(v_cong*(rho_jam - rho), C) to rounding:
+    up to (1 + v_cong/v_free) ulp(C), which must stay within FLUX_TOL/8,
+    so a congested slope far steeper than the free one is refused.
     """
 
     v_free: float
@@ -454,6 +474,14 @@ class TriangularDiagram(FundamentalDiagram):
         apex = self.v_cong * self.rho_jam / (self.v_free + self.v_cong)
         self._peak = min(self.q_max, self.v_free * apex)
         super().__init__()
+        ratio = self.v_cong / self.v_free
+        rounding = min(self.capacity, (1.0 + ratio) * math.ulp(self.capacity))
+        if rounding > _TRIANGULAR_ROUNDING_LIMIT:
+            raise ValueError(
+                f"slope ratio v_cong/v_free = {ratio:.3g} puts demand and supply "
+                f"up to {rounding:.3g} veh/s off capacity {self.capacity:.6g} veh/s, "
+                f"beyond FLUX_TOL/8 = {_TRIANGULAR_ROUNDING_LIMIT:.3g} veh/s"
+            )
 
     def flux_curve(self, rho):
         return _triangular_flux(_as_density(rho), self.v_free, self.v_cong,
@@ -572,8 +600,12 @@ class KernerKonhauserDiagram(FundamentalDiagram):
         return _kk_slopes(rho, self)[1]
 
     def _invert_branch(self, level, lo, hi, rising):
-        # demand from 0 (a concave branch), supply from its inflection, 0.3 rho_jam
-        return _newton(lambda rho: _kk_slopes(rho, self)[:2], level, lo, hi,
+        # the crest, where Q = C has a double root, in closed form; elsewhere
+        # Halley, demand from 0 (a concave branch), supply from the inflection
+        # of the congested branch, 0.3 rho_jam
+        if level >= self.capacity:
+            return self.rho_crit
+        return _newton(lambda rho: _kk_slopes(rho, self), level, lo, hi,
                        lo if rising else 0.3 * self.rho_jam, rising,
                        _SEARCH_TOL * self.rho_jam)
 

@@ -29,6 +29,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,8 +96,25 @@ class RingSpec:
     def max_vehicles(self) -> float:
         return self.fd1.rho_jam * self.L1 + self.fd2.rho_jam * self.L2_len
 
+    @cached_property
+    def _threshold_densities(self) -> tuple[float, ...]:
+        """(R1(1), R2(C1/C2), R2(C2/C1), N_a, N_c): link 1 at capacity,
+        link 2 free and congested at flux C1, and the thresholds they
+        give.  Solved on first use and kept, as the spec is immutable."""
+        c1, c2 = self.fd1.capacity, self.fd2.capacity
+        rho_crit1 = self.fd1.rho_of_gamma(1.0)
+        rho_free = self.fd2.rho_of_gamma(c1 / c2)
+        rho_cong = self.fd2.rho_of_gamma(c2 / c1)
+        r1_crit = rho_crit1 * self.L1
+        return (rho_crit1, rho_free, rho_cong, r1_crit + rho_free * self.L2_len,
+                r1_crit + rho_cong * self.L2_len)
+
     def with_vehicles(self, n: float) -> "RingSpec":
-        return replace(self, N=n)
+        """This ring holding n vehicles.  The copy shares this ring's
+        threshold densities, so a sweep over n solves them once."""
+        spec = replace(self, N=n)
+        vars(spec)["_threshold_densities"] = self._threshold_densities
+        return spec
 
 
 class RingScenario(enum.Enum):
@@ -166,22 +184,12 @@ class RingPrediction:
         return sum(seg.rho * (seg.x_end - seg.x_start) for seg in self.profile)
 
 
-def _threshold_densities(spec: RingSpec) -> tuple[float, ...]:
-    """(R1(1), R2(C1/C2), R2(C2/C1), N_a, N_c): link 1 at capacity, link
-    2 free and congested at flux C1, and the thresholds they give."""
-    c1, c2 = spec.fd1.capacity, spec.fd2.capacity
-    rho_crit1 = spec.fd1.rho_of_gamma(1.0)
-    rho_free = spec.fd2.rho_of_gamma(c1 / c2)
-    rho_cong = spec.fd2.rho_of_gamma(c2 / c1)
-    r1_crit = rho_crit1 * spec.L1
-    return (rho_crit1, rho_free, rho_cong, r1_crit + rho_free * spec.L2_len,
-            r1_crit + rho_cong * spec.L2_len)
-
-
 def thresholds(spec: RingSpec) -> tuple[float, float]:
     """(N_a, N_c): the counts separating the four regimes, from the
-    three threshold densities, each inverted once."""
-    return _threshold_densities(spec)[3:]
+    three threshold densities, inverted once per ring: the first call
+    solves them, and later calls, on the ring or on its
+    ``with_vehicles`` copies, reuse them."""
+    return spec._threshold_densities[3:]
 
 
 def _link1_density(spec: RingSpec, n: float, lo: float, hi: float,
@@ -218,7 +226,8 @@ def predict(spec: RingSpec) -> RingPrediction:
     solves the vehicle-count equation of the regime N falls in, by
     Newton to the search tolerance of link 1 (``_link1_density``), and
     the common flux is Q1 there.  The three threshold densities are
-    inverted once, and N on a threshold takes them without a search.
+    taken from the ring (see ``thresholds``), and N on a threshold takes
+    them without a search.
     Above N_c a link 1 whose crest is a plateau (a trapezoid) holds the
     extra vehicles on it at flux C1: that is the N_c pattern, with
     rho1 on the plateau.
@@ -236,7 +245,7 @@ def predict(spec: RingSpec) -> RingPrediction:
         )
     fd1, fd2 = spec.fd1, spec.fd2
     c1 = fd1.capacity
-    rho_crit1, rho_free, rho_cong, n_a, n_c = _threshold_densities(spec)
+    rho_crit1, rho_free, rho_cong, n_a, n_c = spec._threshold_densities
 
     if n <= n_a + BOUNDARY_TOL:
         at_boundary = abs(n - n_a) <= BOUNDARY_TOL

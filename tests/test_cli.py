@@ -379,6 +379,26 @@ def test_riemann_triangular_family(tmp_path, capsys):
     assert "boundary flux q = 0.6000 veh/s" in out
 
 
+def test_triangle_of_extreme_slope_ratio_is_keyed_config_error(tmp_path, capsys):
+    """A congested slope so much steeper than the free one that rounding
+    could move demand and supply by FLUX_TOL/8 is refused by the diagram,
+    and the CLI reports it under the diagram's key with exit code 2."""
+    cfg = textwrap.dedent("""\
+        diagrams:
+          main: {family: triangular, v_free_m_s: 30, rho_jam_veh_km: 300}
+          steep: {family: triangular, v_free_m_s: 1, rho_jam_veh_km: 1000,
+                  v_cong_m_s: 1.0e+7}
+        riemann:
+          upstream: {diagram: main, rho_veh_km: 40}
+          downstream: {diagram: steep, rho_veh_km: 10}
+        """)
+    assert _run(tmp_path, "steep.yaml", ["riemann"], cfg) == 2
+    err = capsys.readouterr().err
+    assert ("invalid config:\n  diagrams.steep: slope ratio v_cong/v_free = 1e+07 "
+            "puts demand and supply") in err
+    assert "Traceback" not in err
+
+
 def test_riemann_byte_identical_reruns(tmp_path):
     for sub in ("one", "two"):
         d = tmp_path / sub

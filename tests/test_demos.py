@@ -16,7 +16,7 @@ _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # sha256 of each demo's stdout
 _STDOUT_SHA256 = {
     "fundamental_diagrams.py":
-        "15856ced7d28c5cda3043f192a74b38b7cbfc71a67e8166618e4d578ff5efb0b",
+        "181875a41f7f93c828516e5a1d6884fa2380acbe7fa817a1981e7354dcf3ade3",
     "godunov_simulation.py":
         "8fbb99a443c1a0388365af28978f2e38d595df4dd0a35a9ea24ada8a9ec2207b",
     "riemann_at_a_bottleneck.py":

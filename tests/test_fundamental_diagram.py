@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from sdlwr import (
     FundamentalDiagram,
@@ -99,6 +99,21 @@ def test_triangular_plateau_edges():
     assert fd.rho_crit == pytest.approx(left, abs=1e-12)
     assert fd.inv_demand(fd.capacity) == pytest.approx(left, abs=1e-6 * fd.rho_jam)
     assert fd.inv_supply(fd.capacity) == pytest.approx(right, abs=1e-6 * fd.rho_jam)
+
+
+@pytest.mark.parametrize("v_free, rho_jam, q_max, v_cong", [
+    (1.0, 2.0, math.inf, 1e6),
+    (1e-3, 150.0, math.inf, 1e4),
+    (30e-3, 150.0, 0.6, 3e5),
+])
+def test_triangular_refuses_cancelling_slope_ratio(v_free, rho_jam, q_max, v_cong):
+    """D and S sit up to (1 + v_cong/v_free) ulp(C) off C; a slope ratio
+    that lets that reach FLUX_TOL/8 is refused, and one a tenth as steep
+    is not."""
+    with pytest.raises(ValueError, match="slope ratio v_cong/v_free"):
+        TriangularDiagram(v_free, rho_jam, q_max, v_cong)
+    cap = TriangularDiagram(v_free, rho_jam, q_max, 0.1 * v_cong).capacity
+    assert (1.0 + 0.1 * v_cong / v_free) * math.ulp(cap) <= FLUX_TOL / 8
 
 
 def test_triangular_derivative_at_kinks():
@@ -206,6 +221,26 @@ def test_searches_end_when_tolerance_underflows(deadline):
     # the floor: 8 ulps of the bracket's end 2.0
     assert root == pytest.approx(math.sqrt(2.0), abs=8 * math.ulp(2.0))
     assert newton == pytest.approx(math.sqrt(2.0), abs=8 * math.ulp(2.0))
+
+
+def test_newton_takes_halley_steps_given_curvature():
+    """Given (f, f', f'') the search takes Halley steps and reaches sqrt(2)
+    in fewer evaluations than Newton given (f, f'), within the same
+    tolerance and from the same start."""
+    tol = _SEARCH_TOL * 2.0
+    counts = {}
+    for name, value_slope in (("newton", lambda x: (x * x, 2.0 * x)),
+                              ("halley", lambda x: (x * x, 2.0 * x, 2.0))):
+        calls = []
+
+        def counted(x, value_slope=value_slope, calls=calls):
+            calls.append(x)
+            return value_slope(x)
+
+        root = _newton(counted, 2.0, 0.0, 2.0, 2.0, True, tol)
+        assert root == pytest.approx(math.sqrt(2.0), abs=tol), name
+        counts[name] = len(calls)
+    assert counts["halley"] < counts["newton"], counts
 
 
 @pytest.mark.parametrize("field", ["lanes", "rho_jam_lane"])
@@ -329,6 +364,9 @@ def test_triangular_demand_supply_match_ctm_forms(v_free, cong_ratio, rho_jam,
     v_cong = v_free * 10.0**cong_ratio
     apex_flux = v_free * v_cong * rho_jam / (v_free + v_cong)
     q_max = math.inf if ceiling is None else ceiling * apex_flux
+    # the constructor refuses ratios whose rounding could reach FLUX_TOL/8
+    peak = min(q_max, v_free * (v_cong * rho_jam / (v_free + v_cong)))
+    assume((1.0 + v_cong / v_free) * math.ulp(peak) <= FLUX_TOL / 8)
     fd = TriangularDiagram(v_free, rho_jam, q_max, v_cong)
     cap = fd.capacity
     tol = 8.0 * max(1.0, v_cong / v_free) * np.spacing(cap)
@@ -437,34 +475,59 @@ def test_solve_flux_curve_calls(family, scales, rhos, calls):
 
 
 @pytest.mark.parametrize("family, thresholds_calls, predicts", [
-    ("kk", 98, [(300.0, RingScenario.BOTH_UC, 279),
-                (1000.0, RingScenario.CRITICAL_WITH_SS, 98),
-                (None, RingScenario.CRITICAL_WITH_SOC, 98),
-                (3000.0, RingScenario.BOTH_SOC, 289)]),
-    ("gs", 102, [(300.0, RingScenario.BOTH_UC, 332),
-                 (1800.0, RingScenario.CRITICAL_WITH_SS, 102),
-                 (None, RingScenario.CRITICAL_WITH_SOC, 102),
-                 (3400.0, RingScenario.BOTH_SOC, 332)]),
-    ("trapezoid", 99, [(150.0, RingScenario.BOTH_UC, 206),
-                       (1600.0, RingScenario.CRITICAL_WITH_SS, 99),
-                       (None, RingScenario.CRITICAL_WITH_SOC, 99),
-                       (3700.0, RingScenario.BOTH_SOC, 215)]),
+    ("kk", 98, [(300.0, RingScenario.BOTH_UC, 181),
+                (1000.0, RingScenario.CRITICAL_WITH_SS, 0),
+                (None, RingScenario.CRITICAL_WITH_SOC, 0),
+                (3000.0, RingScenario.BOTH_SOC, 191)]),
+    ("gs", 102, [(300.0, RingScenario.BOTH_UC, 230),
+                 (1800.0, RingScenario.CRITICAL_WITH_SS, 0),
+                 (None, RingScenario.CRITICAL_WITH_SOC, 0),
+                 (3400.0, RingScenario.BOTH_SOC, 230)]),
+    ("trapezoid", 99, [(150.0, RingScenario.BOTH_UC, 107),
+                       (1600.0, RingScenario.CRITICAL_WITH_SS, 0),
+                       (None, RingScenario.CRITICAL_WITH_SOC, 0),
+                       (3700.0, RingScenario.BOTH_SOC, 116)]),
 ])
 def test_ring_flux_curve_calls(family, thresholds_calls, predicts):
     """thresholds and one predict per regime (None: exactly N_c) on a
-    ring of a one-lane and a two-lane link of one family.  Each Newton
-    step of a ``both_*`` predict on the link-1 density costs one Q1 call,
-    a link-2 branch inverse and two difference quotients."""
+    ring of a one-lane and a two-lane link of one family.  The threshold
+    densities are solved once per ring: ``with_vehicles`` copies share
+    them, so the ``critical_*`` predicts make no flux_curve call, and a
+    second ``thresholds`` none either.  Each Newton step of a ``both_*``
+    predict on the link-1 density costs one Q1 call, a link-2 branch
+    inverse and two difference quotients."""
     counting, (fd1, fd2) = _counted(family, 1, 2)
     ring = RingSpec(16.8, 2.8, fd1, fd2)
     counting.calls = 0
     n_c = thresholds(ring)[1]
+    assert counting.calls == thresholds_calls
+    assert thresholds(ring)[1] == n_c
     assert counting.calls == thresholds_calls
     for n, scenario, calls in predicts:
         spec = ring.with_vehicles(n_c if n is None else n)
         counting.calls = 0
         assert predict(spec).scenario is scenario
         assert counting.calls == calls, (family, n)
+
+
+def test_replaced_ring_solves_its_own_thresholds():
+    """A ring rebuilt by ``dataclasses.replace`` with another geometry or
+    diagram solves its thresholds afresh, never reusing the stale ones of
+    the ring it came from, while a ``with_vehicles`` copy shares them."""
+    counting, (fd1, fd2, fd3) = _counted("kk", 1, 2, 3)
+    ring = RingSpec(16.8, 2.8, fd1, fd2)
+    n_a, n_c = thresholds(ring)
+    for changed in (dataclasses.replace(ring, L1=5.6),
+                    dataclasses.replace(ring, L=20.0),
+                    dataclasses.replace(ring, fd2=fd3),
+                    dataclasses.replace(ring.with_vehicles(900.0), L1=5.6)):
+        fresh = RingSpec(changed.L, changed.L1, changed.fd1, changed.fd2)
+        counting.calls = 0
+        assert thresholds(changed) == thresholds(fresh) != (n_a, n_c)
+        assert counting.calls > 0
+    counting.calls = 0
+    assert thresholds(ring.with_vehicles(900.0)) == (n_a, n_c)
+    assert counting.calls == 0
 
 
 def _rebuilt(fd, cls):
@@ -498,13 +561,18 @@ def test_overridden_flux_curve_drives_every_method(name):
     path that bypassed the override, such as a closed form of the base
     class or the simulator's table form, would answer for the base curve.
     The exact base class does not search, so it agrees within the search
-    tolerance plus the distance between the searched and the exact crest
-    (about 1e-7 veh/km on the flat Greenshields crest, 0 on
-    Kerner-Konhauser, which has no closed-form crest)."""
+    tolerance plus the distance between the searched and the exact crest:
+    the largest gap between the hook's and the base's inverses of C, where
+    Q is flat in floating point and the base answers rho_crit (about
+    1.1e-7 veh/km on Greenshields, 5e-8 on the two-lane
+    Kerner-Konhauser)."""
     base = _BUILT_IN[name]()
     fd, hook = _doubled(base), _hook_twin(base)
     assert fd.rho_crit == hook.rho_crit == pytest.approx(base.rho_crit, rel=1e-8)
-    tol = _SEARCH_TOL * base.rho_jam + abs(hook.rho_crit - base.rho_crit)
+    crest = max(abs(getattr(hook, method)(base.capacity)
+                    - getattr(base, method)(base.capacity))
+                for method in ("inv_demand", "inv_supply"))
+    tol = _SEARCH_TOL * base.rho_jam + crest
     assert fd.capacity == 2.0 * hook.capacity == 2.0 * base.capacity
     assert fd.max_wave_speed() == pytest.approx(2.0 * base.max_wave_speed(), rel=1e-5)
     for level in np.linspace(0.0, base.capacity, 41).tolist():
@@ -562,6 +630,42 @@ def test_fast_inverses_match_hook_bisection(name):
         rho = _fan_density(fd, 0.0, fd.rho_jam, xi)
         assert abs(rho - _fan_density(hook, 0.0, fd.rho_jam, xi)) <= tol, xi
     assert _fan_density(fd, 0.0, fd.rho_jam, fd.derivative(0.0)) <= tol
+
+
+@pytest.mark.parametrize("name", ["gs", "triangle", "trapezoid", "kk1", "kk2"])
+def test_crest_level_inverts_to_rho_crit(name):
+    """R(1) = D^-1(C) is the critical density bit for bit on every exact
+    built-in class, as the module docstring has it: in closed form, not
+    wherever a search stalls on the crest, where Q is flat in floating
+    point."""
+    fd = _BUILT_IN[name]()
+    assert fd.rho_of_gamma(1.0) == fd.inv_demand(fd.capacity) == fd.rho_crit
+
+
+# The most _kk_slopes calls one exact Kerner-Konhauser branch inverse
+# takes at 400 levels in [0, C]: measured 7, the supply side just above 0.
+# Newton without the closed-form crest took 26 and 32 at C.
+_KK_INVERSE_SLOPES = 7
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_kk_branch_inverses_take_few_evaluations(lanes, monkeypatch):
+    """Every exact Kerner-Konhauser branch inverse, the crest level C
+    included, ends within a few Halley steps on Q, Q' and Q''."""
+    calls = []
+    slopes = fundamental_diagram._kk_slopes
+
+    def counted(rho, fd):
+        calls.append(rho)
+        return slopes(rho, fd)
+
+    monkeypatch.setattr(fundamental_diagram, "_kk_slopes", counted)
+    fd = KernerKonhauserDiagram(lanes=lanes)
+    for method in ("inv_demand", "inv_supply"):
+        for level in np.linspace(0.0, fd.capacity, 400).tolist():
+            calls.clear()
+            getattr(fd, method)(level)
+            assert len(calls) <= _KK_INVERSE_SLOPES, (method, level, len(calls))
 
 
 @pytest.mark.parametrize("lanes", [1, 2])

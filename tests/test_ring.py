@@ -31,15 +31,17 @@ from sdlwr.ring_analysis import BOUNDARY_TOL
 # gives rho_crit_1 = 35.894437152546349, R2(C1/C2) = 26.416204364744158,
 # R2(C2/C1) = 118.35503462303220, N_a = 470.33128513354799 and
 # N_c = 1757.4749087495806.  The Newton inverses hit both R2 to the last
-# digit, where bisection was +4.1e-9 and -1.4e-8 veh/km off.  At the crest
-# Q is flat in floating point, so R1(1) = D1^-1(C1) sits 1.17e-7 veh/km
-# above the exact crest (bisection: 1.13e-7); that alone puts N_a and N_c
-# +3.3e-7 veh off (bisection: +3.7e-7 and +1.2e-7).
-N_LOWER = 470.33128546001427
-N_UPPER = 1757.4749090760467
+# digit, where bisection was +4.1e-9 and -1.4e-8 veh/km off.  R1(1) =
+# D1^-1(C1) is the located critical density in closed form, as Q is flat
+# in floating point at the crest: the golden-section search puts it
+# 1.22e-7 veh/km above the exact crest, and that alone puts N_a and N_c
+# +3.4e-7 veh off.  A Newton search of the crest level sat 4.9e-9 veh/km
+# below it (1.4e-8 veh lower thresholds; bisection: +3.7e-7 and +1.2e-7).
+N_LOWER = 470.3312854738123
+N_UPPER = 1757.4749090898447
 N_SINE_28 = 858.3892954340843
-SHOCK_POS_28 = 12.579171772019539
-RHO_CRIT_1 = 35.894437269141434
+SHOCK_POS_28 = 12.579171772469993
+RHO_CRIT_1 = 35.89443727406929
 
 
 # -- geometry and validation ----------------------------------------------
@@ -79,7 +81,7 @@ def test_thresholds_match_exact_reference(ring, kk1, kk2):
     """The threshold densities and counts against a 40-digit mpmath
     solution of the same Kerner-Konhauser model: R2(C1/C2) and R2(C2/C1)
     to 1e-12 relative, N_a and N_c to 1e-6 veh, the limit the flat crest
-    of Q sets on D1^-1(C1) in floating point."""
+    of Q sets on locating rho_crit1 = D1^-1(C1) in floating point."""
     mp = pytest.importorskip("mpmath")
 
     def flux(rho, lanes):  # KernerKonhauserDiagram's law in exact decimals
@@ -104,9 +106,8 @@ def test_thresholds_match_exact_reference(ring, kk1, kk2):
 def test_threshold_densities(ring, kk1, kk2):
     c1, c2 = kk1.capacity, kk2.capacity
     assert kk1.rho_of_gamma(1.0) == pytest.approx(RHO_CRIT_1, abs=1e-9)
-    # the inverse-search path lands on the located critical density
-    # within the combined bracket widths of the two methods
-    assert kk1.rho_of_gamma(1.0) == pytest.approx(kk1.rho_crit, abs=5e-8)
+    # the crest level inverts to the located critical density exactly
+    assert kk1.rho_of_gamma(1.0) == kk1.rho_crit
     assert kk2.rho_of_gamma(c1 / c2) == pytest.approx(26.4162, abs=1e-3)
     assert kk2.rho_of_gamma(c2 / c1) == pytest.approx(118.3550, abs=1e-3)
 
