@@ -480,9 +480,9 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     """Parse and validate a YAML scenario.
 
     Collects every problem (unknown keys, wrong types, unresolved
-    diagram references, CFL violations, boundary flows and initial
-    densities out of range) and raises one ConfigError listing all of
-    them with their key paths.
+    diagram references, CFL violations unless ``override_cfl``, boundary
+    flows and initial densities out of range) and raises one ConfigError
+    listing all of them with their key paths.
     """
     err = _Errors()
     try:
@@ -811,7 +811,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=False)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--override-cfl", action="store_true")
+        if name == "simulate":
+            sp.add_argument("--override-cfl", action="store_true")
     vp = sub.add_parser("verify")
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--trials", type=int, default=200)
@@ -825,7 +826,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.seed, args.trials)
-        cfg = _load_config(args.config, args.override_cfl)
+        # only simulate marches the road, so only it is held to the CFL guard
+        cfg = _load_config(args.config,
+                           args.command != "simulate" or args.override_cfl)
         out_dir = Path(args.out)
         if args.command == "riemann":
             return cmd_riemann(cfg, out_dir)

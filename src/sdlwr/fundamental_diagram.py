@@ -12,10 +12,10 @@ their branch inverses, and the ratio-parameterised density map
     R(gamma) = D^{-1}(C*gamma)  for gamma <= 1,
                S^{-1}(C/gamma)  for gamma > 1,
 
-so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.  On every exact
-built-in class R(1) is rho_crit bit for bit: the crest level C inverts
-to the critical point in closed form, where a search would stop
-anywhere on the crest, which is flat in floating point.
+so that R(0) = 0, R(1) = rho_crit and R(inf) = rho_jam.  On every class
+R(1) is rho_crit bit for bit: a demand level at or above C inverts to
+the located critical point, where a search would stop anywhere on the
+crest, which is flat in floating point.
 
 Every method rests on one hook, ``flux_curve``.  Demand and supply
 have one definition, the pair above, for every diagram and in the
@@ -67,8 +67,8 @@ FLUX_TOL = 1e-9
 # smaller excursions are clamped (floating-point drift from the simulator).
 DENSITY_SLACK = 1e-9
 
-# Bracket width for golden-section, bisection and Newton searches,
-# relative to rho_jam.
+# Bracket width for the golden-section search and for ``_newton``, which
+# bisects where it has no usable slope, relative to rho_jam.
 _SEARCH_TOL = 1e-10
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -116,26 +116,15 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     return x, f(x)
 
 
-def _bisect(below, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of the bracket [lo, hi] once narrower than ``tol``.
-
-    ``below(x)`` says whether the sought point lies above x: each step
-    keeps the half of the bracket that holds it.
-    """
-    tol = _floor_tol(tol, lo, hi)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if below(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _newton(value_slope, level, lo, hi, x, rising, tol):
     """Newton from ``x`` to where a monotone f, ``value_slope(x) = (f, f')``,
-    meets ``level`` in [lo, hi] inside ``_bisect``'s bracket; steps out of it bisect.
+    meets ``level`` in [lo, hi]; the package's one bracketed root search.
 
+    Each evaluation keeps the part of the bracket [lo, hi] that holds the
+    root: above x when f < level on a rising f, or f >= level on a
+    falling one.  A step out of the bracket, or a slope that is 0 or NaN,
+    bisects it instead, so a NaN slope from the start gives plain
+    bisection: the bracket's midpoint once it is narrower than ``tol``.
     Given ``(f, f', f'')`` it takes Halley steps: the Newton step over
     1 - (f - level) f''/(2 f'^2), while that exceeds 1/2."""
     tol = _floor_tol(tol, lo, hi)
@@ -293,7 +282,7 @@ class FundamentalDiagram(abc.ABC):
         """The density in [0, rho_crit] with D(rho) = d.
 
         The infimum of {rho : D(rho) >= d}, found as the module docstring
-        says; on a trapezoidal plateau at d = C the left edge (= rho_crit).
+        says; rho_crit for d >= C (on a trapezoidal plateau its left edge).
         """
         return self._branch_inverse(d, 0.0, self.rho_crit, rising=True)
 
@@ -327,18 +316,24 @@ class FundamentalDiagram(abc.ABC):
         end = lo if rising else hi  # Q(0) >= d or Q(rho_jam) >= s
         if self.flux_curve(end) >= level:
             return end
+        if rising and level >= self.capacity:
+            return self.rho_crit
         return min(max(self._invert_branch(level, lo, hi, rising), lo), hi)
 
     def _invert_branch(self, level, lo, hi, rising):
-        """Where the rising or falling branch on [lo, hi] meets ``level``."""
-        # below the sought point: Q < level on the rising branch, else Q >= level
-        return _bisect(lambda rho: (self.flux_curve(rho) < level) == rising,
-                       lo, hi, _SEARCH_TOL * self.rho_jam)
+        """Where the rising or falling branch on [lo, hi] meets ``level``,
+        by bisection (no slope)."""
+        return _newton(lambda rho: (self.flux_curve(rho), math.nan), level,
+                       lo, hi, 0.5 * (lo + hi), rising, _SEARCH_TOL * self.rho_jam)
 
     def _invert_fan(self, xi, lo, hi):
-        """Where Q'(rho) = xi on [lo, hi]; Q' is nonincreasing there."""
-        return _bisect(lambda rho: self.derivative(rho) > xi, lo, hi,
-                       _SEARCH_TOL * self.rho_jam)
+        """Where Q'(rho) = xi on [lo, hi]; Q' is nonincreasing there.
+
+        Bisects on the rising -Q', so that where Q' = xi on an interval
+        (a trapezoid's plateau at xi = 0) the search ends at its left end.
+        """
+        return _newton(lambda rho: (-self.derivative(rho), math.nan), -xi,
+                       lo, hi, 0.5 * (lo + hi), True, _SEARCH_TOL * self.rho_jam)
 
     def _check_flux_level(self, value: float) -> None:
         if not (-FLUX_TOL <= value <= self.capacity + FLUX_TOL):

@@ -11,12 +11,17 @@ given in supply-demand coordinates.  The solution consists of
 * at most one wave per link connecting the initial state to the
   stationary one, classified as shock or rarefaction with speeds.
 
-Upstream waves never have positive speed and downstream waves never
-negative; the solver proves this case by case, and ``classify_wave``
-re-checks it at runtime.
+A wave is decided by its two end densities: each end state is put at
+its density on the demand or the supply branch, as the pair's regimes
+say, and densities rising left to right make a shock, falling ones a
+rarefaction (see ``classify_wave``).  Upstream waves never have
+positive speed and downstream waves never negative; the solver proves
+this case by case, and ``classify_wave`` re-checks it at runtime.
 
 The trichotomy D1 < S2 / D1 > S2 / D1 = S2 uses the package flux
-tolerance (1e-9 veh/s) as the tie band.
+tolerance (1e-9 veh/s) as the tie band, and every regime test, the
+admissibility conditions' included, is ``SDState.is_under_critical`` or
+``is_over_critical``, which use the same band.
 """
 
 from __future__ import annotations
@@ -173,13 +178,16 @@ def classify_wave(fd: FundamentalDiagram, left: SDState, right: SDState,
                   side: Side) -> Wave:
     """Classify the homogeneous wave between two states on one link.
 
-    Equal states give no wave.  Otherwise the pair is under-critical
-    (S = C both sides: forward waves), congested (D = C both sides:
-    backward waves) or a transonic compression (left UC, right OC: a
-    shock whose sign follows the flux difference, zero-speed when the
-    fluxes tie).  A strictly-congested left state against a strictly
-    free right state would be a transonic rarefaction; the solver never
-    produces one, so that input raises.
+    Equal states give no wave.  Otherwise each end state sits at its
+    density: the left one on its demand branch unless both states are
+    over-critical, the right one on its supply branch unless both are
+    under-critical (a pair of critical states counts as under-critical).
+    Densities rising left to right give a shock, whose sign follows the
+    flux difference (zero-speed when the fluxes tie); otherwise the wave
+    is a rarefaction, forward when both states are under-critical and
+    backward when not.  A strictly congested left state against a
+    strictly free right state would be a transonic rarefaction; the
+    solver never produces one, so that input raises.
 
     ``side`` declares which link the wave lives on; a wave moving out of
     its half-line signals a solver bug and also raises.
@@ -189,32 +197,25 @@ def classify_wave(fd: FundamentalDiagram, left: SDState, right: SDState,
 
     cap = fd.capacity
     left_uc = left.is_under_critical(cap)
-    left_oc = left.is_over_critical(cap)
-    right_uc = right.is_under_critical(cap)
-    right_oc = right.is_over_critical(cap)
-
-    if left_uc and right_uc:
-        rho_l, rho_r = fd.inv_demand(left.demand), fd.inv_demand(right.demand)
-        if left.demand < right.demand:
-            wave = _shock(left, right, rho_l, rho_r)
-        else:
-            wave = _rarefaction(fd, rho_l, rho_r, WaveDirection.FORWARD)
-    elif left_oc and right_oc:
-        rho_l, rho_r = fd.inv_supply(left.supply), fd.inv_supply(right.supply)
-        if left.supply > right.supply:
-            wave = _shock(left, right, rho_l, rho_r)
-        else:
-            wave = _rarefaction(fd, rho_l, rho_r, WaveDirection.BACKWARD)
-    elif left_uc and right_oc:
-        # transonic compression: free flow running into congestion
-        rho_l, rho_r = fd.inv_demand(left.demand), fd.inv_supply(right.supply)
-        wave = _shock(left, right, rho_l, rho_r)
-    else:
+    if not (left_uc or right.is_over_critical(cap)):
         raise RuntimeError(
             "transonic rarefaction (congested left, free right) cannot occur "
             f"in an admissible solution: left={left}, right={right}"
         )
+    free = left_uc and right.is_under_critical(cap)
+    # past the refusal, a left state that is over-critical in a pair that
+    # is not free has an over-critical right state as well
+    if free or not left.is_over_critical(cap):
+        rho_l = fd.inv_demand(left.demand)
+    else:
+        rho_l = fd.inv_supply(left.supply)
+    rho_r = fd.inv_demand(right.demand) if free else fd.inv_supply(right.supply)
 
+    if rho_l < rho_r:
+        wave = _shock(left, right, rho_l, rho_r)
+    else:
+        direction = WaveDirection.FORWARD if free else WaveDirection.BACKWARD
+        wave = _rarefaction(fd, rho_l, rho_r, direction)
     _check_side(wave, side, fd)
     return wave
 
@@ -262,7 +263,6 @@ def solve(p: RiemannProblem) -> RiemannSolution:
     """
     c1, c2 = p.fd_up.capacity, p.fd_down.capacity
     d1, s2 = p.u1.demand, p.u2.supply
-    q = min(d1, s2)
 
     if abs(d1 - s2) <= FLUX_TOL:
         stat_up = SDState(d1, c1)
@@ -282,8 +282,8 @@ def solve(p: RiemannProblem) -> RiemannSolution:
 
     wave_up = classify_wave(p.fd_up, p.u1, stat_up, Side.UPSTREAM)
     wave_down = classify_wave(p.fd_down, stat_down, p.u2, Side.DOWNSTREAM)
-    return RiemannSolution(q, stat_up, stat_down, interior_up, interior_down,
-                           wave_up, wave_down)
+    return RiemannSolution(boundary_flux(p), stat_up, stat_down, interior_up,
+                           interior_down, wave_up, wave_down)
 
 
 def admissible_stationary_up(u1: SDState, cand: SDState, capacity: float) -> bool:
@@ -294,28 +294,18 @@ def admissible_stationary_up(u1: SDState, cand: SDState, capacity: float) -> boo
     with S < D1.  The borderline S = D1 (a zero-speed shock that never
     detaches) is excluded.
     """
-    keeps_demand = (
-        abs(cand.demand - u1.demand) <= FLUX_TOL
-        and abs(cand.supply - capacity) <= FLUX_TOL
-    )
-    congested = (
-        abs(cand.demand - capacity) <= FLUX_TOL
-        and cand.supply < u1.demand - FLUX_TOL
-    )
+    keeps_demand = (cand.is_under_critical(capacity)
+                    and abs(cand.demand - u1.demand) <= FLUX_TOL)
+    congested = cand.is_over_critical(capacity) and cand.supply < u1.demand - FLUX_TOL
     return keeps_demand or congested
 
 
 def admissible_stationary_down(u2: SDState, cand: SDState, capacity: float) -> bool:
     """Mirror image for the state right of the boundary: (C2, S2), or
     (D, C2) with D strictly below the initial supply."""
-    keeps_supply = (
-        abs(cand.supply - u2.supply) <= FLUX_TOL
-        and abs(cand.demand - capacity) <= FLUX_TOL
-    )
-    free = (
-        abs(cand.supply - capacity) <= FLUX_TOL
-        and cand.demand < u2.supply - FLUX_TOL
-    )
+    keeps_supply = (cand.is_over_critical(capacity)
+                    and abs(cand.supply - u2.supply) <= FLUX_TOL)
+    free = cand.is_under_critical(capacity) and cand.demand < u2.supply - FLUX_TOL
     return keeps_supply or free
 
 
@@ -327,7 +317,7 @@ def admissible_interior_up(stat: SDState, cand: SDState, capacity: float) -> boo
     stationary demand (the interior occupies zero measure, so only the
     flux it lets through matters).
     """
-    if stat.supply < capacity - FLUX_TOL:  # SOC
+    if not stat.is_under_critical(capacity):  # SOC
         return _states_equal(cand, stat)
     return cand.supply >= stat.demand - FLUX_TOL
 
@@ -335,7 +325,7 @@ def admissible_interior_up(stat: SDState, cand: SDState, capacity: float) -> boo
 def admissible_interior_down(stat: SDState, cand: SDState, capacity: float) -> bool:
     """Mirror image at x = 0+: SUC stationary pins the interior, congested
     admits any candidate whose demand covers the stationary supply."""
-    if stat.demand < capacity - FLUX_TOL:  # SUC
+    if not stat.is_over_critical(capacity):  # SUC
         return _states_equal(cand, stat)
     return cand.demand >= stat.supply - FLUX_TOL
 
@@ -387,20 +377,14 @@ def _sample_side(fd, wave: Wave, stat: SDState, xi):
     Without a wave the link holds its stationary state ``stat``; with
     one, the wave's end densities sit left and right of its fan.
     """
-    out = np.empty_like(xi)
     if wave.is_none:
-        out[:] = to_density(fd, stat)
-        return out
+        return np.full_like(xi, to_density(fd, stat))
     s_min, s_max = wave.speed_range
-    fan_lo = min(wave.rho_left, wave.rho_right)
-    fan_hi = max(wave.rho_left, wave.rho_right)
-    for i, x in enumerate(xi):
-        if x < s_min:
-            out[i] = wave.rho_left
-        elif x > s_max or wave.kind is WaveKind.SHOCK:
-            out[i] = wave.rho_right
-        else:
-            out[i] = _fan_density(fd, fan_lo, fan_hi, x)
+    out = np.where(xi < s_min, wave.rho_left, wave.rho_right)
+    if wave.kind is WaveKind.RAREFACTION:
+        fan = (xi >= s_min) & (xi <= s_max)
+        out[fan] = [_fan_density(fd, wave.rho_right, wave.rho_left, x)
+                    for x in xi[fan].tolist()]
     return out
 
 

@@ -8,8 +8,10 @@ both links, the regime pairing of the two initial states leaves exactly
 six configurations.  Each has a known stationary pair, boundary flux,
 and wave pattern; the table enumerates every configuration with all of
 its order sub-branches and compares the solver output against the
-closed-form answer.  It ends with the capacity-step example (free flow
-into a wider road): no wave upstream, forward rarefaction downstream.
+closed-form answer.  Its last row is the capacity-step example (free
+flow into a wider road, one more ``CaseEntry`` on two diagrams): no
+wave upstream, forward rarefaction downstream, and both interiors
+pinned, checked by the same ``check_entry`` as every other row.
 """
 
 from __future__ import annotations
@@ -140,19 +142,17 @@ def homogeneous_entries(fd: FundamentalDiagram) -> list[CaseEntry]:
     return entries
 
 
+def _describe(pair) -> str:
+    if pair is None:
+        return "no wave"
+    kind, direction = pair
+    return f"{direction.value} {kind.value}"
+
+
 def _check_wave(label, side, wave, expected) -> str | None:
-    if expected is None:
-        if not wave.is_none:
-            return (f"{label}: expected no wave {side}, got "
-                    f"{wave.kind.value} {wave.direction.value}")
-        return None
-    kind, direction = expected
-    if wave.is_none:
-        return (f"{label}: expected {direction.value} {kind.value} {side}, "
-                f"got none")
-    if wave.kind is not kind or wave.direction is not direction:
-        return (f"{label}: expected {direction.value} {kind.value} {side}, "
-                f"got {wave.direction.value} {wave.kind.value}")
+    got = None if wave.is_none else (wave.kind, wave.direction)
+    if got != expected:
+        return f"{label}: expected {_describe(expected)} {side}, got {_describe(got)}"
     return None
 
 
@@ -188,37 +188,28 @@ def check_entry(fd_up: FundamentalDiagram, fd_down: FundamentalDiagram,
     return None
 
 
-def check_capacity_step() -> str | None:
-    """Free flow into a doubled capacity: the demand passes unchanged
-    and only the downstream link adjusts, through a forward
-    rarefaction (its demand drops toward the incoming flow)."""
-    fd1 = GreenshieldsDiagram(1.0, 4.0)   # capacity 1
-    fd2 = GreenshieldsDiagram(1.0, 8.0)   # capacity 2
-    u1, u2 = SDState(0.7, 1.0), SDState(0.5, 2.0)
-    sol = solve(RiemannProblem(fd1, fd2, u1, u2))
-    if sol.stat_up != u1:
-        return f"capacity step: stat_up {sol.stat_up} != {u1}"
-    if sol.stat_down != SDState(0.7, 2.0):
-        return f"capacity step: stat_down {sol.stat_down} != (0.7, 2)"
-    if sol.boundary_flux != 0.7:
-        return f"capacity step: flux {sol.boundary_flux!r} != 0.7"
-    if not sol.wave_up.is_none:
-        return "capacity step: unexpected upstream wave"
-    w = sol.wave_down
-    if (w.is_none or w.kind is not WaveKind.RAREFACTION
-            or w.direction is not WaveDirection.FORWARD):
-        return "capacity step: downstream wave is not a forward rarefaction"
-    return None
+# Free flow into a doubled capacity (Greenshields 1/4 into 1/8): the
+# demand passes unchanged and only the downstream link adjusts, through a
+# forward rarefaction (its demand drops toward the incoming flow).
+_CAPACITY_STEP = CaseEntry(
+    "capacity step", SDState(0.7, 1.0), SDState(0.5, 2.0),
+    SDState(0.7, 1.0), SDState(0.7, 2.0), 0.7, None,
+    (WaveKind.RAREFACTION, WaveDirection.FORWARD),
+)
 
 
 def run_case_table() -> str | None:
-    """Run the whole grid; None when everything matches."""
-    for fd in (GreenshieldsDiagram(1.0, 4.0), KernerKonhauserDiagram()):
-        for entry in homogeneous_entries(fd):
-            problem = check_entry(fd, fd, entry)
-            if problem is not None:
-                return f"{type(fd).__name__} {problem}"
-    return check_capacity_step()
+    """Run the whole grid, then the capacity step; None when everything
+    matches."""
+    gs = GreenshieldsDiagram(1.0, 4.0)
+    rows = [(fd, fd, entry) for fd in (gs, KernerKonhauserDiagram())
+            for entry in homogeneous_entries(fd)]
+    rows.append((gs, GreenshieldsDiagram(1.0, 8.0), _CAPACITY_STEP))
+    for fd_up, fd_down, entry in rows:
+        problem = check_entry(fd_up, fd_down, entry)
+        if problem is not None:
+            return f"{type(fd_up).__name__} {problem}"
+    return None
 
 
 def _verify_families() -> list[FundamentalDiagram]:

@@ -555,10 +555,17 @@ _BREAKS = {
         sol, stat_up=p.u1))),
     "stationary-idempotence": ("solve", _editing(lambda p, sol: dataclasses.replace(
         sol, wave_up=_BACKWARD_SHOCK))),
-    "homogeneous-case-table": ("check_capacity_step", lambda real: (
-        lambda: "capacity step: broken")),
+    "homogeneous-case-table": ("check_entry", lambda real: (
+        lambda fd_up, fd_down, entry: f"{entry.label}: broken")),
     "ring-conservation": ("run", _perturbed_final),
 }
+
+
+def test_every_verify_check_has_a_break():
+    """``_VERIFY_CHECKS`` lists the checks ``run_checks`` yields, in order,
+    and each of them has a breaking mutation in ``_BREAKS``."""
+    assert [name for name, _ in verify_cases.run_checks(0, 1)] == _VERIFY_CHECKS
+    assert set(_BREAKS) == set(_VERIFY_CHECKS)
 
 
 @pytest.mark.parametrize("name", list(_BREAKS))
@@ -960,6 +967,30 @@ def test_override_cfl_flag_end_to_end(tmp_path, capsys):
                  "--override-cfl"])
     assert code == 0
     assert "simulation summary" in capsys.readouterr().out
+
+
+def test_cfl_guard_only_where_the_road_is_marched(tmp_path, capsys):
+    """A dt_s that breaks the CFL guard refuses simulate with exit code 2,
+    while riemann and ring-predict, which do not march the road, print
+    the report they print without a numerics section.  Only simulate
+    takes --override-cfl."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / "ring_predict.yaml").read_text())
+    raw["riemann"] = yaml.safe_load(
+        (_BENCH_CONFIGS / "riemann.yaml").read_text())["riemann"]
+    plain, fast = tmp_path / "plain.yaml", tmp_path / "fast.yaml"
+    plain.write_text(yaml.safe_dump(raw))
+    raw["numerics"] = {"dt_s": 5.0, "duration_s": 100.0}
+    fast.write_text(yaml.safe_dump(raw))
+    for command in ("riemann", "ring-predict"):
+        assert main([command, "--config", str(plain), "--out", str(tmp_path)]) == 0
+        want = capsys.readouterr().out
+        assert main([command, "--config", str(fast), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == want
+    assert main(["simulate", "--config", str(fast), "--out", str(tmp_path)]) == 2
+    assert "numerics.dt_s: CFL number 4.97 exceeds 0.95" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["riemann", "--config", str(fast), "--override-cfl"])
+    assert exc.value.code == 2
 
 
 def test_diverging_simulate_exits_2(tmp_path, capsys):

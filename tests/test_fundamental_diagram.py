@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from sdlwr import fundamental_diagram
 from sdlwr.fundamental_diagram import (
     _SEARCH_TOL,
     FLUX_TOL,
-    _bisect,
     _golden_section_max,
     _newton,
 )
@@ -215,11 +213,12 @@ def test_searches_end_when_tolerance_underflows(deadline):
     still ends each search a few ulps from the answer."""
     with deadline(5):
         argmax, _ = _golden_section_max(lambda x: -(x - 1.0) ** 2, 0.0, 3.0, 0.0)
-        root = _bisect(lambda x: x * x < 2.0, 0.0, 2.0, 0.0)
+        # no slope: bisection
+        bisected = _newton(lambda x: (x * x, math.nan), 2.0, 0.0, 2.0, 1.0, True, 0.0)
         newton = _newton(lambda x: (x * x, 2.0 * x), 2.0, 0.0, 2.0, 2.0, True, 0.0)
     assert argmax == pytest.approx(1.0, abs=1e-7)
     # the floor: 8 ulps of the bracket's end 2.0
-    assert root == pytest.approx(math.sqrt(2.0), abs=8 * math.ulp(2.0))
+    assert bisected == pytest.approx(math.sqrt(2.0), abs=8 * math.ulp(2.0))
     assert newton == pytest.approx(math.sqrt(2.0), abs=8 * math.ulp(2.0))
 
 
@@ -464,7 +463,7 @@ def _counted(family, *scales):
 @pytest.mark.parametrize("family, scales, rhos, calls", [
     ("gs", (1, 1), (30.0, 90.0), 4),
     ("trapezoid", (1, 1), (15.0, 100.0), 71),
-    ("kk", (2, 1), (50.0, 20.0), 138),
+    ("kk", (2, 1), (50.0, 20.0), 107),
 ])
 def test_solve_flux_curve_calls(family, scales, rhos, calls):
     """Lifting two densities and solving one Riemann problem."""
@@ -475,18 +474,18 @@ def test_solve_flux_curve_calls(family, scales, rhos, calls):
 
 
 @pytest.mark.parametrize("family, thresholds_calls, predicts", [
-    ("kk", 98, [(300.0, RingScenario.BOTH_UC, 181),
+    ("kk", 67, [(300.0, RingScenario.BOTH_UC, 181),
                 (1000.0, RingScenario.CRITICAL_WITH_SS, 0),
                 (None, RingScenario.CRITICAL_WITH_SOC, 0),
                 (3000.0, RingScenario.BOTH_SOC, 191)]),
-    ("gs", 102, [(300.0, RingScenario.BOTH_UC, 230),
+    ("gs", 69, [(300.0, RingScenario.BOTH_UC, 230),
                  (1800.0, RingScenario.CRITICAL_WITH_SS, 0),
                  (None, RingScenario.CRITICAL_WITH_SOC, 0),
                  (3400.0, RingScenario.BOTH_SOC, 230)]),
-    ("trapezoid", 99, [(150.0, RingScenario.BOTH_UC, 107),
+    ("trapezoid", 68, [(150.0, RingScenario.BOTH_UC, 107),
                        (1600.0, RingScenario.CRITICAL_WITH_SS, 0),
                        (None, RingScenario.CRITICAL_WITH_SOC, 0),
-                       (3700.0, RingScenario.BOTH_SOC, 116)]),
+                       (3700.0, RingScenario.BOTH_SOC, 156)]),
 ])
 def test_ring_flux_curve_calls(family, thresholds_calls, predicts):
     """thresholds and one predict per regime (None: exactly N_c) on a
@@ -634,12 +633,15 @@ def test_fast_inverses_match_hook_bisection(name):
 
 @pytest.mark.parametrize("name", ["gs", "triangle", "trapezoid", "kk1", "kk2"])
 def test_crest_level_inverts_to_rho_crit(name):
-    """R(1) = D^-1(C) is the critical density bit for bit on every exact
-    built-in class, as the module docstring has it: in closed form, not
-    wherever a search stalls on the crest, where Q is flat in floating
-    point."""
-    fd = _BUILT_IN[name]()
-    assert fd.rho_of_gamma(1.0) == fd.inv_demand(fd.capacity) == fd.rho_crit
+    """R(1) = D^-1(C) is the critical density bit for bit on every class,
+    the exact built-in ones and their pass-through twins on the generic
+    path alike, as the module docstring has it: the located critical
+    point, not wherever a search stalls on the crest, where Q is flat in
+    floating point.  So is the inverse of a demand level just above C."""
+    base = _BUILT_IN[name]()
+    for fd in (base, _hook_twin(base)):
+        assert fd.rho_of_gamma(1.0) == fd.inv_demand(fd.capacity) == fd.rho_crit, fd
+        assert fd.inv_demand(fd.capacity + 0.5 * FLUX_TOL) == fd.rho_crit, fd
 
 
 # The most _kk_slopes calls one exact Kerner-Konhauser branch inverse
@@ -692,10 +694,16 @@ def test_builtin_inversions_skip_bisection(monkeypatch):
     def refuse(*args):
         raise AssertionError("bisection")
 
-    # wherever a module of the package has bound it, by import included
-    for module in [m for name, m in sys.modules.items() if name.startswith("sdlwr")]:
-        if getattr(module, "_bisect", None) is _bisect:
-            monkeypatch.setattr(module, "_bisect", refuse)
+    # the generic inverses bisect: refused on every class that carries
+    # them, and on the base class, whose methods later subclasses take
+    classes = [FundamentalDiagram]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    for method in ("_invert_branch", "_invert_fan"):
+        generic = vars(FundamentalDiagram)[method]
+        for cls in classes:
+            if vars(cls).get(method) is generic:
+                monkeypatch.setattr(cls, method, refuse)
     for name, make in _BUILT_IN.items():
         fd = make()
         for gamma in (0.0, 0.25, 1.0, 4.0, math.inf):

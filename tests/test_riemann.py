@@ -159,6 +159,20 @@ def test_classify_wave_zero_shock(gs):
     assert w.speed_range[0] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_classify_wave_refusals(gs):
+    """A strictly congested left state against a strictly free right one
+    (a transonic rarefaction) raises, and so does a wave declared on the
+    link its speeds leave."""
+    c = gs.capacity
+    with pytest.raises(RuntimeError, match="transonic rarefaction"):
+        classify_wave(gs, SDState(c, 0.5), SDState(0.5, c), Side.UPSTREAM)
+    # a forward rarefaction and a backward one
+    with pytest.raises(RuntimeError, match="upstream wave with positive speed"):
+        classify_wave(gs, SDState(0.75, c), SDState(0.5, c), Side.UPSTREAM)
+    with pytest.raises(RuntimeError, match="downstream wave with negative speed"):
+        classify_wave(gs, SDState(c, 0.75), SDState(c, 0.9375), Side.DOWNSTREAM)
+
+
 # -- admissibility predicates -------------------------------------------
 
 
@@ -172,6 +186,14 @@ def test_stationary_admissibility(gs):
     # downstream mirror: free candidate below the downstream supply
     assert admissible_stationary_down(SDState(c, 0.6), SDState(0.4, c), c)
     assert not admissible_stationary_down(SDState(c, 0.6), SDState(0.8, c), c)
+    # the borders: S = D1 (a zero-speed shock that never detaches) and S
+    # within FLUX_TOL of D1 are rejected, D1 - 2 FLUX_TOL admitted; D = S2
+    # downstream likewise
+    for gap, admitted in ((0.0, False), (0.5 * FLUX_TOL, False),
+                          (FLUX_TOL, False), (2.0 * FLUX_TOL, True)):
+        level = 0.5 - gap
+        assert admissible_stationary_up(SDState(0.5, c), SDState(c, level), c) is admitted
+        assert admissible_stationary_down(SDState(c, 0.5), SDState(level, c), c) is admitted
 
 
 def test_interior_admissibility(gs):
@@ -187,6 +209,16 @@ def test_interior_admissibility(gs):
     assert not admissible_interior_down(stat_oc, SDState(0.55, c), c)
     # over-critical stationary states pin the upstream interior uniquely
     assert not admissible_interior_up(SDState(c, 0.6), SDState(c, 0.7), c)
+    # the borders: a stationary supply (upstream) or demand (downstream)
+    # 2 FLUX_TOL below C is strict and pins the interior; FLUX_TOL/2 below
+    # C counts as critical and admits any interior that covers it
+    for below, pinned in ((2.0 * FLUX_TOL, True), (0.5 * FLUX_TOL, False)):
+        stat_up, stat_down = SDState(c, c - below), SDState(c - below, c)
+        assert admissible_interior_up(stat_up, stat_up, c)
+        assert admissible_interior_down(stat_down, stat_down, c)
+        # far from the stationary state, but letting its flux C through
+        assert admissible_interior_up(stat_up, SDState(0.5 * c, c), c) is not pinned
+        assert admissible_interior_down(stat_down, SDState(c, 0.5 * c), c) is not pinned
 
 
 def test_entropy_flux(gs):
