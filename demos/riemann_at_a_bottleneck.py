@@ -19,6 +19,14 @@ from sdlwr import (
 )
 
 
+def m_per_s(speed):
+    """A speed in km/s as signed m/s to two decimals.  Below 0.005 m/s it
+    prints +0.00: a fan edge at the crest is Q' ~ 1e-10 km/s, whose sign
+    is rounding."""
+    v = speed * 1000
+    return f"{0.0 if abs(v) < 0.005 else v:+.2f}"
+
+
 def describe(name, p):
     sol = solve(p)
     print(name)
@@ -35,7 +43,7 @@ def describe(name, p):
             continue
         lo, hi = wave.speed_range
         print(f"  wave {side:4s}: {wave.kind.value}, speeds "
-              f"[{lo * 1000:+.2f}, {hi * 1000:+.2f}] m/s, "
+              f"[{m_per_s(lo)}, {m_per_s(hi)}] m/s, "
               f"rho {wave.rho_left:.2f} -> {wave.rho_right:.2f} veh/km")
     print()
     return sol

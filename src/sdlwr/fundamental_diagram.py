@@ -31,7 +31,10 @@ m/s.  Constructors state the units of every parameter they accept.
 
 Three concrete families are provided: the parabolic Greenshields law,
 the triangular/trapezoidal law used by the cell transmission model, and
-the Kerner-Konhauser law with its logistic speed function.
+the Kerner-Konhauser law with its logistic speed function.  A
+Kerner-Konhauser diagram folds its jam density, logistic shape and speed
+scale into three coefficients (centre, slope and gain) once, at
+construction, so that its flux takes one division.
 
 Scalars take a scalar path: a Python float given to ``flux_curve``
 comes back as a plain float, computed without building a numpy array,
@@ -527,22 +530,18 @@ def _exp(x):
     return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
 
 
-def _kk_speed(rho, rho_jam, speed_scale):
-    logistic = 1.0 / (1.0 + _exp((rho / rho_jam - _KK_MIDPOINT) / _KK_WIDTH))
-    return _KK_GAIN * (logistic - _KK_OFFSET) * speed_scale
-
-
-def _kk_flux(rho, rho_jam, speed_scale):
-    return rho * _kk_speed(rho, rho_jam, speed_scale)
+def _kk_flux(rho, centre, slope, gain):
+    # _kk_slopes repeats these operations, so its Q has the same bits
+    return rho * ((1.0 / (1.0 + _exp((rho - centre) * slope)) - _KK_OFFSET) * gain)
 
 
 def _kk_slopes(rho, fd):
-    # Q, Q', Q'' from one exp e (Q as _kk_flux): V' = -k, V'' = k (e - 1) L/(w rho_jam)
-    e = _exp((rho / fd.rho_jam - _KK_MIDPOINT) / _KK_WIDTH)
+    # Q, Q', Q'' from one exp e (Q as _kk_flux): V' = -k, V'' = k (e - 1) L slope
+    e = _exp((rho - fd._centre) * fd._slope)
     logistic = 1.0 / (1.0 + e)
-    v = _KK_GAIN * (logistic - _KK_OFFSET) * fd._speed_scale
-    k = _KK_GAIN * fd._speed_scale * e * logistic * logistic / (_KK_WIDTH * fd.rho_jam)
-    curl = rho * (e - 1.0) * logistic / (_KK_WIDTH * fd.rho_jam)
+    v = (logistic - _KK_OFFSET) * fd._gain
+    k = fd._gain * fd._slope * e * logistic * logistic
+    curl = rho * (e - 1.0) * logistic * fd._slope
     return rho * v, v - rho * k, k * (curl - 2.0)
 
 
@@ -558,6 +557,17 @@ class KernerKonhauserDiagram(FundamentalDiagram):
     and Q = rho * V.  With the defaults (tau = 5 s, unit_len = 0.028 km,
     rho_jam_lane = 180 veh/km/lane) the free-flow speed is V(0) = 27.83 m/s.
     Doubling ``lanes`` doubles capacity exactly: Q(rho, 2a) = 2 Q(rho/2, a).
+
+    Each diagram evaluates Q from three coefficients it computes once,
+    with rho_jam = a * rho_jam_lane:
+
+        Q = rho * ((1/(1 + exp((rho - centre) * slope)) - 3.72e-6) * gain),
+        centre = 0.25 rho_jam, slope = 1/(0.06 rho_jam),
+        gain = 5.0461 (unit_len / tau),
+
+    eight numpy passes with one division; the simulator's per-cell table
+    takes the three as its columns, and the Newton steps take Q' and Q''
+    from them.
 
     Args:
         lanes: lane count a (dimensionless).
@@ -576,7 +586,7 @@ class KernerKonhauserDiagram(FundamentalDiagram):
 
     zero_flux_tol = 1e-7
 
-    _table_form = (_kk_flux, ("rho_jam", "_speed_scale"))
+    _table_form = (_kk_flux, ("_centre", "_slope", "_gain"))
 
     def __post_init__(self):
         if not (0 < self.lanes < math.inf and 0 < self.rho_jam_lane < math.inf):
@@ -584,11 +594,16 @@ class KernerKonhauserDiagram(FundamentalDiagram):
         if not (0 < self.tau < math.inf and 0 < self.unit_len < math.inf):
             raise ValueError("tau and unit_len must be positive and finite")
         self.rho_jam = self.lanes * self.rho_jam_lane
-        self._speed_scale = self.unit_len / self.tau
+        self._slope = 1.0 / (_KK_WIDTH * self.rho_jam)
+        self._centre = _KK_MIDPOINT * self.rho_jam
+        self._gain = _KK_GAIN * (self.unit_len / self.tau)
+        if math.isinf(self._slope):  # else Q(centre) = 0 * inf, NaN
+            raise ValueError(f"degenerate diagram: rho_jam {self.rho_jam!r} veh/km "
+                             "overflows the logistic slope 1/(0.06 rho_jam)")
         super().__init__()
 
     def flux_curve(self, rho):
-        return _kk_flux(_as_density(rho), self.rho_jam, self._speed_scale)
+        return _kk_flux(_as_density(rho), self._centre, self._slope, self._gain)
 
     def derivative(self, rho, side=0):
         # exact: Q' of the Newton steps, so the fan edge at rho = 0 is V(0)

@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from .fundamental_diagram import FLUX_TOL, FundamentalDiagram
-from .supply_demand import SDState, classify, from_density, to_density
+from .supply_demand import SDState, classify, from_density, _off_diagram, to_density
 
 __all__ = [
     "Side",
@@ -178,7 +178,9 @@ def classify_wave(fd: FundamentalDiagram, left: SDState, right: SDState,
                   side: Side) -> Wave:
     """Classify the homogeneous wave between two states on one link.
 
-    Equal states give no wave.  Otherwise each end state sits at its
+    Equal states give no wave.  Otherwise an end state that is neither
+    under- nor over-critical is off the diagram and raises ValueError,
+    as ``classify`` does, and each other end state sits at its
     density: the left one on its demand branch unless both states are
     over-critical, the right one on its supply branch unless both are
     under-critical (a pair of critical states counts as under-critical).
@@ -196,16 +198,22 @@ def classify_wave(fd: FundamentalDiagram, left: SDState, right: SDState,
         return Wave(WaveKind.NONE)
 
     cap = fd.capacity
-    left_uc = left.is_under_critical(cap)
-    if not (left_uc or right.is_over_critical(cap)):
+    left_uc, right_uc = left.is_under_critical(cap), right.is_under_critical(cap)
+    free = left_uc and right_uc
+    left_oc = not free and left.is_over_critical(cap)
+    right_oc = not free and right.is_over_critical(cap)
+    if not (left_uc or left_oc):
+        raise _off_diagram(left, cap)
+    if not (right_uc or right_oc):
+        raise _off_diagram(right, cap)
+    if not (left_uc or right_oc):
         raise RuntimeError(
             "transonic rarefaction (congested left, free right) cannot occur "
             f"in an admissible solution: left={left}, right={right}"
         )
-    free = left_uc and right.is_under_critical(cap)
-    # past the refusal, a left state that is over-critical in a pair that
+    # past the refusals, a left state that is over-critical in a pair that
     # is not free has an over-critical right state as well
-    if free or not left.is_over_critical(cap):
+    if free or not left_oc:
         rho_l = fd.inv_demand(left.demand)
     else:
         rho_l = fd.inv_supply(left.supply)

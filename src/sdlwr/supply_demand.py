@@ -95,7 +95,12 @@ def classify(state: SDState, capacity: float) -> Regime:
         return Regime.STRICTLY_UNDER_CRITICAL
     if oc:
         return Regime.STRICTLY_OVER_CRITICAL
-    raise ValueError(
+    raise _off_diagram(state, capacity)
+
+
+def _off_diagram(state: SDState, capacity: float) -> ValueError:
+    """The error for a state that is neither under- nor over-critical."""
+    return ValueError(
         f"state {state} is not on the demand-supply set of a link with "
         f"capacity {capacity:.6g} veh/s (max component must equal capacity)"
     )

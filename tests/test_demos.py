@@ -16,11 +16,11 @@ _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # sha256 of each demo's stdout
 _STDOUT_SHA256 = {
     "fundamental_diagrams.py":
-        "181875a41f7f93c828516e5a1d6884fa2380acbe7fa817a1981e7354dcf3ade3",
+        "de8755b6404a2f824f8033db4a797d3cba7a93baf06d3fd7a28553f30c93a6af",
     "godunov_simulation.py":
         "8fbb99a443c1a0388365af28978f2e38d595df4dd0a35a9ea24ada8a9ec2207b",
     "riemann_at_a_bottleneck.py":
-        "f1f6fdf0506e56ca697a743036198ce33056ee7c30bb911811d035668558d394",
+        "ca6dcb61ece0da4a172bf4b53566f2bc9da7756709076817cc600dd0eeb4d611",
     "ring_experiment.py":
         "0c55a4045e0b65f8927458c0c67cde4c7eaff92dc7711d84cdda169a250bd942",
 }

@@ -244,9 +244,9 @@ def test_newton_takes_halley_steps_given_curvature():
 
 @pytest.mark.parametrize("field", ["lanes", "rho_jam_lane"])
 def test_underflowing_kerner_konhauser_is_refused(field, deadline):
-    """At rho_jam ~ 1e-318 veh/km the search for the critical point
-    ends, and the diagram, whose scanned max wave speed is NaN, is
-    refused as degenerate."""
+    """At rho_jam ~ 1e-318 veh/km the logistic slope 1/(0.06 rho_jam)
+    overflows, and the diagram is refused as degenerate before any flux
+    evaluation could raise a floating-point warning."""
     with deadline(5), pytest.raises(ValueError, match="degenerate diagram"):
         KernerKonhauserDiagram(**{field: 1e-320})
 
@@ -396,6 +396,8 @@ _BUILT_IN = {
     "kk1": lambda: KernerKonhauserDiagram(lanes=1),
     "kk2": lambda: KernerKonhauserDiagram(lanes=2),
     "kk3": lambda: KernerKonhauserDiagram(lanes=3),
+    "kk_custom": lambda: KernerKonhauserDiagram(lanes=1.5, rho_jam_lane=150.0,
+                                                tau=3.0, unit_len=0.02),
 }
 
 
@@ -437,6 +439,27 @@ def test_scalar_methods_match_grid_table(name):
         got = [getattr(fd, method)(rho) for rho in rhos]
         assert all(type(x) is float for x in got), (name, method)
         assert np.array_equal(_bits(got), _bits(table)), (name, method)
+
+
+def test_mixed_kerner_konhauser_road_matches_scalar_methods():
+    """Kerner-Konhauser links of several lane counts and parameters share
+    one table part whose cells carry different coefficients; each cell's
+    demand, supply, flux and speed still equal its own diagram's scalar
+    methods bit for bit."""
+    fds = [_BUILT_IN[name]() for name in ("kk1", "kk2", "kk3", "kk_custom", "kk1")]
+    segments, rhos = [], []
+    for seed, fd in enumerate(fds):
+        cells = _scalar_densities(fd, seed=seed)
+        segments.append((fd, len(cells)))
+        rhos += cells
+    grid = SimGrid(segments, np.array(rhos), dx=0.5)
+    assert len(grid._parts) == 1
+    d, s = grid.demand_supply()
+    q, v = grid.flux_speed()
+    owner = [fd for fd, count in segments for _ in range(count)]
+    for method, table in (("demand", d), ("supply", s), ("flux", q), ("speed", v)):
+        got = [getattr(fd, method)(rho) for fd, rho in zip(owner, rhos)]
+        assert np.array_equal(_bits(got), _bits(table)), method
 
 
 # A counting class per family, and how to build its member at a scale
@@ -563,7 +586,7 @@ def test_overridden_flux_curve_drives_every_method(name):
     tolerance plus the distance between the searched and the exact crest:
     the largest gap between the hook's and the base's inverses of C, where
     Q is flat in floating point and the base answers rho_crit (about
-    1.1e-7 veh/km on Greenshields, 5e-8 on the two-lane
+    1.1e-7 veh/km on Greenshields, 1.5e-7 on the two-lane
     Kerner-Konhauser)."""
     base = _BUILT_IN[name]()
     fd, hook = _doubled(base), _hook_twin(base)
@@ -642,6 +665,54 @@ def test_crest_level_inverts_to_rho_crit(name):
     for fd in (base, _hook_twin(base)):
         assert fd.rho_of_gamma(1.0) == fd.inv_demand(fd.capacity) == fd.rho_crit, fd
         assert fd.inv_demand(fd.capacity + 0.5 * FLUX_TOL) == fd.rho_crit, fd
+
+
+def _kk_flux_errors(mp):
+    """Errors of the Kerner-Konhauser flux on one and two lanes against
+    the paper's formula in 40-digit decimals, at 2000 seeded densities
+    per lane count: 1500 uniform on [0, rho_jam] and 500 within 5% of
+    jam, where the offset cancels most of the logistic.  Returns the
+    maximum and mean error in ulps of the exact value, and the maximum
+    absolute error (veh/s), each over all 4000 points."""
+    ulps, errors = [], []
+    with mp.workdps(40):
+        for lanes in (1, 2):
+            fd = KernerKonhauserDiagram(lanes=lanes)
+            rng = np.random.default_rng(17 + lanes)
+            rhos = np.concatenate([rng.uniform(0.0, fd.rho_jam, 1500),
+                                   rng.uniform(0.95 * fd.rho_jam, fd.rho_jam, 500)])
+            for rho, q in zip(rhos.tolist(), fd.flux_curve(rhos).tolist()):
+                x = (mp.mpf(rho) / (180 * lanes) - mp.mpf("0.25")) / mp.mpf("0.06")
+                speed = mp.mpf("5.0461") * (1 / (1 + mp.exp(x)) - mp.mpf("3.72e-6"))
+                exact = rho * speed * mp.mpf("0.028") / 5
+                error = abs(mp.mpf(q) - exact)
+                errors.append(float(error))
+                ulps.append(float(error / math.ulp(float(exact))))
+    return max(ulps), float(np.mean(ulps)), max(errors)
+
+
+# What _kk_flux_errors gave for the formula before the per-diagram
+# coefficients, exp((rho/rho_jam - 0.25)/0.06) with three divisions in
+# all, on numpy 2.4.6 (x86-64): the maximum ulps, the mean ulps and the
+# maximum absolute error.  The coefficient form gives 5657.9, 18.04 and
+# 4.14e-16.  Per lane count its two-lane points alone are worse than the
+# old formula's, 1397 against 579 ulps at most and 14.4 against 9.2 in
+# the mean, all within 5% of jam: the slope 1/(0.06 rho_jam) rounds
+# 9.4e-17 high, which shifts the exponent there by up to 1.2e-15, and the
+# offset's cancellation amplifies that about 500 times.
+_KK_THREE_DIVISION_ERRORS = (5657.920201324272, 12.839116250020892, 4.64447702605203e-16)
+
+
+def test_kk_flux_accuracy_against_exact_formula():
+    """The Kerner-Konhauser flux is no less accurate than the formula it
+    replaced: no larger worst error in ulps or in veh/s, and a mean error
+    in ulps at most 1.5 times as large."""
+    mp = pytest.importorskip("mpmath")
+    max_ulps, mean_ulps, max_error = _kk_flux_errors(mp)
+    old_max_ulps, old_mean_ulps, old_max_error = _KK_THREE_DIVISION_ERRORS
+    assert max_ulps <= old_max_ulps
+    assert max_error <= old_max_error
+    assert mean_ulps <= 1.5 * old_mean_ulps
 
 
 # The most _kk_slopes calls one exact Kerner-Konhauser branch inverse

@@ -5,6 +5,8 @@ selects stationary states by comparison and copies components, so any
 drift would signal a real logic change, not numerical noise.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from sdlwr import (
     StationaryPattern,
     StepConfig,
     StepFunction,
+    TriangularDiagram,
     Unique,
     WaveDirection,
     WaveKind,
@@ -171,6 +174,24 @@ def test_classify_wave_refusals(gs):
         classify_wave(gs, SDState(0.75, c), SDState(0.5, c), Side.UPSTREAM)
     with pytest.raises(RuntimeError, match="downstream wave with negative speed"):
         classify_wave(gs, SDState(c, 0.75), SDState(c, 0.9375), Side.DOWNSTREAM)
+
+
+def test_classify_wave_refuses_states_off_the_diagram(gs):
+    """An end state that is neither under- nor over-critical raises the
+    ValueError ``classify`` raises, naming that state, on either end and
+    whatever the other state's regime."""
+    fd = TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3)
+    on, off = SDState(0.3217, 0.6000000001), SDState(0.3217, 0.5999999988)
+    with pytest.raises(ValueError, match=re.escape(
+            f"state {off} is not on the demand-supply set of a link with "
+            "capacity 0.6 veh/s (max component must equal capacity)")):
+        classify_wave(fd, on, off, Side.UPSTREAM)
+    c = gs.capacity
+    off = SDState(0.5, 0.75)
+    for left, right in ((off, SDState(0.5, c)), (off, SDState(c, 0.5)),
+                        (SDState(0.5, c), off), (SDState(c, 0.5), off)):
+        with pytest.raises(ValueError, match=re.escape(f"state {off} is not on")):
+            classify_wave(gs, left, right, Side.UPSTREAM)
 
 
 # -- admissibility predicates -------------------------------------------

@@ -34,14 +34,15 @@ from sdlwr.ring_analysis import BOUNDARY_TOL
 # digit, where bisection was +4.1e-9 and -1.4e-8 veh/km off.  R1(1) =
 # D1^-1(C1) is the located critical density in closed form, as Q is flat
 # in floating point at the crest: the golden-section search puts it
-# 1.22e-7 veh/km above the exact crest, and that alone puts N_a and N_c
-# +3.4e-7 veh off.  A Newton search of the crest level sat 4.9e-9 veh/km
+# 9.8e-8 veh/km above the exact crest, and that alone puts N_a and N_c
+# +2.75e-7 veh off (1.22e-7 and +3.4e-7 with the flux formula that took
+# three divisions).  A Newton search of the crest level sat 4.9e-9 veh/km
 # below it (1.4e-8 veh lower thresholds; bisection: +3.7e-7 and +1.2e-7).
-N_LOWER = 470.3312854738123
-N_UPPER = 1757.4749090898447
+N_LOWER = 470.3312854090203
+N_UPPER = 1757.4749090250527
 N_SINE_28 = 858.3892954340843
-SHOCK_POS_28 = 12.579171772469993
-RHO_CRIT_1 = 35.89443727406929
+SHOCK_POS_28 = 12.579171771765264
+RHO_CRIT_1 = 35.89443725092931
 
 
 # -- geometry and validation ----------------------------------------------
