@@ -369,11 +369,19 @@ class FundamentalDiagram(abc.ABC):
 
 # Family flux formulas.  Each takes its parameters as scalars (the
 # diagram's own methods) or as per-cell arrays (the simulator's table),
-# so both paths evaluate one floating-point expression.
+# so both paths evaluate one floating-point expression.  Given ``out``,
+# an array distinct from ``rho``, a formula runs the same operations in
+# the same order in place there and returns ``out``, with the same bits;
+# the simulator's march passes its own array, so that a pass allocates
+# at most one temporary.
 
 
-def _greenshields_flux(rho, v_free, rho_jam):
-    return v_free * rho * (1.0 - rho / rho_jam)
+def _greenshields_flux(rho, v_free, rho_jam, out=None):
+    if out is None:
+        return v_free * rho * (1.0 - rho / rho_jam)
+    np.divide(rho, rho_jam, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.multiply(v_free * rho, out, out=out)
 
 
 @dataclass
@@ -428,8 +436,13 @@ class GreenshieldsDiagram(FundamentalDiagram):
 _TRIANGULAR_ROUNDING_LIMIT = FLUX_TOL / 8
 
 
-def _triangular_flux(rho, v_free, v_cong, rho_jam, q_max):
-    return _minimum(_minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
+def _triangular_flux(rho, v_free, v_cong, rho_jam, q_max, out=None):
+    if out is None:
+        return _minimum(_minimum(v_free * rho, v_cong * (rho_jam - rho)), q_max)
+    np.subtract(rho_jam, rho, out=out)
+    np.multiply(v_cong, out, out=out)
+    np.minimum(v_free * rho, out, out=out)
+    return np.minimum(out, q_max, out=out)
 
 
 @dataclass
@@ -524,15 +537,24 @@ def _exp(x):
     arithmetic around it stays in floats rather than numpy scalars.
 
     Never ``math.exp``: it differs from numpy's exp in the last bit on a
-    few per cent of arguments.  A one-line call also leaves the array
-    result a temporary that numpy may reuse in place.
+    few per cent of arguments.  The formulas' ``out`` paths call
+    ``np.exp`` in place instead, on the same arguments.
     """
     return float(np.exp(x)) if isinstance(x, float) else np.exp(x)
 
 
-def _kk_flux(rho, centre, slope, gain):
+def _kk_flux(rho, centre, slope, gain, out=None):
     # _kk_slopes repeats these operations, so its Q has the same bits
-    return rho * ((1.0 / (1.0 + _exp((rho - centre) * slope)) - _KK_OFFSET) * gain)
+    if out is None:
+        return rho * ((1.0 / (1.0 + _exp((rho - centre) * slope)) - _KK_OFFSET) * gain)
+    np.subtract(rho, centre, out=out)
+    np.multiply(out, slope, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    np.divide(1.0, out, out=out)
+    np.subtract(out, _KK_OFFSET, out=out)
+    np.multiply(out, gain, out=out)
+    return np.multiply(rho, out, out=out)
 
 
 def _kk_slopes(rho, fd):

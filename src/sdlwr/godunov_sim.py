@@ -34,7 +34,13 @@ A grid checks its densities by one range rule, ``_density_problems``
 capacity once, when it is built.  One kernel, ``_march``, serves
 ``step``, ``run`` and the CLI; it checks all densities once per step and
 raises ``SimulationDiverged`` with the step, cell and density of the
-first one outside [0, rho_jam].
+first one outside [0, rho_jam], beyond the DENSITY_SLACK that it clamps
+away for the fluxes only.  It allocates its work arrays once per run, and
+each layer binds them once, as a writer: a function that fills them in
+place at every step.  A part that covers the whole road (a ring of
+Kerner-Konhauser links, say) runs its table formula in the march's own
+demand|supply array; any other part writes arrays of its own at each
+step, which are scattered into it.
 
 Stability needs the CFL number max|Q'| * dt / dx at or below 1; runs
 and the CLI refuse anything above 0.95 by one guard, ``_cfl_problem``,
@@ -197,8 +203,11 @@ class SimGrid:
 
     def demand_supply(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell demand and supply (veh/s)."""
-        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
-        return self._demand_supply(self._clamp(rho))
+        rho = self._clamp(self.rho if rho is None else np.asarray(rho, dtype=float))
+        ds = np.empty(2 * self.n)
+        for part in self._parts:
+            part.writer(ds)(rho)
+        return ds[:self.n], ds[self.n:]
 
     def flux_speed(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell equilibrium flux (veh/s) and speed (km/s).
@@ -249,17 +258,6 @@ class SimGrid:
                 raise ValueError(message)
             raise SimulationDiverged(message, steps, cell, density)
         return np.where(rho < 0.0, 0.0, np.minimum(rho, self.rho_jam))
-
-    def _demand_supply(self, rho, d=None, s=None):
-        """Per-cell demand and supply of clamped densities, written into
-        ``d`` and ``s`` unless one part covers the whole road."""
-        if len(self._parts) == 1:
-            return self._parts[0].demand_supply(rho)
-        d = np.empty(self.n) if d is None else d
-        s = np.empty(self.n) if s is None else s
-        for part in self._parts:
-            d[part.cells], s[part.cells] = part.demand_supply(rho[part.cells])
-        return d, s
 
 
 def _runs(segments) -> tuple[list[tuple[FundamentalDiagram, int]], int]:
@@ -313,7 +311,9 @@ class _Part:
     diagram, whose bound ``flux_curve`` is the formula and which has no
     columns.  Demand and supply are Q(min(rho, rho_crit)) and
     Q(max(rho, rho_crit)) as in ``FundamentalDiagram``, evaluated in one
-    formula pass over both halves of a stacked array.
+    formula pass over both halves of a stacked array.  A table formula
+    runs in place in the array its writer fills; a ``flux_curve``, which
+    takes no ``out``, returns an array of its own, which is copied in.
     """
 
     def __init__(self, runs, indexed):
@@ -333,13 +333,36 @@ class _Part:
         """Per-cell values of a diagram attribute."""
         return _repeat([getattr(fd, name) for fd in self.fds], self.counts)
 
-    def demand_supply(self, rho):
-        m = self.rho_crit.size
-        both = np.empty(2 * m)
-        np.minimum(rho, self.rho_crit, out=both[:m])
-        np.maximum(rho, self.rho_crit, out=both[m:])
-        q = self.flux(both, *self.params_twice)
-        return q[:m], q[m:]
+    def writer(self, ds):
+        """The function that writes the demands, then the supplies, of the
+        part's cells into the road's ``ds`` (2n), given the clamped
+        densities of the whole road.  A part that covers the road stacks
+        them in an array made here, once, and evaluates in ``ds`` itself;
+        any other stacks and evaluates its cells in arrays made at each
+        call (held for the whole march, they cost the corridor 0.3 MB of
+        peak memory), which are scattered into ``ds``."""
+        cells, crit, flux, params = self.cells, self.rho_crit, self.flux, self.params_twice
+        in_place, m = self.fds[0]._table_form is not None, crit.size
+        d, s = ds[:ds.size // 2], ds[ds.size // 2:]
+        whole = np.empty(2 * m if cells is None else 0)
+        whole_low, whole_high = whole[:m], whole[m:]
+
+        def write(rho):
+            if cells is None:
+                both, q, low, high = whole, ds, whole_low, whole_high
+            else:
+                rho, both, q = rho[cells], np.empty(2 * m), np.empty(2 * m)
+                low, high = both[:m], both[m:]
+            np.minimum(rho, crit, out=low)
+            np.maximum(rho, crit, out=high)
+            if in_place:
+                flux(both, *params, out=q)
+            else:
+                q[:] = flux(both)
+            if cells is not None:
+                d[cells], s[cells] = q[:m], q[m:]
+
+        return write
 
     def flux_speed(self, rho):
         q = self.flux(rho, *self.params)
@@ -418,22 +441,30 @@ def _cfl_problem(segments, dt: float, dx: float) -> str | None:
             f"{vmax * 1000.0:.4f} m/s, dx={dx} km)") if nu > _CFL_GUARD else None
 
 
-def _fill_fluxes(grid: SimGrid, rho: np.ndarray, t: float, f: np.ndarray,
-                 d=None, s=None) -> None:
-    """Write the n+1 interface fluxes min(D_left, S_right) at time t into
-    ``f``: f[i] crosses into cell i from cell i-1, and f[0] = f[n] is the
-    wrap on a ring.
+def _flux_writer(grid: SimGrid, f: np.ndarray):
+    """The function of clamped densities and time t that writes the n+1
+    interface fluxes min(D_left, S_right) at t into ``f``: f[i] crosses
+    into cell i from cell i-1, and f[0] = f[n] is the wrap on a ring.
 
-    ``rho`` holds densities clamped by the grid; demand and supply go
-    into ``d``/``s`` when given.
+    Its demand|supply array and its parts' writers are made here, once.
     """
-    d, s = grid._demand_supply(rho, d, s)
-    np.minimum(d[:-1], s[1:], out=f[1:-1])
-    if grid.is_ring:
-        f[0] = f[-1] = min(d[-1], s[0])
-        return
-    f[0] = min(grid.boundaries.left_demand(t), s[0])
-    f[-1] = min(d[-1], grid.boundaries.right_supply(t))
+    n, bounds = grid.n, grid.boundaries
+    ds = np.empty(2 * n)
+    writers = [part.writer(ds) for part in grid._parts]
+    d, s = ds[:n], ds[n:]
+    d_left, s_right, inner = d[:-1], s[1:], f[1:-1]
+
+    def write(rho, t):
+        for part_write in writers:
+            part_write(rho)
+        np.minimum(d_left, s_right, out=inner)
+        if bounds is None:
+            f[0] = f[-1] = min(d[-1], s[0])
+        else:
+            f[0] = min(bounds.left_demand(t), s[0])
+            f[-1] = min(d[-1], bounds.right_supply(t))
+
+    return write
 
 
 def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarray:
@@ -445,7 +476,7 @@ def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarr
     callers passing it positionally keep working.
     """
     f = np.empty(grid.n + 1)
-    _fill_fluxes(grid, grid._clamp(grid.rho), t, f)
+    _flux_writer(grid, f)(grid._clamp(grid.rho), t)
     return f[:-1] if grid.is_ring else f
 
 
@@ -460,6 +491,9 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     step that produced each (0 for the initial state), and the vehicles
     that crossed in at the left and out at the right (interface 0 on a
     ring, both ways).
+
+    Its work arrays are allocated once, and a step goes through
+    ``SimGrid._clamp`` only when its densities fail the range test.
     """
     problem = not cfg.allow_high_cfl and _cfl_problem(grid.segments, cfg.dt, grid.dx)
     if problem:
@@ -467,16 +501,21 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     n, dt = grid.n, cfg.dt
     r = dt / grid.dx
     rho = grid.rho.copy()
-    nxt, change, scratch, d, s = np.empty((5, n))
+    nxt, change, gap = np.empty((3, n))
     f = np.empty(n + 1)
     f_in, f_out = f[:-1], f[1:]
+    fluxes, rho_jam = _flux_writer(grid, f), grid.rho_jam
+    subtract, minimum, multiply = np.subtract, np.minimum, np.multiply
     steps, snaps, deltas = [0], [rho.copy()], [0.0]
     inflow = outflow = 0.0
     for j in range(n_steps):
-        _fill_fluxes(grid, grid._clamp(rho, scratch, j), t0 + j * dt, f, d, s)
-        np.subtract(f_out, f_in, out=change)
-        np.multiply(change, r, out=change)
-        np.subtract(rho, change, out=nxt)
+        subtract(rho_jam, rho, out=gap)
+        minimum(gap, rho, out=gap)
+        clamped = rho if gap.min() >= 0.0 else grid._clamp(rho, gap, j)
+        fluxes(clamped, t0 + j * dt)
+        subtract(f_out, f_in, out=change)
+        multiply(change, r, out=change)
+        subtract(rho, change, out=nxt)
         inflow += f[0] * dt
         outflow += f[-1] * dt
         if (j + 1) % record_every == 0 or j + 1 == n_steps:
@@ -484,7 +523,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
             snaps.append(nxt.copy())
             deltas.append(float(np.max(np.abs(nxt - rho))))
         rho, nxt = nxt, rho
-    grid._clamp(rho, scratch, n_steps)
+    grid._clamp(rho, gap, n_steps)
     return steps, snaps, deltas, inflow, outflow
 
 

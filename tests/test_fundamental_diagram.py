@@ -462,6 +462,29 @@ def test_mixed_kerner_konhauser_road_matches_scalar_methods():
         assert np.array_equal(_bits(got), _bits(table)), method
 
 
+@pytest.mark.parametrize("per_cell", [False, True])
+@pytest.mark.parametrize("name", list(_BUILT_IN))
+def test_table_formula_writes_into_out(name, per_cell):
+    """Given ``out``, a family's table formula returns ``out`` itself, with
+    the bits of the formula without it and of the scalar path, and leaves
+    its densities as they were; with scalar parameters (the diagram's own
+    methods) and per-cell columns (the simulator's table) alike.  ``out``
+    starts as NaN, so a formula that ignores it fails every time, not
+    only when ``np.empty`` hands it stale values."""
+    fd = _BUILT_IN[name]()
+    formula, names = fd._table_form
+    rho = np.array(_scalar_densities(fd, seed=8))
+    params = [getattr(fd, attr) for attr in names]
+    if per_cell:
+        params = [np.full(rho.size, p) for p in params]
+    before = rho.copy()
+    out = np.full(rho.size, np.nan)
+    assert formula(rho, *params, out=out) is out
+    assert np.array_equal(_bits(out), _bits(formula(rho, *params)))
+    assert np.array_equal(_bits(out), _bits([fd.flux_curve(r) for r in rho.tolist()]))
+    assert np.array_equal(_bits(rho), _bits(before))
+
+
 # A counting class per family, and how to build its member at a scale
 # (lanes for Kerner-Konhauser, jam density and ceiling otherwise).
 _COUNTED_FAMILIES = {

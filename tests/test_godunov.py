@@ -1,5 +1,6 @@
 """Finite-volume simulator: fluxes, stepping, conservation, detection."""
 
+import dataclasses
 import math
 import re
 
@@ -269,6 +270,40 @@ def test_detect_rejects_moving_record(gs):
         detect_interior_states(rec)
 
 
+@pytest.mark.parametrize("jump, cells", [(0.3, []), (0.7, [5])])
+def test_detect_jump_threshold(gs, jump, cells):
+    """A settled one-cell spike counts from a 0.5 veh/km jump on."""
+    rho = np.full(16, 1.0)
+    rho[5] += jump
+    assert [c.cell for c in detect_interior_states(_settled_record(gs, rho))] == cells
+
+
+def test_detect_refuses_a_record_that_moved_1e_8(gs):
+    """By default a record is steady only once its last step moved every
+    cell by less than 1e-10 veh/km."""
+    rec = _settled_record(gs, np.full(16, 1.2))
+    for delta, steady in ((1e-8, False), (1e-11, True)):
+        moved = dataclasses.replace(rec, max_delta=np.array([delta]))
+        assert moved.converged is steady
+        if steady:
+            assert detect_interior_states(moved) == []
+        else:
+            with pytest.raises(ValueError, match="not steady"):
+                detect_interior_states(moved)
+
+
+def test_detect_open_road_reaches_its_fourth_cells(gs):
+    """On an open road only the three cells at either end lack a
+    neighbourhood: states at cell 3 and at cell n-4 are found."""
+    n = 16
+    rho = np.full(n, 1.0)
+    rho[3] = rho[n - 4] = 2.2
+    bs = BoundarySpec(StepFunction((0.0,), (0.75,)), StepFunction((0.0,), (1.0,)))
+    grid = grid_from_segments([(gs, n)], dx=1.0, rho=rho, boundaries=bs)
+    rec = run(grid, StepConfig(dt=0.5), duration=0.0)
+    assert [c.cell for c in detect_interior_states(rec)] == [3, n - 4]
+
+
 def test_detect_wraps_around_ring(gs):
     rho = np.full(16, 1.0)
     rho[0] = 2.0
@@ -394,6 +429,82 @@ def test_run_equals_repeated_step(family_zoo, seed, ring):
         assert np.array_equal(_bits(g.rho), _bits(rec.rho[j + 1]))
 
 
+def _one_family_road(fds, seed, n=24):
+    """Runs of 1 to 5 cells cycling through ``fds``, diagrams that share
+    one table part, with seeded densities below 0.9 rho_jam."""
+    rng = np.random.default_rng(seed)
+    segments, cells = [], 0
+    while cells < n:
+        count = min(int(rng.integers(1, 6)), n - cells)
+        segments.append((fds[len(segments) % len(fds)], count))
+        cells += count
+    rho = np.concatenate([rng.uniform(0.0, 0.9 * fd.rho_jam, count)
+                          for fd, count in segments])
+    return segments, rho
+
+
+def _reference_march(segments, rho, dx, dt, n_steps, boundaries):
+    """The march cell by cell in Python floats: each interface flux by
+    ``sd_flux``, the boundary ones from the schedules and the end cells'
+    supply and demand, then rho - (f_out - f_in) * dt/dx.  Returns every
+    state, the inflow and the outflow."""
+    fds = [fd for fd, count in segments for _ in range(count)]
+    rho = rho.tolist()
+    n, r = len(rho), dt / dx
+    states, inflow, outflow = [rho], 0.0, 0.0
+    for j in range(n_steps):
+        t = j * dt
+        # f[i] crosses into cell i; f[0] wraps from the last cell on a ring
+        f = [sd_flux(fds[i - 1], rho[i - 1], fds[i], rho[i]) for i in range(n)]
+        if boundaries is None:
+            f.append(f[0])
+        else:
+            f[0] = min(boundaries.left_demand(t), fds[0].supply(rho[0]))
+            f.append(min(fds[-1].demand(rho[-1]), boundaries.right_supply(t)))
+        rho = [rho[i] - (f[i + 1] - f[i]) * r for i in range(n)]
+        inflow += f[0] * dt
+        outflow += f[-1] * dt
+        states.append(rho)
+    return np.array(states), inflow, outflow
+
+
+_KK_MEMBERS = (KernerKonhauserDiagram(lanes=1), KernerKonhauserDiagram(lanes=2),
+               KernerKonhauserDiagram(lanes=1.5, rho_jam_lane=150.0, tau=3.0,
+                                      unit_len=0.02))
+
+
+@pytest.mark.parametrize("ring", [True, False])
+@pytest.mark.parametrize("road", ["mixed6", "mixed12", "mixed13", "kk", "gs",
+                                  "triangular", "cubic"])
+def test_run_equals_scalar_reference_march(family_zoo, road, ring):
+    """``run`` equals the scalar reference march bit for bit, states and
+    ledger, on roads of many parts (every family, ``_DampedKK`` and
+    ``_Cubic`` among them) and on roads of one part, which the march's
+    own demand|supply array serves directly: several Kerner-Konhauser
+    diagrams, two Greenshields, a triangle and a trapezoid, or a lone
+    ``_Cubic``, whose ``flux_curve`` takes no ``out``."""
+    if road.startswith("mixed"):
+        segments, rho = _mixed_road(family_zoo, int(road[5:]), n=24, fill=0.9)
+        assert {_DampedKK, _Cubic} <= {type(fd) for fd, _ in segments}
+    else:
+        fds = {"kk": _KK_MEMBERS, "gs": family_zoo[:2], "triangular": family_zoo[2:4],
+               "cubic": (_Cubic(0.02, 100.0),)}[road]
+        segments, rho = _one_family_road(fds, seed=len(road))
+    dx, k = 0.5, 30
+    dt = 0.9 * dx / max(fd.max_wave_speed() for fd, _ in segments)
+    bs = None
+    if not ring:
+        cap = min(segments[0][0].capacity, segments[-1][0].capacity)
+        bs = BoundarySpec(StepFunction((0.0, 4 * dt), (0.0, 0.9 * cap)),
+                          StepFunction((0.0, 7 * dt), (cap, 0.2 * cap)))
+    grid = SimGrid(segments, rho, dx=dx, boundaries=bs)
+    assert (len(grid._parts) == 1) is not road.startswith("mixed")
+    rec = run(grid, StepConfig(dt), k * dt)
+    states, inflow, outflow = _reference_march(segments, rho, dx, dt, k, bs)
+    assert np.array_equal(_bits(rec.rho), _bits(states))
+    assert (rec.inflow, rec.outflow) == (inflow, outflow)
+
+
 # -- input checks at the kernel's entry points ------------------------------
 
 _NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -504,3 +615,39 @@ def test_density_drift_is_clamped(gs):
     np.testing.assert_array_equal(
         interface_fluxes(base.with_density(rho), cfg),
         interface_fluxes(base.with_density(clamped), cfg))
+
+
+# DENSITY_SLACK, written out: a test that read the constant would pass
+# whatever value it held.
+_SLACK = 1e-9
+
+
+def test_drift_within_the_slack_marches_on(gs):
+    """Cells half the slack beyond [0, rho_jam] march on: the state keeps
+    its drift, and only the fluxes see the clamped density."""
+    rho = np.full(8, 1.0)
+    rho[2], rho[5] = -0.5 * _SLACK, gs.rho_jam + 0.5 * _SLACK
+    base = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0)
+    cfg = StepConfig(0.5)
+    clamped = base.with_density(np.clip(rho, 0.0, gs.rho_jam))
+    f = interface_fluxes(clamped, cfg)
+    expected = rho - (np.append(f[1:], f[0]) - f) * 0.5
+    rec = run(base.with_density(rho), cfg, 4 * cfg.dt)
+    assert np.array_equal(_bits(rec.rho[1]), _bits(expected))
+    assert np.array_equal(_bits(step(base.with_density(rho), cfg).rho), _bits(expected))
+    kept = step(clamped, cfg).rho
+    assert expected[2] != kept[2] and expected[5] != kept[5]
+
+
+@pytest.mark.parametrize("cell, beyond", [(2, -2.0 * _SLACK), (5, 4.0 + 2.0 * _SLACK)])
+def test_drift_beyond_the_slack_stops_the_march(gs, cell, beyond):
+    """Twice the slack beyond [0, rho_jam] stops ``run`` and ``step`` at
+    step 0, naming the cell."""
+    rho = np.full(8, 1.0)
+    rho[cell] = beyond
+    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0).with_density(rho)
+    for march in (lambda: run(grid, StepConfig(0.5), 5.0),
+                  lambda: step(grid, StepConfig(0.5))):
+        with pytest.raises(SimulationDiverged, match=f"in cell {cell} after 0 steps") as info:
+            march()
+        assert (info.value.step, info.value.cell, info.value.density) == (0, cell, beyond)
