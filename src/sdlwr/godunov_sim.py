@@ -29,18 +29,23 @@ formula over Q([min(rho, rho_crit), max(rho, rho_crit)]), the rule of
 ``FundamentalDiagram``, so demand, supply, flux and speed of every cell
 equal ``fd.demand`` etc. bit for bit.
 
+Flux and speed take Q part by part and speed q/rho once for the road,
+from the grid's road-wide ``rho_jam`` and ``v0`` columns.
+
 A grid checks its densities by one range rule, ``_density_problems``
 (the CLI's too), and every boundary breakpoint against its end link's
 capacity once, when it is built.  One kernel, ``_march``, serves
 ``step``, ``run`` and the CLI; it checks all densities once per step and
 raises ``SimulationDiverged`` with the step, cell and density of the
 first one outside [0, rho_jam], beyond the DENSITY_SLACK that it clamps
-away for the fluxes only.  It allocates its work arrays once per run, and
-each layer binds them once, as a writer: a function that fills them in
-place at every step.  A part that covers the whole road (a ring of
-Kerner-Konhauser links, say) runs its table formula in the march's own
-demand|supply array; any other part writes arrays of its own at each
-step, which are scattered into it.
+away for the fluxes only.  Demand, supply and interface fluxes have one
+writer, ``_flux_writer``, which the march, ``interface_fluxes`` and
+``SimGrid.demand_supply`` all call.  It makes every array it needs
+once, bound to the caller's arrays, and returns a function that fills
+them in place at every step without allocating.  A part that covers
+the whole road (a ring of Kerner-Konhauser links, say) runs its table
+formula in the caller's demand|supply array; any other part gathers
+its cells into an array of its own and scatters its results back.
 
 Stability needs the CFL number max|Q'| * dt / dx at or below 1; runs
 and the CLI refuse anything above 0.95 by one guard, ``_cfl_problem``,
@@ -58,7 +63,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fundamental_diagram import DENSITY_SLACK, FundamentalDiagram, _speed_of_flux
+from .fundamental_diagram import (DENSITY_SLACK, FLUX_TOL, FundamentalDiagram,
+                                  _speed_of_flux)
 
 __all__ = [
     "ConfigError",
@@ -120,6 +126,8 @@ class StepFunction:
     def __post_init__(self):
         if len(self.times) != len(self.values) or not self.times:
             raise ConfigError("step function needs matching, nonempty breakpoints")
+        if not all(map(math.isfinite, self.times)):
+            raise ConfigError("step function breakpoint times must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("step function breakpoints must increase")
 
@@ -143,10 +151,11 @@ class SimGrid:
     ``grid_from_segments`` takes them.  ``boundaries=None`` makes the road
     a ring.  Construction builds the parts (see the module docstring)
     that every demand, supply, flux and speed evaluation of the grid goes
-    through, and raises ConfigError for a density outside [0, rho_jam], a
-    boundary that is not a StepFunction or a breakpoint outside [0,
-    capacity] of its end link; ``with_density`` copies share the parts.
-    ``rho_jam`` is the per-cell jam density array.
+    through, and raises ConfigError for a density outside [0, rho_jam],
+    boundaries that are not a BoundarySpec of two StepFunctions or a
+    breakpoint outside [0, capacity] of its end link; ``with_density``
+    copies share the parts.  ``rho_jam`` and ``v0`` are the per-cell jam
+    density and free-flow speed Q'(0) arrays.
     """
 
     def __init__(self, segments: Sequence[tuple[FundamentalDiagram, int]], rho,
@@ -170,11 +179,15 @@ class SimGrid:
             runs_of.setdefault(key, []).append((first, fd, count))
             first += count
         self._parts = [_Part(runs, len(runs_of) > 1) for runs in runs_of.values()]
-        self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments],
-                               [count for _, count in self.segments])
+        counts = [count for _, count in self.segments]
+        self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments], counts)
+        self.v0 = _repeat([fd.derivative(0.0, side=+1) for fd, _ in self.segments],
+                          counts)
         self._upper = self.rho_jam + DENSITY_SLACK
         problems = _density_problems(self.rho, self.segments)
         if boundaries is not None:
+            if not isinstance(boundaries, BoundarySpec):
+                raise ConfigError("boundaries must be a BoundarySpec or None")
             for fn, (fd, _), what in (
                     (boundaries.left_demand, self.segments[0], "left demand"),
                     (boundaries.right_supply, self.segments[-1], "right supply")):
@@ -201,12 +214,10 @@ class SimGrid:
     def x_centers(self) -> np.ndarray:
         return (np.arange(self.n) + 0.5) * self.dx
 
-    def demand_supply(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
+    def demand_supply(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell demand and supply (veh/s)."""
-        rho = self._clamp(self.rho if rho is None else np.asarray(rho, dtype=float))
         ds = np.empty(2 * self.n)
-        for part in self._parts:
-            part.writer(ds)(rho)
+        _flux_writer(self, np.empty(self.n + 1), ds)(self._clamp(self.rho), 0.0)
         return ds[:self.n], ds[self.n:]
 
     def flux_speed(self, rho=None) -> tuple[np.ndarray, np.ndarray]:
@@ -214,16 +225,12 @@ class SimGrid:
 
         ``rho`` may carry leading axes, such as one row per snapshot.
         """
-        rho = self.rho if rho is None else np.asarray(rho, dtype=float)
-        rho = self._clamp(rho)
-        if len(self._parts) == 1:
-            return self._parts[0].flux_speed(rho)
+        rho = self._clamp(self.rho if rho is None else np.asarray(rho, dtype=float))
         q = np.empty(rho.shape)
-        v = np.empty(rho.shape)
         for part in self._parts:
-            q[..., part.cells], v[..., part.cells] = part.flux_speed(
-                rho[..., part.cells])
-        return q, v
+            at = (..., slice(None) if part.cells is None else part.cells)
+            q[at] = part.flux(rho[at], *part.params)
+        return q, _speed_of_flux(rho, q, self.rho_jam, self.v0)
 
     def total_vehicles(self, rho=None) -> float:
         rho = self.rho if rho is None else rho
@@ -238,15 +245,11 @@ class SimGrid:
         grid.rho = np.asarray(rho, dtype=float).copy()
         return grid
 
-    def _clamp(self, rho, scratch=None, steps=None):
+    def _clamp(self, rho, steps=None):
         """``rho`` with drift of up to DENSITY_SLACK beyond [0, rho_jam]
         clamped away.  Any other density (NaN included) raises, naming
         its cell: SimulationDiverged when ``steps`` is given, else
         ValueError."""
-        gap = np.subtract(self.rho_jam, rho, out=scratch)
-        np.minimum(gap, rho, out=gap)
-        if gap.min() >= 0.0:  # NaN fails this
-            return rho
         bad = ~((rho >= -DENSITY_SLACK) & (rho <= self._upper))
         if np.any(bad):
             k = int(np.flatnonzero(bad)[0])
@@ -293,9 +296,9 @@ def _density_problems(rho: np.ndarray, segments) -> list[str]:
 
 def _flow_problems(fn: StepFunction, cap: float, what: str):
     """(index, message) of each breakpoint of boundary schedule ``fn``
-    whose flow lies outside [0, ``cap``], with 1e-9 veh/s slack."""
+    whose flow lies outside [0, ``cap``], with FLUX_TOL veh/s slack."""
     for i, (t, value) in enumerate(zip(fn.times, fn.values)):
-        if not 0 <= value <= cap + 1e-9:  # NaN fails this
+        if not 0 <= value <= cap + FLUX_TOL:  # NaN fails this
             yield i, (f"boundary {what}({t}) = {float(value)} veh/s "
                       f"outside [0, {cap:.6g}]")
 
@@ -307,66 +310,22 @@ class _Part:
     order; ``cells`` joins their cell ranges, or is None (every cell) when
     the part is not ``indexed``, being the road's only one.  The diagrams'
     class's ``_table_form`` gives the formula and the diagram attributes
-    it takes, in order; a class without one makes a part of a single
-    diagram, whose bound ``flux_curve`` is the formula and which has no
-    columns.  Demand and supply are Q(min(rho, rho_crit)) and
-    Q(max(rho, rho_crit)) as in ``FundamentalDiagram``, evaluated in one
-    formula pass over both halves of a stacked array.  A table formula
-    runs in place in the array its writer fills; a ``flux_curve``, which
-    takes no ``out``, returns an array of its own, which is copied in.
+    whose columns ``params`` holds, in order, and ``params_twice`` holds
+    each twice over, for a pass over demand and supply together; a class
+    without one makes a part of a single diagram, whose bound
+    ``flux_curve`` is the formula and which has no columns.
     """
 
     def __init__(self, runs, indexed):
         self.cells = (np.concatenate([np.arange(first, first + count)
                                       for first, _, count in runs])
                       if indexed else None)
-        self.counts = [count for _, _, count in runs]
-        self.fds = fds = [fd for _, fd, _ in runs]
-        self.rho_jam = self.column("rho_jam")
-        self.rho_crit = self.column("rho_crit")
-        self.v0 = _repeat([fd.derivative(0.0, side=+1) for fd in fds], self.counts)
+        fds, counts = [fd for _, fd, _ in runs], [count for _, _, count in runs]
         self.flux, names = fds[0]._table_form or (fds[0].flux_curve, ())
-        self.params = [self.column(name) for name in names]
+        self.rho_crit, *self.params = [
+            _repeat([getattr(fd, name) for fd in fds], counts)
+            for name in ("rho_crit", *names)]
         self.params_twice = [np.concatenate((p, p)) for p in self.params]
-
-    def column(self, name: str) -> np.ndarray:
-        """Per-cell values of a diagram attribute."""
-        return _repeat([getattr(fd, name) for fd in self.fds], self.counts)
-
-    def writer(self, ds):
-        """The function that writes the demands, then the supplies, of the
-        part's cells into the road's ``ds`` (2n), given the clamped
-        densities of the whole road.  A part that covers the road stacks
-        them in an array made here, once, and evaluates in ``ds`` itself;
-        any other stacks and evaluates its cells in arrays made at each
-        call (held for the whole march, they cost the corridor 0.3 MB of
-        peak memory), which are scattered into ``ds``."""
-        cells, crit, flux, params = self.cells, self.rho_crit, self.flux, self.params_twice
-        in_place, m = self.fds[0]._table_form is not None, crit.size
-        d, s = ds[:ds.size // 2], ds[ds.size // 2:]
-        whole = np.empty(2 * m if cells is None else 0)
-        whole_low, whole_high = whole[:m], whole[m:]
-
-        def write(rho):
-            if cells is None:
-                both, q, low, high = whole, ds, whole_low, whole_high
-            else:
-                rho, both, q = rho[cells], np.empty(2 * m), np.empty(2 * m)
-                low, high = both[:m], both[m:]
-            np.minimum(rho, crit, out=low)
-            np.maximum(rho, crit, out=high)
-            if in_place:
-                flux(both, *params, out=q)
-            else:
-                q[:] = flux(both)
-            if cells is not None:
-                d[cells], s[cells] = q[:m], q[m:]
-
-        return write
-
-    def flux_speed(self, rho):
-        q = self.flux(rho, *self.params)
-        return q, _speed_of_flux(rho, q, self.rho_jam, self.v0)
 
 
 def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
@@ -441,23 +400,49 @@ def _cfl_problem(segments, dt: float, dx: float) -> str | None:
             f"{vmax * 1000.0:.4f} m/s, dx={dx} km)") if nu > _CFL_GUARD else None
 
 
-def _flux_writer(grid: SimGrid, f: np.ndarray):
-    """The function of clamped densities and time t that writes the n+1
-    interface fluxes min(D_left, S_right) at t into ``f``: f[i] crosses
-    into cell i from cell i-1, and f[0] = f[n] is the wrap on a ring.
+def _flux_writer(grid: SimGrid, f: np.ndarray, ds: np.ndarray):
+    """The function of clamped densities and time t that writes each
+    cell's demand, then each cell's supply, into ``ds`` (2n), and then
+    the n+1 interface fluxes min(D_left, S_right) at t into ``f``: f[i]
+    crosses into cell i from cell i-1, and f[0] = f[n] is the wrap on a
+    ring.
 
-    Its demand|supply array and its parts' writers are made here, once.
+    Every part's arrays are made here, once.  Demand and supply are
+    Q(min(rho, rho_crit)) and Q(max(rho, rho_crit)) as in
+    ``FundamentalDiagram``, one formula pass over both halves of a
+    stacked array.  A part that covers the road evaluates in ``ds``
+    itself; any other gathers its cells into the stacked array and
+    scatters its results into ``ds``.  A table formula runs in place; a
+    ``flux_curve``, which takes no ``out``, returns an array of its own,
+    which is copied in.
     """
     n, bounds = grid.n, grid.boundaries
-    ds = np.empty(2 * n)
-    writers = [part.writer(ds) for part in grid._parts]
+    parts = []
+    for part in grid._parts:
+        m = part.rho_crit.size
+        both = np.empty(2 * m)
+        scatter = (None if part.cells is None
+                   else np.concatenate((part.cells, part.cells + n)))
+        parts.append((part, both, both[:m], both[m:], scatter,
+                      ds if scatter is None else np.empty(2 * m)))
     d, s = ds[:n], ds[n:]
     d_left, s_right, inner = d[:-1], s[1:], f[1:-1]
+    maximum, minimum = np.maximum, np.minimum
 
     def write(rho, t):
-        for part_write in writers:
-            part_write(rho)
-        np.minimum(d_left, s_right, out=inner)
+        for part, both, low, high, scatter, q in parts:
+            # "clip" skips the buffered bounds check; the cells are in range
+            part_rho = (rho if scatter is None
+                        else rho.take(part.cells, out=low, mode="clip"))
+            maximum(part_rho, part.rho_crit, out=high)
+            minimum(part_rho, part.rho_crit, out=low)
+            if part.params_twice:
+                part.flux(both, *part.params_twice, out=q)
+            else:  # a flux_curve, which has no columns and takes no out
+                q[:] = part.flux(both)
+            if scatter is not None:
+                ds[scatter] = q
+        minimum(d_left, s_right, out=inner)
         if bounds is None:
             f[0] = f[-1] = min(d[-1], s[0])
         else:
@@ -476,7 +461,7 @@ def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarr
     callers passing it positionally keep working.
     """
     f = np.empty(grid.n + 1)
-    _flux_writer(grid, f)(grid._clamp(grid.rho), t)
+    _flux_writer(grid, f, np.empty(2 * grid.n))(grid._clamp(grid.rho), t)
     return f[:-1] if grid.is_ring else f
 
 
@@ -504,14 +489,14 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     nxt, change, gap = np.empty((3, n))
     f = np.empty(n + 1)
     f_in, f_out = f[:-1], f[1:]
-    fluxes, rho_jam = _flux_writer(grid, f), grid.rho_jam
+    fluxes, rho_jam = _flux_writer(grid, f, np.empty(2 * n)), grid.rho_jam
     subtract, minimum, multiply = np.subtract, np.minimum, np.multiply
     steps, snaps, deltas = [0], [rho.copy()], [0.0]
     inflow = outflow = 0.0
     for j in range(n_steps):
         subtract(rho_jam, rho, out=gap)
         minimum(gap, rho, out=gap)
-        clamped = rho if gap.min() >= 0.0 else grid._clamp(rho, gap, j)
+        clamped = rho if gap.min() >= 0.0 else grid._clamp(rho, j)
         fluxes(clamped, t0 + j * dt)
         subtract(f_out, f_in, out=change)
         multiply(change, r, out=change)
@@ -523,7 +508,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
             snaps.append(nxt.copy())
             deltas.append(float(np.max(np.abs(nxt - rho))))
         rho, nxt = nxt, rho
-    grid._clamp(rho, gap, n_steps)
+    grid._clamp(rho, n_steps)
     return steps, snaps, deltas, inflow, outflow
 
 
@@ -565,8 +550,8 @@ class SimRecord:
 
     def conservation_drift(self) -> float:
         """Relative error of the vehicle ledger across the run."""
-        start = float(np.sum(self.rho[0])) * self.grid.dx
-        end = float(np.sum(self.rho[-1])) * self.grid.dx
+        start = self.grid.total_vehicles(self.rho[0])
+        end = self.grid.total_vehicles(self.rho[-1])
         expected = start + self.inflow - self.outflow
         scale = max(abs(start), abs(expected), 1e-300)
         return abs(end - expected) / scale
@@ -585,6 +570,10 @@ def run(grid: SimGrid, cfg: StepConfig, duration: float,
         raise ConfigError(
             f"duration must be finite and nonnegative, got {duration!r}"
         )
+    try:
+        record_every = operator.index(record_every)
+    except TypeError as exc:
+        raise ConfigError(f"record_every must be an integer: {exc}") from exc
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
     n_steps = int(round(duration / cfg.dt))
@@ -642,5 +631,5 @@ def detect_interior_states(record: SimRecord,
         if max(left) - min(left) > run_tol or max(right) - min(right) > run_tol:
             continue
         cells.append(i)
-    q, _ = grid.flux_speed(rho)
+    q = record.q[-1]
     return [InteriorCell(i, float(rho[i]), float(q[i])) for i in cells]

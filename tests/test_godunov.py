@@ -482,7 +482,9 @@ def test_run_equals_scalar_reference_march(family_zoo, road, ring):
     ``_Cubic`` among them) and on roads of one part, which the march's
     own demand|supply array serves directly: several Kerner-Konhauser
     diagrams, two Greenshields, a triangle and a trapezoid, or a lone
-    ``_Cubic``, whose ``flux_curve`` takes no ``out``."""
+    ``_Cubic``, whose ``flux_curve`` takes no ``out``.  The record's
+    flux and speed, and ``detect_interior_states``' flux, equal the
+    diagram methods cell by cell."""
     if road.startswith("mixed"):
         segments, rho = _mixed_road(family_zoo, int(road[5:]), n=24, fill=0.9)
         assert {_DampedKK, _Cubic} <= {type(fd) for fd, _ in segments}
@@ -503,6 +505,16 @@ def test_run_equals_scalar_reference_march(family_zoo, road, ring):
     states, inflow, outflow = _reference_march(segments, rho, dx, dt, k, bs)
     assert np.array_equal(_bits(rec.rho), _bits(states))
     assert (rec.inflow, rec.outflow) == (inflow, outflow)
+    # every snapshot's flux and speed, and each detected state's flux,
+    # are the cell's own diagram's
+    fds = grid.fds
+    for method, table in (("flux", rec.q), ("speed", rec.v)):
+        cells = [[getattr(fd, method)(r) for fd, r in zip(fds, row)] for row in rec.rho]
+        assert np.array_equal(_bits(table), _bits(cells)), method
+    found = detect_interior_states(rec, steady_tol=math.inf, run_tol=math.inf)
+    assert found or not road.startswith("mixed")
+    assert _bits([c.flux for c in found]).tolist() == _bits(
+        [fds[c.cell].flux(c.density) for c in found]).tolist()
 
 
 # -- input checks at the kernel's entry points ------------------------------
@@ -548,6 +560,17 @@ def test_run_rejects_bad_duration(gs, duration):
         run(grid, StepConfig(0.5), duration)
 
 
+@pytest.mark.parametrize("record_every", [1.5, 2.0, "3", None])
+def test_run_rejects_non_integer_record_every(gs, record_every):
+    """A float is not taken as a modulus (1.5 at dt 0.5 recorded every
+    third step); numpy integers pass as integers do."""
+    grid = grid_from_segments([(gs, 4)], dx=1.0, rho=1.0)
+    with pytest.raises(ConfigError, match="record_every must be an integer"):
+        run(grid, StepConfig(0.5), 5.0, record_every)
+    rec = run(grid, StepConfig(0.5), 5.0, np.int64(3))
+    assert rec.times.tolist() == [0.0, 1.5, 3.0, 4.5, 5.0]
+
+
 @settings(max_examples=20, deadline=None)
 @given(bad=_NONFINITE | st.floats(max_value=0.0, exclude_max=True))
 def test_boundary_rejects_bad_values(gs, bad):
@@ -560,6 +583,14 @@ def test_boundary_rejects_bad_values(gs, bad):
     bs = BoundarySpec(lambda t: 0.5, StepFunction((0.0,), (1.0,)))
     with pytest.raises(ConfigError, match="left demand must be a StepFunction"):
         grid_from_segments([(gs, 4)], dx=1.0, rho=1.0, boundaries=bs)
+    # a pair of schedules that is not a BoundarySpec
+    fn = StepFunction((0.0,), (0.5,))
+    with pytest.raises(ConfigError, match="boundaries must be a BoundarySpec"):
+        grid_from_segments([(gs, 4)], dx=1.0, rho=1.0, boundaries=(fn, fn))
+    # a non-finite time would hold 0.5 for ever, dropping the 0.2 breakpoint
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="times must be finite"):
+            StepFunction((0.0, t), (0.5, 0.2))
 
 
 @settings(max_examples=30, deadline=None)
