@@ -92,6 +92,12 @@ _MAX_PROFILE_POINTS = 100_000
 # CSV as one line of text per cell (per snapshot), about 100 bytes each.
 _MAX_CELLS = 1_000_000
 
+# Largest record simulate accepts, in bytes: rho, q and v hold 8 bytes
+# per cell and snapshot each.  The CSV lines made from them take about
+# seven times as much memory again (the reference ring recorded at each
+# of its 7500 steps: a 108 MB record, a 934 MB peak).
+_MAX_RECORD_BYTES = 250_000_000
+
 
 def _fmt(x: float) -> str:
     """Report format: 4 decimals, the precision quoted in summaries."""
@@ -687,11 +693,21 @@ def _snapshot_rows(record: SimRecord) -> list[str]:
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:
+    """March the road and write its report and snapshot CSV.  A record
+    (rho, q and v of every snapshot) beyond 0.25 GB, ``_MAX_RECORD_BYTES``,
+    is refused at ``numerics.record_every`` before the grid is built."""
     if cfg.numerics is None:
         raise ConfigError("simulate needs a numerics section")
-    grid = _build_grid(cfg)
     num = cfg.numerics
     dt = num.step.dt
+    # the initial and final states and every record_every-th, as run keeps
+    snapshots = len(range(0, int(round(num.duration / dt)), num.record_every)) + 1
+    size = 24 * snapshots * (cfg.road.n_cells if cfg.road else 0)
+    if size > _MAX_RECORD_BYTES:
+        raise ConfigError(f"invalid config:\n  numerics.record_every: {snapshots} "
+                          f"snapshots make a {size / 1e9:.3g} GB record (rho, q and v), "
+                          f"over the {_MAX_RECORD_BYTES / 1e9:g} GB limit")
+    grid = _build_grid(cfg)
     record = run(grid, num.step, num.duration, num.record_every)
 
     drift = record.conservation_drift()

@@ -29,23 +29,33 @@ formula over Q([min(rho, rho_crit), max(rho, rho_crit)]), the rule of
 ``FundamentalDiagram``, so demand, supply, flux and speed of every cell
 equal ``fd.demand`` etc. bit for bit.
 
-Flux and speed take Q part by part and speed q/rho once for the road,
-from the grid's road-wide ``rho_jam`` and ``v0`` columns.
+``SimGrid.flux_speed`` takes Q part by part and speed q/rho once for
+the road, from the grid's road-wide ``rho_jam`` and ``v0`` columns.
+``run`` sizes its record from the step count before the march, which
+fills it: each recorded state's flux is read off the demand|supply that
+the step from it writes, D where rho <= rho_crit and S elsewhere (Q from
+the same bits, by the road-wide ``rho_crit`` column), and the speed is
+taken over the record once the march ends.
 
 A grid checks its densities by one range rule, ``_density_problems``
 (the CLI's too), and every boundary breakpoint against its end link's
 capacity once, when it is built.  One kernel, ``_march``, serves
-``step``, ``run`` and the CLI; it checks all densities once per step and
-raises ``SimulationDiverged`` with the step, cell and density of the
-first one outside [0, rho_jam], beyond the DENSITY_SLACK that it clamps
-away for the fluxes only.  Demand, supply and interface fluxes have one
-writer, ``_flux_writer``, which the march, ``interface_fluxes`` and
-``SimGrid.demand_supply`` all call.  It makes every array it needs
-once, bound to the caller's arrays, and returns a function that fills
-them in place at every step without allocating.  A part that covers
-the whole road (a ring of Kerner-Konhauser links, say) runs its table
-formula in the caller's demand|supply array; any other part gathers
-its cells into an array of its own and scatters its results back.
+``step``, ``run`` and the CLI; it checks all densities once per step by
+``SimGrid._clamp``'s range test and raises ``SimulationDiverged`` with
+the step, cell and density of the first one outside [0, rho_jam],
+beyond the DENSITY_SLACK that it clamps away for the fluxes only.
+
+Demand, supply and interface fluxes have one writer, ``_flux_writer``,
+which the march, ``interface_fluxes`` and ``SimGrid.demand_supply`` all
+call.  It makes every array it needs once, bound to the caller's
+arrays, and returns a function that fills them in place at every step
+without allocating.  A part that covers the whole road (a ring of
+Kerner-Konhauser links, say) runs its table formula in the caller's
+demand|supply array.  A road of several parts is laid out part-major:
+one ``take`` of the grid's ``_order`` gathers the densities part after
+part, each part's formula runs in place on its own slice of a stacked
+demand|supply array, and one ``take`` of the grid's ``_back`` puts that
+array back in road order.  Both index arrays are built once per grid.
 
 Stability needs the CFL number max|Q'| * dt / dx at or below 1; runs
 and the CLI refuse anything above 0.95 by one guard, ``_cfl_problem``,
@@ -154,8 +164,9 @@ class SimGrid:
     through, and raises ConfigError for a density outside [0, rho_jam],
     boundaries that are not a BoundarySpec of two StepFunctions or a
     breakpoint outside [0, capacity] of its end link; ``with_density``
-    copies share the parts.  ``rho_jam`` and ``v0`` are the per-cell jam
-    density and free-flow speed Q'(0) arrays.
+    copies share the parts and their part-major index arrays.
+    ``rho_jam``, ``rho_crit`` and ``v0`` are the per-cell jam density,
+    critical density and free-flow speed Q'(0) arrays.
     """
 
     def __init__(self, segments: Sequence[tuple[FundamentalDiagram, int]], rho,
@@ -178,12 +189,17 @@ class SimGrid:
             key = type(fd) if fd._table_form else id(fd)
             runs_of.setdefault(key, []).append((first, fd, count))
             first += count
-        self._parts = [_Part(runs, len(runs_of) > 1) for runs in runs_of.values()]
+        self._parts = [_Part(runs) for runs in runs_of.values()]
+        self._order = self._back = None
+        if len(self._parts) > 1:  # the part-major layout of _flux_writer
+            self._order = np.concatenate([part.cells for part in self._parts])
+            self._back = np.argsort(np.concatenate(
+                [np.concatenate((part.cells, part.cells + n)) for part in self._parts]))
         counts = [count for _, count in self.segments]
         self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments], counts)
+        self.rho_crit = _repeat([fd.rho_crit for fd, _ in self.segments], counts)
         self.v0 = _repeat([fd.derivative(0.0, side=+1) for fd, _ in self.segments],
                           counts)
-        self._upper = self.rho_jam + DENSITY_SLACK
         problems = _density_problems(self.rho, self.segments)
         if boundaries is not None:
             if not isinstance(boundaries, BoundarySpec):
@@ -228,7 +244,7 @@ class SimGrid:
         rho = self._clamp(self.rho if rho is None else np.asarray(rho, dtype=float))
         q = np.empty(rho.shape)
         for part in self._parts:
-            at = (..., slice(None) if part.cells is None else part.cells)
+            at = (..., slice(None) if self._order is None else part.cells)
             q[at] = part.flux(rho[at], *part.params)
         return q, _speed_of_flux(rho, q, self.rho_jam, self.v0)
 
@@ -245,12 +261,16 @@ class SimGrid:
         grid.rho = np.asarray(rho, dtype=float).copy()
         return grid
 
-    def _clamp(self, rho, steps=None):
-        """``rho`` with drift of up to DENSITY_SLACK beyond [0, rho_jam]
-        clamped away.  Any other density (NaN included) raises, naming
-        its cell: SimulationDiverged when ``steps`` is given, else
-        ValueError."""
-        bad = ~((rho >= -DENSITY_SLACK) & (rho <= self._upper))
+    def _clamp(self, rho, steps=None, gap=None):
+        """The range test: ``rho`` itself when min(rho_jam - rho, rho),
+        written into ``gap`` if given, is at least 0; else ``rho`` with
+        drift of up to DENSITY_SLACK beyond [0, rho_jam] clamped away.
+        Any other density (NaN included) raises, naming its cell:
+        SimulationDiverged when ``steps`` is given, else ValueError."""
+        gap = np.minimum(np.subtract(self.rho_jam, rho, out=gap), rho, out=gap)
+        if gap.min() >= 0.0:
+            return rho
+        bad = ~(gap >= -DENSITY_SLACK)
         if np.any(bad):
             k = int(np.flatnonzero(bad)[0])
             cell, density = k % self.n, float(rho.flat[k])
@@ -307,8 +327,7 @@ class _Part:
     """Cells sharing one flux formula, and its per-cell parameter columns.
 
     ``runs`` are the part's (first cell, diagram, count) runs in road
-    order; ``cells`` joins their cell ranges, or is None (every cell) when
-    the part is not ``indexed``, being the road's only one.  The diagrams'
+    order; ``cells`` joins their cell ranges.  The diagrams'
     class's ``_table_form`` gives the formula and the diagram attributes
     whose columns ``params`` holds, in order, and ``params_twice`` holds
     each twice over, for a pass over demand and supply together; a class
@@ -316,10 +335,9 @@ class _Part:
     ``flux_curve`` is the formula and which has no columns.
     """
 
-    def __init__(self, runs, indexed):
-        self.cells = (np.concatenate([np.arange(first, first + count)
-                                      for first, _, count in runs])
-                      if indexed else None)
+    def __init__(self, runs):
+        self.cells = np.concatenate([np.arange(first, first + count)
+                                     for first, _, count in runs])
         fds, counts = [fd for _, fd, _ in runs], [count for _, _, count in runs]
         self.flux, names = fds[0]._table_form or (fds[0].flux_curve, ())
         self.rho_crit, *self.params = [
@@ -374,8 +392,11 @@ def osher_flux(fd: FundamentalDiagram, rho_left: float, rho_right: float) -> flo
     the interface, max over the reversed interval when it falls, Q
     itself when equal.  The scan hits both endpoints exactly and the
     critical density is inserted when interior, so for unimodal Q the
-    result is exact, not approximate.
+    result is exact, not approximate.  Densities outside [0, rho_jam]
+    raise ValueError, as in ``fd.flux``, which clamps drift of up to
+    DENSITY_SLACK.
     """
+    rho_left, rho_right = fd._check_density(rho_left), fd._check_density(rho_right)
     if rho_left == rho_right:
         return float(fd.flux(rho_left))
     lo, hi = min(rho_left, rho_right), max(rho_left, rho_right)
@@ -407,41 +428,45 @@ def _flux_writer(grid: SimGrid, f: np.ndarray, ds: np.ndarray):
     crosses into cell i from cell i-1, and f[0] = f[n] is the wrap on a
     ring.
 
-    Every part's arrays are made here, once.  Demand and supply are
+    Every array is made here, once.  Demand and supply are
     Q(min(rho, rho_crit)) and Q(max(rho, rho_crit)) as in
     ``FundamentalDiagram``, one formula pass over both halves of a
     stacked array.  A part that covers the road evaluates in ``ds``
-    itself; any other gathers its cells into the stacked array and
-    scatters its results into ``ds``.  A table formula runs in place; a
-    ``flux_curve``, which takes no ``out``, returns an array of its own,
-    which is copied in.
+    itself.  On a road of several parts the densities are gathered part
+    after part by one ``take`` of ``grid._order``, each part evaluates
+    into its slice of a part-major stacked array, and one ``take`` of
+    ``grid._back`` puts that in road order into ``ds``.  A table formula
+    runs in place; a ``flux_curve``, which takes no ``out``, returns an
+    array of its own, which is copied in.
     """
-    n, bounds = grid.n, grid.boundaries
-    parts = []
+    n, bounds, order, back = grid.n, grid.boundaries, grid._order, grid._back
+    both, parts, start = np.empty(2 * n), [], 0
+    gathered, stacked = (None, ds) if order is None else (np.empty(n), np.empty(2 * n))
     for part in grid._parts:
-        m = part.rho_crit.size
-        both = np.empty(2 * m)
-        scatter = (None if part.cells is None
-                   else np.concatenate((part.cells, part.cells + n)))
-        parts.append((part, both, both[:m], both[m:], scatter,
-                      ds if scatter is None else np.empty(2 * m)))
+        m, lo = part.rho_crit.size, 2 * start
+        parts.append((part.rho_crit, part.flux, part.params_twice,
+                      None if gathered is None else gathered[start:start + m],
+                      both[lo:lo + 2 * m], both[lo:lo + m], both[lo + m:lo + 2 * m],
+                      stacked[lo:lo + 2 * m]))
+        start += m
     d, s = ds[:n], ds[n:]
     d_left, s_right, inner = d[:-1], s[1:], f[1:-1]
     maximum, minimum = np.maximum, np.minimum
 
     def write(rho, t):
-        for part, both, low, high, scatter, q in parts:
-            # "clip" skips the buffered bounds check; the cells are in range
-            part_rho = (rho if scatter is None
-                        else rho.take(part.cells, out=low, mode="clip"))
-            maximum(part_rho, part.rho_crit, out=high)
-            minimum(part_rho, part.rho_crit, out=low)
-            if part.params_twice:
-                part.flux(both, *part.params_twice, out=q)
+        # "clip" skips the buffered bounds check; the indices are in range
+        if order is not None:
+            rho.take(order, out=gathered, mode="clip")
+        for rho_crit, flux, params, part_rho, pair, low, high, q in parts:
+            part_rho = rho if part_rho is None else part_rho
+            maximum(part_rho, rho_crit, out=high)
+            minimum(part_rho, rho_crit, out=low)
+            if params:
+                flux(pair, *params, out=q)
             else:  # a flux_curve, which has no columns and takes no out
-                q[:] = part.flux(both)
-            if scatter is not None:
-                ds[scatter] = q
+                q[:] = flux(pair)
+        if order is not None:
+            stacked.take(back, out=ds, mode="clip")
         minimum(d_left, s_right, out=inner)
         if bounds is None:
             f[0] = f[-1] = min(d[-1], s[0])
@@ -465,20 +490,24 @@ def interface_fluxes(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> np.ndarr
     return f[:-1] if grid.is_ring else f
 
 
-def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
-           t0: float = 0.0):
-    """The step kernel: ``n_steps`` conservative updates of ``grid.rho``
-    from time t0.
+def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, t0: float = 0.0,
+           record=None):
+    """The step kernel: ``n_steps`` conservative updates of a copy of
+    ``grid.rho`` from time t0.
 
-    Records the state after every ``record_every``-th step and after the
-    last one.  Returns the recorded step counts (0 for the initial
-    state), the recorded densities, the largest per-cell change of the
-    step that produced each (0 for the initial state), and the vehicles
-    that crossed in at the left and out at the right (interface 0 on a
-    ring, both ways).
+    Returns the final densities and the vehicles that crossed in at the
+    left and out at the right (interface 0 on a ring, both ways).
+    ``record``, if given, is ``(record_every, rho, q, max_delta)``: row
+    j // record_every of each array takes state j, for j a multiple of
+    record_every below ``n_steps``, and the last row the final state.  A
+    row holds the state's densities, its flux and the largest per-cell
+    change of the step that produced it (0 for state 0).  The flux is
+    read off the demand|supply that the step from the state writes: D
+    where rho <= rho_crit, else S, which is Q from the same bits; the
+    final state takes one more writer call.
 
-    Its work arrays are allocated once, and a step goes through
-    ``SimGrid._clamp`` only when its densities fail the range test.
+    Its work arrays are allocated once, and a step clamps its densities
+    only when they fail ``SimGrid._clamp``'s range test.
     """
     problem = not cfg.allow_high_cfl and _cfl_problem(grid.segments, cfg.dt, grid.dx)
     if problem:
@@ -487,35 +516,35 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, record_every: int,
     r = dt / grid.dx
     rho = grid.rho.copy()
     nxt, change, gap = np.empty((3, n))
-    f = np.empty(n + 1)
+    f, ds = np.empty(n + 1), np.empty(2 * n)
     f_in, f_out = f[:-1], f[1:]
-    fluxes, rho_jam = _flux_writer(grid, f, np.empty(2 * n)), grid.rho_jam
-    subtract, minimum, multiply = np.subtract, np.minimum, np.multiply
-    steps, snaps, deltas = [0], [rho.copy()], [0.0]
+    fluxes, clamp = _flux_writer(grid, f, ds), grid._clamp
+    subtract, multiply = np.subtract, np.multiply
+    every, rows_rho, rows_q, max_delta = record or (0, None, None, None)
     inflow = outflow = 0.0
-    for j in range(n_steps):
-        subtract(rho_jam, rho, out=gap)
-        minimum(gap, rho, out=gap)
-        clamped = rho if gap.min() >= 0.0 else grid._clamp(rho, j)
-        fluxes(clamped, t0 + j * dt)
+    for j in range(n_steps + 1):
+        clamped = clamp(rho, j, gap)
+        if record or j < n_steps:
+            fluxes(clamped, t0 + j * dt)
+        if record and (j % every == 0 or j == n_steps):
+            row = -1 if j == n_steps else j // every
+            rows_rho[row] = rho
+            rows_q[row] = np.where(clamped <= grid.rho_crit, ds[:n], ds[n:])
+            if j:  # nxt still holds state j - 1
+                max_delta[row] = np.abs(subtract(nxt, rho, out=gap), out=gap).max()
+        if j == n_steps:
+            return rho, inflow, outflow
         subtract(f_out, f_in, out=change)
         multiply(change, r, out=change)
         subtract(rho, change, out=nxt)
         inflow += f[0] * dt
         outflow += f[-1] * dt
-        if (j + 1) % record_every == 0 or j + 1 == n_steps:
-            steps.append(j + 1)
-            snaps.append(nxt.copy())
-            deltas.append(float(np.max(np.abs(nxt - rho))))
         rho, nxt = nxt, rho
-    grid._clamp(rho, n_steps)
-    return steps, snaps, deltas, inflow, outflow
 
 
 def step(grid: SimGrid, cfg: StepConfig, t: float = 0.0) -> SimGrid:
     """One conservative update; returns a new grid sharing the diagrams."""
-    _, snaps, _, _, _ = _march(grid, cfg, 1, 1, t)
-    return grid.with_density(snaps[-1])
+    return grid.with_density(_march(grid, cfg, 1, t)[0])
 
 
 @dataclass
@@ -571,19 +600,31 @@ def run(grid: SimGrid, cfg: StepConfig, duration: float,
             f"duration must be finite and nonnegative, got {duration!r}"
         )
     try:
+        if isinstance(record_every, bool):
+            raise TypeError("a bool is not a step count")
         record_every = operator.index(record_every)
     except TypeError as exc:
         raise ConfigError(f"record_every must be an integer: {exc}") from exc
     if record_every < 1:
         raise ConfigError("record_every must be >= 1")
     n_steps = int(round(duration / cfg.dt))
-    steps, snaps, deltas, inflow, outflow = _march(grid, cfg, n_steps,
-                                                   record_every)
-    rho = np.array(snaps)
-    q, v = grid.flux_speed(rho)
-    return SimRecord(grid.with_density(snaps[-1]),
+    steps = [*range(0, n_steps, record_every), n_steps]
+    rho, q, v = (np.empty((len(steps), grid.n)) for _ in range(3))
+    max_delta = np.zeros(len(steps))
+    final, inflow, outflow = _march(grid, cfg, n_steps, 0.0,
+                                    (record_every, rho, q, max_delta))
+    # v as fd.speed takes it, but over min(rho, rho_jam): below 0 both
+    # that and the clamped density take the tiny-density limit.  Blocks
+    # of about 8192 values keep the temporaries small enough to stay in
+    # cache and below malloc's mmap threshold: whole-record temporaries
+    # ran 2x slower and doubled the peak memory.
+    block = max(1, 2**13 // grid.n)
+    for k in range(0, len(steps), block):
+        v[k:k + block] = _speed_of_flux(np.minimum(rho[k:k + block], grid.rho_jam),
+                                        q[k:k + block], grid.rho_jam, grid.v0)
+    return SimRecord(grid.with_density(final),
                      np.array([k * cfg.dt for k in steps]), rho, v, q,
-                     inflow, outflow, np.array(deltas))
+                     inflow, outflow, max_delta)
 
 
 @dataclass(frozen=True)
@@ -613,6 +654,8 @@ def detect_interior_states(record: SimRecord,
     far below the 0.5 veh/km jump threshold) makes the one-cell states
     visible in such runs.
     """
+    if not (steady_tol >= 0 and run_tol >= 0):  # NaN fails this
+        raise ValueError(f"tolerances must be nonnegative: {steady_tol!r}, {run_tol!r}")
     if record.convergence_metric > steady_tol:
         raise ValueError(
             f"record not steady: last step moved {record.convergence_metric:.3g} "

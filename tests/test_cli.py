@@ -31,6 +31,7 @@ from sdlwr.cli import (
     _FAMILIES,
     _MAX_CELLS,
     _MAX_PROFILE_POINTS,
+    _MAX_RECORD_BYTES,
     _ring_spec,
     main,
     parse_config,
@@ -832,6 +833,25 @@ def test_cell_count_beyond_cap_is_keyed_config_error(
     assert code == 2, err
     assert (f"invalid config:\n  road.dx_km: 1e-300 km makes more than "
             f"{_MAX_CELLS} cells") in err
+
+
+def test_record_beyond_cap_is_keyed_config_error(tmp_path, capsys, deadline):
+    """The bench simulate road at 960 000 cells, recorded at each of its
+    10 000 steps, would make a 230 GB record: simulate refuses it at
+    ``numerics.record_every`` with exit code 2, before it marches."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / "simulate.yaml").read_text())
+    raw["road"]["dx_km"] = 16.8 / 960_000
+    raw["numerics"] = {"dt_s": 0.0005, "duration_s": 5.0, "record_every": 1}
+    cfg = tmp_path / "simulate.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    with deadline(5):
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert ("invalid config:\n  numerics.record_every: 10001 snapshots make a "
+            f"230 GB record (rho, q and v), over the {_MAX_RECORD_BYTES / 1e9:g} GB "
+            "limit") in err
+    assert not (tmp_path / "simulate.csv").exists()
 
 
 def test_largest_road_parses():

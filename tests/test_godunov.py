@@ -75,6 +75,15 @@ def test_osher_equals_sd_flux(family_zoo):
             )
 
 
+@pytest.mark.parametrize("rho_left, rho_right", [
+    (math.nan, 10.0), (-5.0, 10.0), (10.0, math.inf), (-math.inf, 10.0),
+    (10.0, 120.0 + 1e-6)])
+def test_osher_refuses_densities_outside_range(family_zoo, rho_left, rho_right):
+    """As ``fd.flux`` does: not a NaN, a negative flux or a numpy warning."""
+    with pytest.raises(ValueError, match="density outside"):
+        osher_flux(family_zoo[1], rho_left, rho_right)
+
+
 def test_flux_rules_agree_on_homogeneous_ring(gs):
     """Every interface flux of the march, the wrap included, equals the
     osher oracle on the densities either side of it."""
@@ -268,6 +277,19 @@ def test_detect_rejects_moving_record(gs):
     rec = run(grid, StepConfig(dt=0.5), duration=5.0, record_every=5)
     with pytest.raises(ValueError, match="not steady"):
         detect_interior_states(rec)
+
+
+@pytest.mark.parametrize("value", [math.nan, -1.0])
+@pytest.mark.parametrize("name", ["steady_tol", "run_tol"])
+def test_detect_refuses_bad_tolerances(gs, name, value):
+    """A NaN tolerance would pass every record as steady and no flank as
+    uniform, and a negative one nothing: each is refused, even on a
+    settled record."""
+    rho = np.full(16, 1.0)
+    rho[5] = 2.2
+    rec = _settled_record(gs, rho)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        detect_interior_states(rec, **{name: value})
 
 
 @pytest.mark.parametrize("jump, cells", [(0.3, []), (0.7, [5])])
@@ -473,21 +495,39 @@ _KK_MEMBERS = (KernerKonhauserDiagram(lanes=1), KernerKonhauserDiagram(lanes=2),
                                       unit_len=0.02))
 
 
+def _drift_road(family_zoo):
+    """Four parts, a ``_Cubic`` among them, with one cell half
+    DENSITY_SLACK below 0 in an empty stretch and one half of it above
+    jam in a jammed Kerner-Konhauser block, whose Q(rho_jam) > 0, so
+    that the drift outlasts the first steps."""
+    gs, trapezoid, kk = family_zoo[1], family_zoo[3], family_zoo[4]
+    cubic = _Cubic(0.02, 100.0)
+    segments = [(gs, 6), (kk, 10), (cubic, 4), (trapezoid, 4)]
+    rho = np.concatenate([np.zeros(6), np.full(10, kk.rho_jam),
+                          np.full(4, 0.1 * cubic.rho_jam), np.zeros(4)])
+    rho[2], rho[9] = -0.5 * _SLACK, kk.rho_jam + 0.5 * _SLACK
+    return segments, rho
+
+
 @pytest.mark.parametrize("ring", [True, False])
-@pytest.mark.parametrize("road", ["mixed6", "mixed12", "mixed13", "kk", "gs",
-                                  "triangular", "cubic"])
+@pytest.mark.parametrize("road", ["mixed6", "mixed12", "mixed13", "drift", "kk",
+                                  "gs", "triangular", "cubic"])
 def test_run_equals_scalar_reference_march(family_zoo, road, ring):
     """``run`` equals the scalar reference march bit for bit, states and
     ledger, on roads of many parts (every family, ``_DampedKK`` and
-    ``_Cubic`` among them) and on roads of one part, which the march's
-    own demand|supply array serves directly: several Kerner-Konhauser
-    diagrams, two Greenshields, a triangle and a trapezoid, or a lone
-    ``_Cubic``, whose ``flux_curve`` takes no ``out``.  The record's
-    flux and speed, and ``detect_interior_states``' flux, equal the
-    diagram methods cell by cell."""
+    ``_Cubic`` among them), on a road whose state drifts within
+    DENSITY_SLACK beyond [0, rho_jam], and on roads of one part, which
+    the march's own demand|supply array serves directly: several
+    Kerner-Konhauser diagrams, two Greenshields, a triangle and a
+    trapezoid, or a lone ``_Cubic``, whose ``flux_curve`` takes no
+    ``out``.  The flux and speed of every snapshot, recorded at every
+    step or every seventh, and ``detect_interior_states``' flux equal
+    the diagram methods cell by cell."""
     if road.startswith("mixed"):
         segments, rho = _mixed_road(family_zoo, int(road[5:]), n=24, fill=0.9)
         assert {_DampedKK, _Cubic} <= {type(fd) for fd, _ in segments}
+    elif road == "drift":
+        segments, rho = _drift_road(family_zoo)
     else:
         fds = {"kk": _KK_MEMBERS, "gs": family_zoo[:2], "triangular": family_zoo[2:4],
                "cubic": (_Cubic(0.02, 100.0),)}[road]
@@ -499,18 +539,28 @@ def test_run_equals_scalar_reference_march(family_zoo, road, ring):
         cap = min(segments[0][0].capacity, segments[-1][0].capacity)
         bs = BoundarySpec(StepFunction((0.0, 4 * dt), (0.0, 0.9 * cap)),
                           StepFunction((0.0, 7 * dt), (cap, 0.2 * cap)))
-    grid = SimGrid(segments, rho, dx=dx, boundaries=bs)
-    assert (len(grid._parts) == 1) is not road.startswith("mixed")
+    jam = np.repeat([fd.rho_jam for fd, _ in segments], [c for _, c in segments])
+    grid = SimGrid(segments, np.clip(rho, 0.0, jam), dx=dx,
+                   boundaries=bs).with_density(rho)
+    assert (len(grid._parts) == 1) is (road in ("kk", "gs", "triangular", "cubic"))
     rec = run(grid, StepConfig(dt), k * dt)
     states, inflow, outflow = _reference_march(segments, rho, dx, dt, k, bs)
     assert np.array_equal(_bits(rec.rho), _bits(states))
     assert (rec.inflow, rec.outflow) == (inflow, outflow)
+    if road == "drift":  # still beyond [0, rho_jam] after some steps
+        assert (rec.rho[3] < 0).any() and (rec.rho[3] > jam).any()
     # every snapshot's flux and speed, and each detected state's flux,
     # are the cell's own diagram's
     fds = grid.fds
     for method, table in (("flux", rec.q), ("speed", rec.v)):
         cells = [[getattr(fd, method)(r) for fd, r in zip(fds, row)] for row in rec.rho]
         assert np.array_equal(_bits(table), _bits(cells)), method
+    sparse = run(grid, StepConfig(dt), k * dt, record_every=7)
+    rows = [0, 7, 14, 21, 28, 30]
+    assert np.array_equal(sparse.times, rec.times[rows])
+    for name in ("rho", "q", "v", "max_delta"):
+        assert np.array_equal(_bits(getattr(sparse, name)),
+                              _bits(getattr(rec, name)[rows])), name
     found = detect_interior_states(rec, steady_tol=math.inf, run_tol=math.inf)
     assert found or not road.startswith("mixed")
     assert _bits([c.flux for c in found]).tolist() == _bits(
@@ -560,10 +610,11 @@ def test_run_rejects_bad_duration(gs, duration):
         run(grid, StepConfig(0.5), duration)
 
 
-@pytest.mark.parametrize("record_every", [1.5, 2.0, "3", None])
+@pytest.mark.parametrize("record_every", [1.5, 2.0, "3", None, True, False])
 def test_run_rejects_non_integer_record_every(gs, record_every):
     """A float is not taken as a modulus (1.5 at dt 0.5 recorded every
-    third step); numpy integers pass as integers do."""
+    third step), nor a bool as a count, as the CLI refuses one; numpy
+    integers pass as integers do."""
     grid = grid_from_segments([(gs, 4)], dx=1.0, rho=1.0)
     with pytest.raises(ConfigError, match="record_every must be an integer"):
         run(grid, StepConfig(0.5), 5.0, record_every)
