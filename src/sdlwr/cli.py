@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable, Iterator
 from typing import Any, Sequence
 
 import numpy as np
@@ -622,10 +622,13 @@ def _describe_wave(wave: Wave) -> str:
             f"[{_fmt(s_min * _KM_S_TO_M_S)}, {_fmt(s_max * _KM_S_TO_M_S)}] m/s")
 
 
-def _write(path: Path, lines: list[str]) -> None:
+def _write(path: Path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``path`` one at a time, each ended by a newline."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as out:
+            for line in lines:
+                out.write(line + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
@@ -677,19 +680,17 @@ def cmd_riemann(cfg: ScenarioConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _snapshot_rows(record: SimRecord) -> list[str]:
-    grid = record.grid
-    x = grid.x_centers
-    rows = ["t,cell,x_km,rho_veh_km,v_m_s,q_veh_s"]
-    for k, t in enumerate(record.times):
-        for i in range(grid.n):
-            rows.append(
-                f"{_csv_num(t)},{i},{_csv_num(x[i])},"
-                f"{_csv_num(record.rho[k, i])},"
-                f"{_csv_num(record.v[k, i] * _KM_S_TO_M_S)},"
-                f"{_csv_num(record.q[k, i])}"
-            )
-    return rows
+def _snapshot_rows(record: SimRecord) -> Iterator[str]:
+    """The snapshot CSV's lines, made one at a time, so that writing them
+    holds one snapshot's values beside the record, not every line."""
+    x = [_csv_num(xi) for xi in record.grid.x_centers.tolist()]
+    yield "t,cell,x_km,rho_veh_km,v_m_s,q_veh_s"
+    for t, rho, v, q in zip(record.times.tolist(), record.rho, record.v, record.q):
+        t = _csv_num(t)
+        for i, (xi, rho_i, v_i, q_i) in enumerate(zip(x, rho.tolist(), v.tolist(),
+                                                      q.tolist())):
+            yield (f"{t},{i},{xi},{_csv_num(rho_i)},"
+                   f"{_csv_num(v_i * _KM_S_TO_M_S)},{_csv_num(q_i)}")
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:

@@ -373,14 +373,19 @@ class FundamentalDiagram(abc.ABC):
 # an array distinct from ``rho``, a formula runs the same operations in
 # the same order in place there and returns ``out``, with the same bits;
 # the simulator's march passes its own array, so that a pass allocates
-# at most one temporary.
+# at most one temporary.  An ``out`` path takes no Python-float operand:
+# numpy converts one on every call, at about the cost of the ufunc itself
+# on a 600-cell array, so its constants are the 0-d arrays below, 1/x is
+# ``np.reciprocal`` and 1 + x is x + 1, all with the same bits.
+
+_ONE = np.array(1.0)
 
 
 def _greenshields_flux(rho, v_free, rho_jam, out=None):
     if out is None:
         return v_free * rho * (1.0 - rho / rho_jam)
     np.divide(rho, rho_jam, out=out)
-    np.subtract(1.0, out, out=out)
+    np.subtract(_ONE, out, out=out)
     return np.multiply(v_free * rho, out, out=out)
 
 
@@ -530,6 +535,7 @@ _KK_GAIN = 5.0461
 _KK_MIDPOINT = 0.25
 _KK_WIDTH = 0.06
 _KK_OFFSET = 3.72e-6
+_KK_OFFSET_0D = np.array(_KK_OFFSET)  # for _kk_flux's out path
 
 
 def _exp(x):
@@ -550,9 +556,9 @@ def _kk_flux(rho, centre, slope, gain, out=None):
     np.subtract(rho, centre, out=out)
     np.multiply(out, slope, out=out)
     np.exp(out, out=out)
-    np.add(1.0, out, out=out)
-    np.divide(1.0, out, out=out)
-    np.subtract(out, _KK_OFFSET, out=out)
+    np.add(out, _ONE, out=out)
+    np.reciprocal(out, out=out)
+    np.subtract(out, _KK_OFFSET_0D, out=out)
     np.multiply(out, gain, out=out)
     return np.multiply(rho, out, out=out)
 

@@ -266,9 +266,14 @@ class SimGrid:
         written into ``gap`` if given, is at least 0; else ``rho`` with
         drift of up to DENSITY_SLACK beyond [0, rho_jam] clamped away.
         Any other density (NaN included) raises, naming its cell:
-        SimulationDiverged when ``steps`` is given, else ValueError."""
+        SimulationDiverged when ``steps`` is given, else ValueError.
+
+        The test reads the smallest gap at ``gap.argmin()``, a cheaper
+        call than ``gap.min()``.  ``argmin`` points at the first NaN if
+        there is one, so a NaN still fails the test; the index is flat,
+        as ``rho`` may carry leading axes (see ``flux_speed``)."""
         gap = np.minimum(np.subtract(self.rho_jam, rho, out=gap), rho, out=gap)
-        if gap.min() >= 0.0:
+        if gap.flat[gap.argmin()] >= 0.0:
             return rho
         bad = ~(gap >= -DENSITY_SLACK)
         if np.any(bad):
@@ -438,6 +443,10 @@ def _flux_writer(grid: SimGrid, f: np.ndarray, ds: np.ndarray):
     ``grid._back`` puts that in road order into ``ds``.  A table formula
     runs in place; a ``flux_curve``, which takes no ``out``, returns an
     array of its own, which is copied in.
+
+    The function returns the two boundary fluxes f[0] and f[n] as Python
+    floats, which the march adds to its ledger without reading ``f``
+    back as numpy scalars.
     """
     n, bounds, order, back = grid.n, grid.boundaries, grid._order, grid._back
     both, parts, start = np.empty(2 * n), [], 0
@@ -469,10 +478,11 @@ def _flux_writer(grid: SimGrid, f: np.ndarray, ds: np.ndarray):
             stacked.take(back, out=ds, mode="clip")
         minimum(d_left, s_right, out=inner)
         if bounds is None:
-            f[0] = f[-1] = min(d[-1], s[0])
+            f[0] = f[-1] = left = right = min(d.item(-1), s.item(0))
         else:
-            f[0] = min(bounds.left_demand(t), s[0])
-            f[-1] = min(d[-1], bounds.right_supply(t))
+            f[0] = left = min(bounds.left_demand(t), s.item(0))
+            f[-1] = right = min(d.item(-1), bounds.right_supply(t))
+        return left, right
 
     return write
 
@@ -513,7 +523,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, t0: float = 0.0,
     if problem:
         raise ConfigError(f"{problem}; reduce dt or override")
     n, dt = grid.n, cfg.dt
-    r = dt / grid.dx
+    r = np.array(dt / grid.dx)  # 0-d: a float operand costs a conversion per call
     rho = grid.rho.copy()
     nxt, change, gap = np.empty((3, n))
     f, ds = np.empty(n + 1), np.empty(2 * n)
@@ -525,7 +535,7 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, t0: float = 0.0,
     for j in range(n_steps + 1):
         clamped = clamp(rho, j, gap)
         if record or j < n_steps:
-            fluxes(clamped, t0 + j * dt)
+            left, right = fluxes(clamped, t0 + j * dt)
         if record and (j % every == 0 or j == n_steps):
             row = -1 if j == n_steps else j // every
             rows_rho[row] = rho
@@ -537,8 +547,8 @@ def _march(grid: SimGrid, cfg: StepConfig, n_steps: int, t0: float = 0.0,
         subtract(f_out, f_in, out=change)
         multiply(change, r, out=change)
         subtract(rho, change, out=nxt)
-        inflow += f[0] * dt
-        outflow += f[-1] * dt
+        inflow += left * dt
+        outflow += right * dt
         rho, nxt = nxt, rho
 
 

@@ -27,6 +27,7 @@ admissibility conditions' included, is ``SDState.is_under_critical`` or
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -400,11 +401,16 @@ def sample_profile(p: RiemannProblem, xi, sol: RiemannSolution | None = None):
     """Density profile rho(xi) of the self-similar solution, xi = x/t in km/s.
 
     Negative xi samples link 1 (converging to the upstream stationary
-    state as xi -> 0-), nonnegative xi samples link 2.
+    state as xi -> 0-), nonnegative xi samples link 2; -inf and +inf give
+    the two far-field states, and a NaN raises ValueError.
     """
+    xi = np.asarray(xi, dtype=float)
+    if xi.size:
+        first = xi.argmin()  # the first NaN, if there is one
+        if math.isnan(xi.flat[first]):
+            raise ValueError(f"xi = x/t must be a number, got nan at index {first}")
     if sol is None:
         sol = solve(p)
-    xi = np.asarray(xi, dtype=float)
     out = np.empty_like(xi)
     up_mask = xi < 0.0
     out[up_mask] = _sample_side(p.fd_up, sol.wave_up, sol.stat_up, xi[up_mask])

@@ -733,3 +733,62 @@ def test_drift_beyond_the_slack_stops_the_march(gs, cell, beyond):
         with pytest.raises(SimulationDiverged, match=f"in cell {cell} after 0 steps") as info:
             march()
         assert (info.value.step, info.value.cell, info.value.density) == (0, cell, beyond)
+
+
+# -- the range test's contracts ------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_flux_speed_of_rows_equals_row_by_row(family_zoo, seed):
+    """``flux_speed`` takes densities with a leading axis, one row per
+    snapshot, and gives each row the bits it gives that row alone; rows
+    that need no clamping share the array with one that does."""
+    grid = SimGrid(*_mixed_road(family_zoo, seed), dx=0.5)
+    one_part = grid_from_segments([(family_zoo[0], 24)], dx=0.5, rho=1.0)
+    for g in (grid, one_part):
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.0, 1.0, (4, g.n)) * g.rho_jam
+        rows[3, 1] = -0.5 * _SLACK  # drift that only the fluxes see clamped
+        q, v = g.flux_speed(rows)
+        assert q.shape == v.shape == rows.shape
+        for row, q_row, v_row in zip(rows, q, v):
+            q_one, v_one = g.flux_speed(row)
+            assert np.array_equal(_bits(q_row), _bits(q_one))
+            assert np.array_equal(_bits(v_row), _bits(v_one))
+
+
+class _NaNPast(GreenshieldsDiagram):
+    """Greenshields whose flux turns NaN above ``nan_past`` veh/km, set
+    after construction: a part of the grid on its own formula."""
+
+    nan_past = math.inf
+
+    def flux_curve(self, rho):
+        return np.where(rho > self.nan_past, math.nan, super().flux_curve(rho))
+
+
+def test_march_stops_at_the_step_a_nan_appears(gs):
+    """A queue behind a closed exit fills the last cells; once one passes
+    ``nan_past`` its supply is NaN, and so is the flux into it, which
+    makes that cell and the one upstream NaN a step later.  The march
+    stops at that step, naming the first NaN cell, as a plain march of
+    the same road tells."""
+    bounds = BoundarySpec(StepFunction((0.0,), (0.5,)), StepFunction((0.0,), (0.0,)))
+    cfg, n = StepConfig(0.5), 8
+    plain = run(grid_from_segments([(gs, n)], dx=1.0, rho=1.0, boundaries=bounds),
+                cfg, 40 * cfg.dt)
+    nan_past = 3.0
+    over = [j for j, rho in enumerate(plain.rho) if rho.max() > nan_past]
+    assert over and over[0] > 0
+    first = over[0]
+    # the flux into cell 0 comes from the inflow, not a cell
+    expected_cell = max(int(np.flatnonzero(plain.rho[first] > nan_past)[0]) - 1, 0)
+    fd = _NaNPast(gs.v_free, gs.rho_jam)
+    fd.nan_past = nan_past
+    grid = grid_from_segments([(fd, n)], dx=1.0, rho=1.0, boundaries=bounds)
+    for every in (1, 7):
+        with pytest.raises(SimulationDiverged, match=re.escape(
+                f"density nan veh/km in cell {expected_cell} after {first + 1} steps")) as info:
+            run(grid, cfg, 40 * cfg.dt, every)
+        assert (info.value.step, info.value.cell) == (first + 1, expected_cell)
+        assert math.isnan(info.value.density)

@@ -433,6 +433,16 @@ def test_sample_profile_rarefaction_fan(gs):
         assert rho == pytest.approx(2.0 * (1.0 - xi), abs=1e-6)
 
 
+def test_sample_profile_refuses_nan():
+    """A NaN coordinate raises, naming it, where it used to sample the
+    downstream state; -inf and +inf still give the far-field states."""
+    fd = GreenshieldsDiagram(0.03, 120.0)
+    p = _lifted_problem(fd, fd, 20.0, 80.0)
+    assert sample_profile(p, [-np.inf, np.inf]) == pytest.approx([20.0, 80.0], abs=1e-9)
+    with pytest.raises(ValueError, match="got nan at index 1"):
+        sample_profile(p, [0.0, np.nan])
+
+
 # -- the numerical limit ------------------------------------------------
 
 

@@ -183,6 +183,22 @@ def test_predict_upper_threshold_site(ring, kk1, kk2):
     assert pred.vehicle_count() == pytest.approx(N_UPPER, rel=1e-9)
 
 
+def test_predict_standing_shock_reaches_within_the_boundary_tolerance(ring):
+    """Just below N_c, by more than the boundary tolerance (1e-6 veh),
+    the shock still stands inside link 2; within it, N counts as on the
+    threshold.  The offsets are written out, so that a tolerance moved
+    in the code fails here."""
+    n_c = thresholds(ring)[1]
+    below = predict(ring.with_vehicles(n_c - 2e-6))
+    assert below.scenario is RingScenario.CRITICAL_WITH_SS
+    assert below.interior_sites == (InteriorSite(below.L2, BoundarySide.MINUS),
+                                    InteriorSite(below.L2, BoundarySide.PLUS))
+    assert 2.8 < below.L2 < 2.8 + 1e-6
+    at = predict(ring.with_vehicles(n_c - 0.5e-6))
+    assert at.scenario is RingScenario.CRITICAL_WITH_SOC
+    assert at.interior_sites == (InteriorSite(2.8, BoundarySide.PLUS),)
+
+
 def test_predict_heavy_traffic(ring, kk1, kk2):
     pred = predict(ring.with_vehicles(2200.0))
     assert pred.scenario is RingScenario.BOTH_SOC
