@@ -24,10 +24,17 @@ parameter columns, each run's value repeated over its cells: one part
 gathers every run of a class that defines a table form (a built-in
 family, not a subclass of one), and one part holds each diagram object
 of any other class, whose formula is its own ``flux_curve`` and which
-has no columns.  Every part takes demand and supply from one pass of its
-formula over Q([min(rho, rho_crit), max(rho, rho_crit)]), the rule of
-``FundamentalDiagram``, so demand, supply, flux and speed of every cell
-equal ``fd.demand`` etc. bit for bit.
+has no columns.  Demand and supply keep the rule of
+``FundamentalDiagram``, D = Q(min(rho, rho_crit)) and
+S = Q(max(rho, rho_crit)), so demand, supply, flux and speed of every
+cell equal ``fd.demand`` etc. bit for bit.  A part that covers the road
+takes both from one pass of its formula over the stacked
+[min(rho, rho_crit), max(rho, rho_crit)].  On a road of several parts
+each part's formula runs once over its densities, and each cell selects:
+D = Q(rho) and S = Q(rho_crit) where rho <= rho_crit, the reverse
+elsewhere.  Q(rho_crit) comes from the same formula on the part's
+``rho_crit`` column, never from ``fd.capacity``, which may sit an ulp
+away.
 
 ``SimGrid.flux_speed`` takes Q part by part and speed q/rho once for
 the road, from the grid's road-wide ``rho_jam`` and ``v0`` columns.
@@ -53,9 +60,11 @@ without allocating.  A part that covers the whole road (a ring of
 Kerner-Konhauser links, say) runs its table formula in the caller's
 demand|supply array.  A road of several parts is laid out part-major:
 one ``take`` of the grid's ``_order`` gathers the densities part after
-part, each part's formula runs in place on its own slice of a stacked
-demand|supply array, and one ``take`` of the grid's ``_back`` puts that
-array back in road order.  Both index arrays are built once per grid.
+part, each part's formula runs in place on its own slice of a
+part-major Q array, one ``take`` of the grid's ``_back`` puts Q in road
+order, and demand and supply are selected in road order against the
+grid's ``_cap`` column of Q(rho_crit).  The two index arrays and
+``_cap`` are built once per grid.
 
 Stability needs the CFL number max|Q'| * dt / dx at or below 1; runs
 and the CLI refuse anything above 0.95 by one guard, ``_cfl_problem``,
@@ -164,9 +173,13 @@ class SimGrid:
     through, and raises ConfigError for a density outside [0, rho_jam],
     boundaries that are not a BoundarySpec of two StepFunctions or a
     breakpoint outside [0, capacity] of its end link; ``with_density``
-    copies share the parts and their part-major index arrays.
+    copies share the parts and their arrays.
     ``rho_jam``, ``rho_crit`` and ``v0`` are the per-cell jam density,
-    critical density and free-flow speed Q'(0) arrays.
+    critical density and free-flow speed Q'(0) arrays.  A road of
+    several parts also holds the part-major layout of ``_flux_writer``:
+    ``_order``, the road's cells part after part, ``_back``, its inverse
+    permutation, and ``_cap``, each cell's Q(rho_crit) by its part's
+    formula; all three are None on a road of one part.
     """
 
     def __init__(self, segments: Sequence[tuple[FundamentalDiagram, int]], rho,
@@ -189,12 +202,13 @@ class SimGrid:
             key = type(fd) if fd._table_form else id(fd)
             runs_of.setdefault(key, []).append((first, fd, count))
             first += count
-        self._parts = [_Part(runs) for runs in runs_of.values()]
-        self._order = self._back = None
+        self._parts = [_Part(runs, len(runs_of) == 1) for runs in runs_of.values()]
+        self._order = self._back = self._cap = None
         if len(self._parts) > 1:  # the part-major layout of _flux_writer
             self._order = np.concatenate([part.cells for part in self._parts])
-            self._back = np.argsort(np.concatenate(
-                [np.concatenate((part.cells, part.cells + n)) for part in self._parts]))
+            self._back = np.argsort(self._order)
+            self._cap = np.concatenate([part.flux(part.rho_crit, *part.params)
+                                        for part in self._parts])[self._back]
         counts = [count for _, count in self.segments]
         self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments], counts)
         self.rho_crit = _repeat([fd.rho_crit for fd, _ in self.segments], counts)
@@ -334,13 +348,14 @@ class _Part:
     ``runs`` are the part's (first cell, diagram, count) runs in road
     order; ``cells`` joins their cell ranges.  The diagrams'
     class's ``_table_form`` gives the formula and the diagram attributes
-    whose columns ``params`` holds, in order, and ``params_twice`` holds
-    each twice over, for a pass over demand and supply together; a class
-    without one makes a part of a single diagram, whose bound
-    ``flux_curve`` is the formula and which has no columns.
+    whose columns ``params`` holds, in order; a class without one makes
+    a part of a single diagram, whose bound ``flux_curve`` is the
+    formula and which has no columns.  A part that ``covers`` the road
+    also holds each column twice over in ``params_twice``, for one pass
+    over demand and supply together; on other parts it is None.
     """
 
-    def __init__(self, runs):
+    def __init__(self, runs, covers: bool):
         self.cells = np.concatenate([np.arange(first, first + count)
                                      for first, _, count in runs])
         fds, counts = [fd for _, fd, _ in runs], [count for _, _, count in runs]
@@ -348,7 +363,8 @@ class _Part:
         self.rho_crit, *self.params = [
             _repeat([getattr(fd, name) for fd in fds], counts)
             for name in ("rho_crit", *names)]
-        self.params_twice = [np.concatenate((p, p)) for p in self.params]
+        self.params_twice = ([np.concatenate((p, p)) for p in self.params]
+                             if covers else None)
 
 
 def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
@@ -435,47 +451,72 @@ def _flux_writer(grid: SimGrid, f: np.ndarray, ds: np.ndarray):
 
     Every array is made here, once.  Demand and supply are
     Q(min(rho, rho_crit)) and Q(max(rho, rho_crit)) as in
-    ``FundamentalDiagram``, one formula pass over both halves of a
-    stacked array.  A part that covers the road evaluates in ``ds``
-    itself.  On a road of several parts the densities are gathered part
-    after part by one ``take`` of ``grid._order``, each part evaluates
-    into its slice of a part-major stacked array, and one ``take`` of
-    ``grid._back`` puts that in road order into ``ds``.  A table formula
-    runs in place; a ``flux_curve``, which takes no ``out``, returns an
-    array of its own, which is copied in.
+    ``FundamentalDiagram``.  A part that covers the road evaluates them
+    in ``ds`` by one formula pass over both halves of a stacked array.
+    On a road of several parts the densities are gathered part after
+    part by one ``take`` of ``grid._order``, each part evaluates Q once
+    per cell into its slice of a part-major array, and one ``take`` of
+    ``grid._back`` puts Q in road order into the demand half of ``ds``.
+    Where rho <= rho_crit that is the demand, and ``grid._cap``,
+    Q(rho_crit) from the same formulas, is the supply; elsewhere the two
+    trade places, as min(rho, rho_crit) or max(rho, rho_crit) is
+    rho_crit itself.  The mask is taken on the road-order densities, not
+    the gathered ones.  The select exchanges the bits of the two by XOR,
+    so that it costs the same however free and congested cells
+    alternate; a masked copy ran twice as slow on alternating cells as
+    on runs.  A table formula runs in place; a ``flux_curve``, which
+    takes no ``out``, returns an array of its own, which is copied in.
 
     The function returns the two boundary fluxes f[0] and f[n] as Python
     floats, which the march adds to its ledger without reading ``f``
     back as numpy scalars.
     """
     n, bounds, order, back = grid.n, grid.boundaries, grid._order, grid._back
-    both, parts, start = np.empty(2 * n), [], 0
-    gathered, stacked = (None, ds) if order is None else (np.empty(n), np.empty(2 * n))
-    for part in grid._parts:
-        m, lo = part.rho_crit.size, 2 * start
-        parts.append((part.rho_crit, part.flux, part.params_twice,
-                      None if gathered is None else gathered[start:start + m],
-                      both[lo:lo + 2 * m], both[lo:lo + m], both[lo + m:lo + 2 * m],
-                      stacked[lo:lo + 2 * m]))
-        start += m
     d, s = ds[:n], ds[n:]
+    if order is None:
+        (part,) = grid._parts
+        rho_crit, flux, params = part.rho_crit, part.flux, part.params_twice
+        both = np.empty(2 * n)
+        low, high = both[:n], both[n:]
+    else:
+        gathered, q = np.empty((2, n))
+        parts, start = [], 0
+        for part in grid._parts:
+            m = part.rho_crit.size
+            parts.append((part.flux, part.params, gathered[start:start + m],
+                          q[start:start + m]))
+            start += m
+        rho_crit, congested = grid.rho_crit, np.empty(n, dtype=bool)
+        flip = np.empty(n, dtype=np.int64)
+        bits_cap, bits_d, bits_s = (a.view(np.int64) for a in (grid._cap, d, s))
+        greater, xor, multiply = np.greater, np.bitwise_xor, np.multiply
     d_left, s_right, inner = d[:-1], s[1:], f[1:-1]
     maximum, minimum = np.maximum, np.minimum
 
     def write(rho, t):
-        # "clip" skips the buffered bounds check; the indices are in range
-        if order is not None:
-            rho.take(order, out=gathered, mode="clip")
-        for rho_crit, flux, params, part_rho, pair, low, high, q in parts:
-            part_rho = rho if part_rho is None else part_rho
-            maximum(part_rho, rho_crit, out=high)
-            minimum(part_rho, rho_crit, out=low)
+        if order is None:
+            maximum(rho, rho_crit, out=high)
+            minimum(rho, rho_crit, out=low)
             if params:
-                flux(pair, *params, out=q)
+                flux(both, *params, out=ds)
             else:  # a flux_curve, which has no columns and takes no out
-                q[:] = flux(pair)
-        if order is not None:
-            stacked.take(back, out=ds, mode="clip")
+                ds[:] = flux(both)
+        else:
+            # "clip" skips the buffered bounds check; the indices are in range
+            rho.take(order, out=gathered, mode="clip")
+            for flux_of, part_params, part_rho, part_q in parts:
+                if part_params:
+                    flux_of(part_rho, *part_params, out=part_q)
+                else:
+                    part_q[:] = flux_of(part_rho)
+            q.take(back, out=d, mode="clip")
+            greater(rho, rho_crit, out=congested)
+            # flip = Q ^ cap where congested, else 0: D = Q ^ flip and
+            # S = cap ^ flip, with no branch on the mask
+            xor(bits_d, bits_cap, out=flip)
+            multiply(flip, congested, out=flip)
+            xor(bits_cap, flip, out=bits_s)
+            xor(bits_d, flip, out=bits_d)
         minimum(d_left, s_right, out=inner)
         if bounds is None:
             f[0] = f[-1] = left = right = min(d.item(-1), s.item(0))

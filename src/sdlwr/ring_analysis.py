@@ -316,7 +316,10 @@ def initial_density(spec: RingSpec, rho0: float, amplitude: float = 0.0
     a(x) is each link's lane count (1 for diagrams without lanes), so
     the perturbed base density scales onto wide links the way the
     stationary densities do.  The CLI lays its ``sinusoid`` by this rule.
+    Raises ValueError, as ``vehicles_of_initial`` does, when the profile
+    leaves [0, rho_jam] anywhere.
     """
+    _check_initial_range(spec, rho0, amplitude)
     return _lane_sinusoid((spec.L1,), (spec.fd1, spec.fd2), spec.L, rho0,
                           amplitude)
 

@@ -509,9 +509,44 @@ def _drift_road(family_zoo):
     return segments, rho
 
 
+# Its Q(rho_crit), 0.5171306990881459 veh/s, is one ulp below its
+# ``capacity``: a march that took Q(rho_crit) from ``capacity`` would
+# move the flux out of a congested cell into a free one by that ulp.
+_ULP_TRIANGLE = TriangularDiagram(27.8e-3, 120.0, v_cong=5.1e-3)
+
+
+def _critical_road(family_zoo):
+    """Every family and both user classes, the one-ulp triangle among
+    them, in runs of 2 to 4 cells: the first cell of each run congested,
+    the second at exactly rho_crit, so that Q(rho_crit) is the flux
+    between them, and the others on either side of rho_crit."""
+    rng = np.random.default_rng(23)
+    fds = [*family_zoo, _DampedKK(lanes=1), _Cubic(0.02, 100.0), _ULP_TRIANGLE]
+    segments = [(fd, int(rng.integers(2, 5))) for fd in fds]
+    rho = []
+    for fd, count in segments:
+        run_rho = rng.uniform(0.0, 0.9 * fd.rho_jam, count)
+        run_rho[0] = rng.uniform(fd.rho_crit, 0.9 * fd.rho_jam)
+        run_rho[1] = fd.rho_crit
+        rho.extend(run_rho)
+    return segments, np.array(rho)
+
+
+def _ulp_road(family_zoo):
+    """Two runs of the one-ulp triangle, its cells alternately congested
+    and free, in one part with a trapezoid, and a Greenshields run
+    between them: the part-major order is not the road's."""
+    tri, gs, trapezoid = _ULP_TRIANGLE, family_zoo[1], family_zoo[3]
+    segments = [(tri, 6), (gs, 4), (tri, 6), (trapezoid, 4)]
+    alternate = tri.rho_crit * np.array([1.5, 0.5, 1.2, 0.8, 1.0, 0.3])
+    rho = np.concatenate([alternate, np.full(4, 0.6 * gs.rho_jam), alternate[::-1],
+                          np.full(4, 0.2 * trapezoid.rho_jam)])
+    return segments, rho
+
+
 @pytest.mark.parametrize("ring", [True, False])
 @pytest.mark.parametrize("road", ["mixed6", "mixed12", "mixed13", "drift", "kk",
-                                  "gs", "triangular", "cubic"])
+                                  "gs", "triangular", "cubic", "critical", "ulp"])
 def test_run_equals_scalar_reference_march(family_zoo, road, ring):
     """``run`` equals the scalar reference march bit for bit, states and
     ledger, on roads of many parts (every family, ``_DampedKK`` and
@@ -528,6 +563,8 @@ def test_run_equals_scalar_reference_march(family_zoo, road, ring):
         assert {_DampedKK, _Cubic} <= {type(fd) for fd, _ in segments}
     elif road == "drift":
         segments, rho = _drift_road(family_zoo)
+    elif road in ("critical", "ulp"):
+        segments, rho = {"critical": _critical_road, "ulp": _ulp_road}[road](family_zoo)
     else:
         fds = {"kk": _KK_MEMBERS, "gs": family_zoo[:2], "triangular": family_zoo[2:4],
                "cubic": (_Cubic(0.02, 100.0),)}[road]
@@ -565,6 +602,55 @@ def test_run_equals_scalar_reference_march(family_zoo, road, ring):
     assert found or not road.startswith("mixed")
     assert _bits([c.flux for c in found]).tolist() == _bits(
         [fds[c.cell].flux(c.density) for c in found]).tolist()
+
+
+_LAYOUT_USERS = (_Cubic(0.02, 100.0), _DampedKK(lanes=1))
+
+
+def _layout_jam(fd):
+    """The jam draw of a cell: rho_jam where Q(rho_jam) = 0.  A
+    Kerner-Konhauser cell at rho_jam still takes ~1e-8 veh/s that a
+    jammed neighbour of zero supply does not take on, which drifts it
+    beyond DENSITY_SLACK within one step, so it is drawn at 0.99 rho_jam."""
+    return fd.rho_jam if fd.flux(fd.rho_jam) == 0.0 else 0.99 * fd.rho_jam
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ring=st.booleans())
+def test_march_layout_equals_reference_march(family_zoo, data, ring):
+    """Any layout of 2 to 4 parts, ``_Cubic`` (no table form) among the
+    candidates, in runs of 1 to 4 cells, with densities at 0, rho_crit,
+    jam or uniform: five steps of ``run`` equal the scalar reference
+    march bit for bit, states, ledger and recorded flux."""
+    pool = [family_zoo[:2], (*family_zoo[2:4], _ULP_TRIANGLE), family_zoo[4:],
+            _LAYOUT_USERS[:1], _LAYOUT_USERS[1:]]
+    keys = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=4,
+                              unique=True))
+    runs = data.draw(st.lists(st.tuples(st.sampled_from(keys), st.integers(0, 2),
+                                        st.integers(1, 4)), max_size=6))
+    runs += [(key, 0, 1) for key in keys if key not in {k for k, _, _ in runs}]
+    runs = data.draw(st.permutations(runs))
+    segments = [(pool[k][member % len(pool[k])], count) for k, member, count in runs]
+    fds = [fd for fd, count in segments for _ in range(count)]
+    draws = data.draw(st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 1.0)),
+                               min_size=len(fds), max_size=len(fds)))
+    rho = np.array([(0.0, fd.rho_crit, _layout_jam(fd), u * _layout_jam(fd))[kind]
+                    for fd, (kind, u) in zip(fds, draws)])
+    dx, k = 0.5, 5
+    dt = 0.9 * dx / max(fd.max_wave_speed() for fd, _ in segments)
+    bs = None
+    if not ring:
+        cap = min(segments[0][0].capacity, segments[-1][0].capacity)
+        bs = BoundarySpec(StepFunction((0.0, 2 * dt), (0.0, 0.9 * cap)),
+                          StepFunction((0.0, 3 * dt), (cap, 0.2 * cap)))
+    grid = SimGrid(segments, rho, dx=dx, boundaries=bs)
+    assert len(grid._parts) == len(keys)
+    rec = run(grid, StepConfig(dt), k * dt)
+    states, inflow, outflow = _reference_march(segments, rho, dx, dt, k, bs)
+    assert np.array_equal(_bits(rec.rho), _bits(states))
+    assert (rec.inflow, rec.outflow) == (inflow, outflow)
+    cells = [[fd.flux(r) for fd, r in zip(fds, row)] for row in rec.rho]
+    assert np.array_equal(_bits(rec.q), _bits(cells))
 
 
 # -- input checks at the kernel's entry points ------------------------------

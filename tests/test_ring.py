@@ -391,6 +391,20 @@ def test_initial_profile_range_checks(ring):
         vehicles_of_initial(ring, 28.0, amplitude=math.nan)
 
 
+@pytest.mark.parametrize("rho0, amplitude, match", [
+    (28.0, 1e6, "below 0"), (1.0, 2.0, "below 0"), (200.0, 0.0, "exceeds rho_jam"),
+    (178.0, 3.0, "exceeds rho_jam"), (math.nan, 0.0, "below 0"),
+    (28.0, math.nan, "below 0")])
+def test_initial_density_refuses_a_profile_outside_range(ring, rho0, amplitude, match):
+    """The profile is refused when it is built, as its vehicle count is:
+    28 +- 1e6 veh/km would reach -1 999 944 veh/km on the two-lane link,
+    and 178 + 3 overfills the one-lane link, which jams at 180."""
+    with pytest.raises(ValueError, match=match):
+        initial_density(ring, rho0, amplitude)
+    with pytest.raises(ValueError, match=match):
+        vehicles_of_initial(ring, rho0, amplitude)
+
+
 # -- stationary pattern feasibility -----------------------------------------
 
 
