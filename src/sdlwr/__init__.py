@@ -10,23 +10,38 @@ Internal units: veh/km, veh/s, km, s.  Speeds are km/s internally;
 the CLI converts to m/s at the boundary.
 """
 
-# Each module's __all__ is its public interface; the package republishes
-# it, so a public name is declared once.
-from . import (fundamental_diagram, godunov_sim, riemann_solver,
-               ring_analysis, supply_demand)
-from .fundamental_diagram import *  # noqa: F401,F403
-from .godunov_sim import *  # noqa: F401,F403
-from .riemann_solver import *  # noqa: F401,F403
-from .ring_analysis import *  # noqa: F401,F403
-from .supply_demand import *  # noqa: F401,F403
+from functools import cache
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *fundamental_diagram.__all__,
-    *supply_demand.__all__,
-    *riemann_solver.__all__,
-    *godunov_sim.__all__,
-    *ring_analysis.__all__,
-    "__version__",
-]
+# Each module's __all__ is its public interface; the package republishes
+# it, so a public name is declared once.  Nothing is imported until a
+# name is first read (PEP 562): ``import sdlwr`` loads no module of the
+# library, and each CLI subcommand loads only the modules it runs.
+_MODULES = ("fundamental_diagram", "supply_demand", "riemann_solver",
+            "godunov_sim", "ring_analysis")
+
+
+@cache
+def _owners() -> dict[str, str]:
+    """Each public name -> its module, in ``__all__`` order."""
+    return {name: module for module in _MODULES
+            for name in import_module(f".{module}", __name__).__all__}
+
+
+def __getattr__(name: str):
+    if name in _MODULES:
+        value = import_module(f".{name}", __name__)
+    elif name == "__all__":
+        value = [*_owners(), "__version__"]
+    elif name in _owners():
+        value = getattr(import_module(f".{_owners()[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # read once; later reads skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULES, *_owners(), "__all__"})

@@ -27,15 +27,15 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import gc
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from collections.abc import Hashable, Iterable, Iterator
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
-import yaml
 
 from .fundamental_diagram import (
     FundamentalDiagram,
@@ -68,15 +68,13 @@ from .riemann_solver import (
     sample_profile,
     solve,
 )
-from .ring_analysis import (
-    RingSpec,
-    _lane_sinusoid,
-    predict,
-    thresholds,
-    vehicles_of_initial,
-)
 from .supply_demand import SDState, classify, from_density, to_density
-from .verify_cases import run_checks
+
+# Each subcommand imports what only it runs (PyYAML, ring_analysis,
+# verify_cases) where it runs it, so a process loads no module its
+# subcommand does not use.
+if TYPE_CHECKING:
+    from .ring_analysis import RingSpec
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -295,6 +293,8 @@ def _build_initial(node, road: RoadConfig | None, err):
                           default=0.0)
         if road is None or err.items:
             return None, None
+        from .ring_analysis import _lane_sinusoid
+
         bounds = np.cumsum([c * road.dx for _, c in road.segments])[:-1]
         return _lane_sinusoid(bounds.tolist(), [fd for fd, _ in road.segments],
                               road.length, rho0, amp), (rho0, amp)
@@ -490,6 +490,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     flows and initial densities out of range) and raises one ConfigError
     listing all of them with their key paths.
     """
+    import yaml
+
     err = _Errors()
     try:
         raw = yaml.safe_load(text)
@@ -578,6 +580,8 @@ def _keyed(path: str, call, *args):
 
 
 def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
+    from .ring_analysis import RingSpec, vehicles_of_initial
+
     road = cfg.road
     if road is None:
         raise ConfigError("ring-predict needs a road section")
@@ -746,6 +750,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:
 
 
 def cmd_ring_predict(cfg: ScenarioConfig, out_dir: Path) -> int:
+    from .ring_analysis import predict, thresholds
+
     spec = _ring_spec(cfg)
     n_a, n_c = thresholds(spec)
     pred = _keyed("ring.vehicles_veh", predict, spec)
@@ -795,6 +801,8 @@ def cmd_verify(seed: int, trials: int) -> int:
     if trials <= 0:
         sys.stdout.write("verify: 0 trials requested, nothing to run: PASS\n")
         return EXIT_OK
+    from .verify_cases import run_checks
+
     failed = False
     for name, problem in run_checks(seed, trials):
         if problem is None:
@@ -857,5 +865,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
 
 
+def entry() -> int:
+    """The process entry, of both ``python -m sdlwr.cli`` and the ``sdlwr``
+    script: ``main`` on ``sys.argv`` after ``gc.freeze()``.  Freezing the
+    objects that the imports made keeps every later collection off them,
+    the interpreter's at shutdown included.  ``main`` called in a running
+    program freezes nothing."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,8 +1,11 @@
 """CLI: config validation, reports, CSV output, self-checks."""
 
+import ast
 import copy
 import dataclasses
+import gc
 import hashlib
+import json
 import math
 import operator
 import os
@@ -307,8 +310,8 @@ def test_simulate_evaluates_the_initial_profile_once(tmp_path, capsys, monkeypat
         profile = lane_sinusoid(*args)
         return lambda x: calls.append(x) or profile(x)
 
-    lane_sinusoid = sdlwr.cli._lane_sinusoid
-    monkeypatch.setattr(sdlwr.cli, "_lane_sinusoid", counted)
+    lane_sinusoid = sdlwr.ring_analysis._lane_sinusoid
+    monkeypatch.setattr(sdlwr.ring_analysis, "_lane_sinusoid", counted)
     config = RING_CFG + "numerics:\n  dt_s: 0.8\n  duration_s: 8.0\n"
     assert _run(tmp_path, "ring.yaml", ["simulate"], config) == 0
     assert calls == [(i + 0.5) * 0.028 for i in range(600)]
@@ -1099,16 +1102,131 @@ def test_bench_config_reports(tmp_path, capsys):
         assert hashlib.sha256((tmp_path / csv).read_bytes()).hexdigest() == digest, csv
 
 
-def test_import_loads_no_scipy():
-    """Every CLI call pays ``import sdlwr``; scipy must not ride along."""
+# -------------------------------------------------- imports and entry
+
+_LIBRARY = ("fundamental_diagram", "supply_demand", "riemann_solver",
+            "godunov_sim", "ring_analysis")
+
+# prints, at exit, the sdlwr, yaml and scipy modules the process loaded
+_LOADED = ("import atexit, sys\n"
+           "atexit.register(lambda: print(sorted(m for m in sys.modules "
+           "if m.split('.')[0] in ('sdlwr', 'yaml', 'scipy'))))\n")
+
+
+def _fresh(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a new interpreter that
+    imports sdlwr from this checkout."""
     src = str(Path(sdlwr.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, sdlwr; print(sorted(m for m in sys.modules "
-         "if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_scipy():
+    """``import sdlwr`` loads no module of the library, and so no scipy:
+    each name loads its module when first read."""
+    assert _fresh(_LOADED + "import sdlwr").strip() == "['sdlwr']"
+
+
+# subcommand -> its arguments but ``--out``, the modules it must load (so
+# that the check reads a real run) and the modules it must not
+_SUBCOMMAND_MODULES = {
+    "riemann": (["--config", str(_BENCH_CONFIGS / "riemann.yaml")],
+                {"yaml", "sdlwr.riemann_solver"},
+                {"sdlwr.ring_analysis", "sdlwr.verify_cases"}),
+    "ring-predict": (["--config", str(_BENCH_CONFIGS / "ring_predict.yaml")],
+                     {"yaml", "sdlwr.ring_analysis"}, {"sdlwr.verify_cases"}),
+    "simulate": (["--config", str(_BENCH_CONFIGS / "simulate.yaml")],
+                 {"yaml", "sdlwr.godunov_sim"}, {"sdlwr.verify_cases"}),
+    "verify": (["--trials", "1"], {"sdlwr.verify_cases"},
+               {"yaml", "sdlwr.ring_analysis"}),
+}
+
+
+@pytest.mark.parametrize("command", _SUBCOMMAND_MODULES)
+def test_subcommand_loads_only_what_it_runs(tmp_path, command):
+    """A ``python -m sdlwr.cli`` process loads the modules its subcommand
+    runs, none that only another subcommand runs, and no scipy."""
+    args, used, unused = _SUBCOMMAND_MODULES[command]
+    if command != "verify":
+        args = [*args, "--out", str(tmp_path)]
+    run_cli = ("import runpy, sys\n"
+               "sys.argv[0] = 'sdlwr'\n"
+               "runpy.run_module('sdlwr.cli', run_name='__main__')\n")
+    loaded = set(ast.literal_eval(
+        _fresh(_LOADED + run_cli, command, *args).splitlines()[-1]))
+    assert used <= loaded
+    assert not loaded & unused
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    """``main`` called in a running program leaves the collector as it is;
+    only the process entry freezes."""
+    before = gc.get_freeze_count()
+    assert main(["verify", "--trials", "1"]) == 0
+    assert main(["riemann", "--config", str(_BENCH_CONFIGS / "riemann.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_script_and_module_run_the_freezing_entry():
+    """The ``sdlwr`` script names the function that ``python -m sdlwr.cli``
+    runs, and that function freezes the objects of the imports."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(sdlwr.__file__).resolve().parents[2] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["sdlwr"]
+    module, _, name = target.partition(":")
+    assert module == "sdlwr.cli"
+    tree = ast.parse(Path(sdlwr.cli.__file__).read_text())
+    main_block, = (node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'")
+    assert ast.unparse(main_block.body) == f"sys.exit({name}())"
+    # the script's function, called as a console script calls it
+    out = _fresh("import gc, sys\n"
+                 f"from {module} import {name}\n"
+                 "sys.argv = ['sdlwr', 'verify', '--trials', '0']\n"
+                 f"print({name}(), gc.get_freeze_count() > 0)")
+    assert out.splitlines()[-1] == "0 True"
+    # python -m sdlwr.cli, asked at exit
+    out = _fresh("import atexit, gc, runpy, sys\n"
+                 "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                 "sys.argv = ['sdlwr', 'verify', '--trials', '0']\n"
+                 "runpy.run_module('sdlwr.cli', run_name='__main__')")
+    assert out.splitlines()[-1] == "True"
+
+
+def test_package_surface():
+    """The package republishes each module's ``__all__`` in order, once,
+    each name bound to its module's own object."""
+    modules = [getattr(sdlwr, name) for name in _LIBRARY]
+    want = [name for module in modules for name in module.__all__]
+    assert sdlwr.__all__ == [*want, "__version__"]
+    assert len(set(sdlwr.__all__)) == len(sdlwr.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(sdlwr, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        sdlwr.no_such_name
+
+
+def test_package_resolves_names_on_first_read():
+    """In a new process the five module attributes resolve before any
+    import of them, ``dir`` lists every public name before any is read,
+    and ``from sdlwr import *`` binds every name, each kept on the
+    package once read."""
+    out = _fresh("import json, sdlwr\n"
+                 f"modules = [getattr(sdlwr, m).__name__ for m in {_LIBRARY!r}]\n"
+                 "listed = dir(sdlwr)\n"
+                 "ns = {}\n"
+                 "exec('from sdlwr import *', ns)\n"
+                 "print(json.dumps([modules, listed, sorted(set(ns) - {'__builtins__'}), "
+                 "sorted(vars(sdlwr))]))")
+    modules, listed, bound, kept = json.loads(out)
+    assert modules == [f"sdlwr.{name}" for name in _LIBRARY]
+    assert bound == sorted(sdlwr.__all__)
+    assert set(bound) | set(_LIBRARY) | {"__all__"} <= set(listed)
+    assert set(bound) | {"__all__"} <= set(kept)
