@@ -43,22 +43,7 @@ from .fundamental_diagram import (
     KernerKonhauserDiagram,
     TriangularDiagram,
 )
-from .godunov_sim import (
-    _cfl_problem,
-    _cell_densities,
-    _density_problems,
-    _flow_problems,
-    BoundarySpec,
-    ConfigError,
-    SimGrid,
-    SimRecord,
-    SimulationDiverged,
-    StepConfig,
-    StepFunction,
-    cfl_number,
-    detect_interior_states,
-    run,
-)
+from .errors import ConfigError, SimulationDiverged
 from .riemann_solver import (
     Family,
     RiemannProblem,
@@ -70,10 +55,11 @@ from .riemann_solver import (
 )
 from .supply_demand import SDState, classify, from_density, to_density
 
-# Each subcommand imports what only it runs (PyYAML, ring_analysis,
-# verify_cases) where it runs it, so a process loads no module its
-# subcommand does not use.
+# Each subcommand imports what only it runs (PyYAML, godunov_sim,
+# ring_analysis, verify_cases) where it runs it, so a process loads no
+# module its subcommand does not use.
 if TYPE_CHECKING:
+    from .godunov_sim import BoundarySpec, SimGrid, SimRecord, StepConfig, StepFunction
     from .ring_analysis import RingSpec
 
 EXIT_OK = 0
@@ -331,6 +317,8 @@ class NumericsConfig:
 
 
 def _build_numerics(node, override_cfl, err) -> NumericsConfig | None:
+    from .godunov_sim import StepConfig
+
     path = "numerics"
     node = _section(node, path, err, {"dt_s", "duration_s", "record_every"})
     dt = _get_number(node, "dt_s", path, err, positive=True)
@@ -357,6 +345,8 @@ def _build_step_fn(node, key, path, err, cap) -> StepFunction | None:
     """The boundary flow ``node[key]``: a constant or a list of
     {t_s, value_veh_s}, each value held to [0, ``cap``] by the grid's
     rule unless ``cap`` is None."""
+    from .godunov_sim import StepFunction, _flow_problems
+
     if not isinstance(node.get(key), list):
         value = _get_number(node, key, path, err)
         if value is None:
@@ -389,6 +379,8 @@ def _build_step_fn(node, key, path, err, cap) -> StepFunction | None:
 
 
 def _build_boundaries(node, road, err) -> BoundarySpec | None:
+    from .godunov_sim import BoundarySpec
+
     path = "boundaries"
     node = _section(node, path, err, {"left_demand_veh_s", "right_supply_veh_s"})
     # the capacities of the end links bound the flows, as in the grid
@@ -517,6 +509,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     initial, sinusoid = (_build_initial(raw["initial"], road, err)
                          if "initial" in raw else (None, None))
     if initial is not None:
+        from .godunov_sim import _cell_densities, _density_problems
+
         initial = _cell_densities(initial, road.n_cells, road.dx)
         for problem in _density_problems(initial, road.segments):
             err.add("initial", problem)
@@ -550,6 +544,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
 
     # the CFL guard that run applies, keyed here
     if road is not None and numerics is not None and not override_cfl:
+        from .godunov_sim import _cfl_problem
+
         problem = _cfl_problem(road.segments, numerics.step.dt, road.dx)
         if problem is not None:
             err.add("numerics.dt_s",
@@ -564,6 +560,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
 # ------------------------------------------------------------- building
 
 def _build_grid(cfg: ScenarioConfig) -> SimGrid:
+    from .godunov_sim import SimGrid
+
     if cfg.road is None or cfg.initial is None:
         raise ConfigError("simulate needs road and initial sections")
     boundaries = cfg.boundaries if cfg.road.topology == "open" else None
@@ -712,6 +710,8 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: Path) -> int:
         raise ConfigError(f"invalid config:\n  numerics.record_every: {snapshots} "
                           f"snapshots make a {size / 1e9:.3g} GB record (rho, q and v), "
                           f"over the {_MAX_RECORD_BYTES / 1e9:g} GB limit")
+    from .godunov_sim import cfl_number, detect_interior_states, run
+
     grid = _build_grid(cfg)
     record = run(grid, num.step, num.duration, num.record_every)
 

@@ -17,6 +17,12 @@ R(1) is rho_crit bit for bit: a demand level at or above C inverts to
 the located critical point, where a search would stop anywhere on the
 crest, which is flat in floating point.
 
+Each diagram keeps Q(0), Q(rho_crit) and Q(rho_jam) from construction,
+each from its own scalar ``flux_curve``: the scalar demand and supply
+return the stored Q(rho_crit) at or beyond rho_crit, the same bits as
+the hook gives there, and the branch inverses test their ends against
+the stored Q(0) and Q(rho_jam).
+
 Every method rests on one hook, ``flux_curve``.  Demand and supply
 have one definition, the pair above, for every diagram and in the
 simulator's per-cell table alike.  A family may define closed forms for
@@ -34,7 +40,9 @@ the triangular/trapezoidal law used by the cell transmission model, and
 the Kerner-Konhauser law with its logistic speed function.  A
 Kerner-Konhauser diagram folds its jam density, logistic shape and speed
 scale into three coefficients (centre, slope and gain) once, at
-construction, so that its flux takes one division.
+construction, so that its flux takes one division.  It also tabulates Q
+once on each branch, and each branch inversion starts its Halley search
+where the table puts the level, next to the root.
 
 Scalars take a scalar path: a Python float given to ``flux_curve``
 comes back as a plain float, computed without building a numpy array,
@@ -50,6 +58,7 @@ arrays, must agree with the scalar methods bit for bit.
 from __future__ import annotations
 
 import abc
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -199,11 +208,19 @@ class FundamentalDiagram(abc.ABC):
             setattr(cls, name, vars(FundamentalDiagram)[name])
 
     def __init__(self) -> None:
+        """Locate the critical point, scan the max wave speed, and keep
+        Q(0), Q(rho_crit) and Q(rho_jam), each from the scalar
+        ``flux_curve``: the scalar ``demand`` and ``supply`` return Q(rho_crit)
+        at or beyond rho_crit, and the branch inverses' end tests read
+        Q(0) and Q(rho_jam), so none of the three is evaluated again."""
         self.rho_crit, self.capacity = self._locate_critical()
         self._max_speed = self._scan_max_speed()
         if not (0 < self.capacity < math.inf and 0 < self._max_speed < math.inf):
             raise ValueError(f"degenerate diagram: capacity {self.capacity!r} "
                              f"veh/s, max wave speed {self._max_speed!r} km/s")
+        # Q(rho_crit) is not the capacity: a triangle's differs in the last bit
+        self._q_zero, self._q_crit, self._q_jam = (
+            float(self.flux_curve(rho)) for rho in (0.0, self.rho_crit, self.rho_jam))
 
     # -- family hooks -------------------------------------------------
 
@@ -263,15 +280,17 @@ class FundamentalDiagram(abc.ABC):
 
     def demand(self, rho):
         """Sending flow D(rho) = Q(min(rho, rho_crit)); nondecreasing."""
-        return _scalarize(
-            self.flux_curve(_minimum(self._check_density(rho), self.rho_crit))
-        )
+        r = self._check_density(rho)
+        if isinstance(r, float) and r >= self.rho_crit:
+            return self._q_crit
+        return _scalarize(self.flux_curve(_minimum(r, self.rho_crit)))
 
     def supply(self, rho):
         """Receiving flow S(rho) = Q(max(rho, rho_crit)); nonincreasing."""
-        return _scalarize(
-            self.flux_curve(_maximum(self._check_density(rho), self.rho_crit))
-        )
+        r = self._check_density(rho)
+        if isinstance(r, float) and r <= self.rho_crit:
+            return self._q_crit
+        return _scalarize(self.flux_curve(_maximum(r, self.rho_crit)))
 
     def speed(self, rho):
         """Mean speed v = Q(rho)/rho in km/s, with the rho -> 0 limit."""
@@ -316,9 +335,8 @@ class FundamentalDiagram(abc.ABC):
 
     def _branch_inverse(self, level, lo, hi, rising):
         self._check_flux_level(level)
-        end = lo if rising else hi  # Q(0) >= d or Q(rho_jam) >= s
-        if self.flux_curve(end) >= level:
-            return end
+        if (self._q_zero if rising else self._q_jam) >= level:
+            return lo if rising else hi
         if rising and level >= self.capacity:
             return self.rho_crit
         return min(max(self._invert_branch(level, lo, hi, rising), lo), hi)
@@ -329,11 +347,13 @@ class FundamentalDiagram(abc.ABC):
         return _newton(lambda rho: (self.flux_curve(rho), math.nan), level,
                        lo, hi, 0.5 * (lo + hi), rising, _SEARCH_TOL * self.rho_jam)
 
-    def _invert_fan(self, xi, lo, hi):
+    def _invert_fan(self, xi, lo, hi, start=None):
         """Where Q'(rho) = xi on [lo, hi]; Q' is nonincreasing there.
 
         Bisects on the rising -Q', so that where Q' = xi on an interval
         (a trapezoid's plateau at xi = 0) the search ends at its left end.
+        A search that takes slopes starts at ``start``, a density near the
+        root, when given one; bisection gains nothing from it and ignores it.
         """
         return _newton(lambda rho: (-self.derivative(rho), math.nan), -xi,
                        lo, hi, 0.5 * (lo + hi), True, _SEARCH_TOL * self.rho_jam)
@@ -430,7 +450,7 @@ class GreenshieldsDiagram(FundamentalDiagram):
         rho = 2.0 * level / (self.v_free * (1.0 + root))
         return rho if rising else self.rho_jam - rho
 
-    def _invert_fan(self, xi, lo, hi):
+    def _invert_fan(self, xi, lo, hi, start=None):
         return self.rho_crit * (1.0 - xi / self.v_free)
 
 
@@ -537,6 +557,11 @@ _KK_WIDTH = 0.06
 _KK_OFFSET = 3.72e-6
 _KK_OFFSET_0D = np.array(_KK_OFFSET)  # for _kk_flux's out path
 
+# Nodes of a Kerner-Konhauser diagram's start table on [0, rho_crit] and on
+# [rho_crit, rho_jam], uniform on each.
+_KK_FREE_NODES = 33
+_KK_CONGESTED_NODES = 129
+
 
 def _exp(x):
     """``np.exp``, as a plain float when ``x`` is a float, so that the
@@ -597,6 +622,16 @@ class KernerKonhauserDiagram(FundamentalDiagram):
     takes the three as its columns, and the Newton steps take Q' and Q''
     from them.
 
+    Construction also tabulates Q from the three, on 33 uniform nodes over
+    [0, rho_crit] and 129 over [rho_crit, rho_jam].  A branch inversion
+    finds the level's interval in the table by one bisection and starts
+    Halley's search at the level's linear interpolation there, or, on the
+    interval next to the crest, at its interpolation as a parabola with
+    its vertex at rho_crit: a linear start there can fall within the
+    search tolerance of the crest, where Halley's steps stall.  A fan
+    inversion starts at the ``start`` it is given, the density of the
+    neighbouring sample, or else at the fan's midpoint.
+
     Args:
         lanes: lane count a (dimensionless).
         rho_jam_lane: per-lane jam density (veh/km/lane).
@@ -629,6 +664,16 @@ class KernerKonhauserDiagram(FundamentalDiagram):
             raise ValueError(f"degenerate diagram: rho_jam {self.rho_jam!r} veh/km "
                              "overflows the logistic slope 1/(0.06 rho_jam)")
         super().__init__()
+        # the start table: (nodes, fluxes) with the fluxes ascending, so the
+        # congested nodes run from rho_jam down to rho_crit
+        self._free_table = self._tabulate(0.0, self.rho_crit, _KK_FREE_NODES)
+        self._congested_table = self._tabulate(self.rho_jam, self.rho_crit,
+                                               _KK_CONGESTED_NODES)
+
+    def _tabulate(self, start, stop, count):
+        nodes = np.linspace(start, stop, count)
+        fluxes = _kk_flux(nodes, self._centre, self._slope, self._gain)
+        return nodes.tolist(), fluxes.tolist()
 
     def flux_curve(self, rho):
         return _kk_flux(_as_density(rho), self._centre, self._slope, self._gain)
@@ -639,14 +684,20 @@ class KernerKonhauserDiagram(FundamentalDiagram):
 
     def _invert_branch(self, level, lo, hi, rising):
         # the crest, where Q = C has a double root, in closed form; elsewhere
-        # Halley, demand from 0 (a concave branch), supply from the inflection
-        # of the congested branch, 0.3 rho_jam
+        # Halley from the start table's interpolation of the level
         if level >= self.capacity:
             return self.rho_crit
+        nodes, fluxes = self._free_table if rising else self._congested_table
+        i = min(max(bisect.bisect_right(fluxes, level), 1), len(fluxes) - 1)
+        (x0, x1), (q0, q1) = nodes[i - 1:i + 1], fluxes[i - 1:i + 1]
+        if i < len(fluxes) - 1:
+            start = x0 + (level - q0) / (q1 - q0) * (x1 - x0)
+        else:  # next to the crest Q is a parabola with its vertex at x1
+            start = x1 + (x0 - x1) * math.sqrt((q1 - level) / (q1 - q0))
         return _newton(lambda rho: _kk_slopes(rho, self), level, lo, hi,
-                       lo if rising else 0.3 * self.rho_jam, rising,
-                       _SEARCH_TOL * self.rho_jam)
+                       min(max(start, lo), hi), rising, _SEARCH_TOL * self.rho_jam)
 
-    def _invert_fan(self, xi, lo, hi):
+    def _invert_fan(self, xi, lo, hi, start=None):
         return _newton(lambda rho: _kk_slopes(rho, self)[1:], xi, lo, hi,
-                       0.5 * (lo + hi), False, _SEARCH_TOL * self.rho_jam)
+                       0.5 * (lo + hi) if start is None else start, False,
+                       _SEARCH_TOL * self.rho_jam)

@@ -84,6 +84,7 @@ import numpy as np
 
 from .fundamental_diagram import (DENSITY_SLACK, FLUX_TOL, FundamentalDiagram,
                                   _speed_of_flux)
+from .errors import ConfigError, SimulationDiverged
 
 __all__ = [
     "ConfigError",
@@ -119,19 +120,6 @@ _CFL_GUARD = 0.95
 
 # Points of osher_flux's extremum scan, both endpoints included.
 _SCAN_SAMPLES = 10_000
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration (CFL violation, bad boundary data...)."""
-
-
-class SimulationDiverged(ValueError):
-    """A march left [0, rho_jam]: ``density`` (veh/km) in ``cell`` after
-    ``step`` steps."""
-
-    def __init__(self, message: str, step: int, cell: int, density: float):
-        super().__init__(message)
-        self.step, self.cell, self.density = step, cell, density
 
 
 @dataclass(frozen=True)

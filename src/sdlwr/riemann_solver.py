@@ -375,25 +375,29 @@ def stationary_pair_check(stat_up: SDState, stat_down: SDState,
 
 
 def _fan_density(fd: FundamentalDiagram, rho_lo: float, rho_hi: float,
-                 xi: float) -> float:
+                 xi: float, start: float | None = None) -> float:
     # invert Q'(rho) = xi on [rho_lo, rho_hi], where Q' is nonincreasing
-    return min(max(fd._invert_fan(xi, rho_lo, rho_hi), rho_lo), rho_hi)
+    return min(max(fd._invert_fan(xi, rho_lo, rho_hi, start), rho_lo), rho_hi)
 
 
 def _sample_side(fd, wave: Wave, stat: SDState, xi):
     """Density at similarity coordinates xi for one link.
 
     Without a wave the link holds its stationary state ``stat``; with
-    one, the wave's end densities sit left and right of its fan.
+    one, the wave's end densities sit left and right of its fan.  A fan's
+    samples are inverted in xi order, each search starting at the density
+    of the sample before it.
     """
     if wave.is_none:
         return np.full_like(xi, to_density(fd, stat))
     s_min, s_max = wave.speed_range
     out = np.where(xi < s_min, wave.rho_left, wave.rho_right)
     if wave.kind is WaveKind.RAREFACTION:
-        fan = (xi >= s_min) & (xi <= s_max)
-        out[fan] = [_fan_density(fd, wave.rho_right, wave.rho_left, x)
-                    for x in xi[fan].tolist()]
+        fan = np.flatnonzero((xi >= s_min) & (xi <= s_max)).tolist()
+        xs, rho = xi.tolist(), None
+        for i in sorted(fan, key=xs.__getitem__):
+            rho = _fan_density(fd, wave.rho_right, wave.rho_left, xs[i], rho)
+            out[i] = rho
     return out
 
 

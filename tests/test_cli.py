@@ -1135,7 +1135,7 @@ def test_import_loads_no_scipy():
 _SUBCOMMAND_MODULES = {
     "riemann": (["--config", str(_BENCH_CONFIGS / "riemann.yaml")],
                 {"yaml", "sdlwr.riemann_solver"},
-                {"sdlwr.ring_analysis", "sdlwr.verify_cases"}),
+                {"sdlwr.godunov_sim", "sdlwr.ring_analysis", "sdlwr.verify_cases"}),
     "ring-predict": (["--config", str(_BENCH_CONFIGS / "ring_predict.yaml")],
                      {"yaml", "sdlwr.ring_analysis"}, {"sdlwr.verify_cases"}),
     "simulate": (["--config", str(_BENCH_CONFIGS / "simulate.yaml")],

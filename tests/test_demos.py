@@ -16,7 +16,7 @@ _DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 # sha256 of each demo's stdout
 _STDOUT_SHA256 = {
     "fundamental_diagrams.py":
-        "de8755b6404a2f824f8033db4a797d3cba7a93baf06d3fd7a28553f30c93a6af",
+        "2b661c09a74039ccb6e7107fd7052996f76c92601b55a741ebe43b333cbda5c2",
     "godunov_simulation.py":
         "8fbb99a443c1a0388365af28978f2e38d595df4dd0a35a9ea24ada8a9ec2207b",
     "riemann_at_a_bottleneck.py":

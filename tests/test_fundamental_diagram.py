@@ -183,11 +183,12 @@ _CountingKK = _counting(KernerKonhauserDiagram)
 
 def test_unimodality_check_costs_no_flux_evaluation():
     """Construction pays 51 flux_curve calls for the golden-section
-    search and 2 for the max-speed scan; the unimodality check reuses
-    the scan's array."""
+    search, 2 for the max-speed scan and 3 for the stored Q(0),
+    Q(rho_crit) and Q(rho_jam); the unimodality check reuses the scan's
+    array, and a subclass builds no Kerner-Konhauser start table."""
     _CountingKK.calls = 0
     _CountingKK(lanes=2)
-    assert _CountingKK.calls == 53
+    assert _CountingKK.calls == 56
 
 
 @pytest.mark.parametrize("make", [
@@ -504,13 +505,16 @@ def _counted(family, *scales):
 
 # Exact flux_curve counts: every inversion and search goes through the
 # hook, so a scalar path that skipped it, or called it more often, would
-# move them.
+# move them.  Q(0), Q(rho_crit) and Q(rho_jam) are evaluated once, at
+# construction: the scalar demand and supply at or beyond rho_crit and
+# the branch inverses' end tests read them.  Each case is named by its
+# family alone, so that a re-derived count keeps the test's name.
 
 @pytest.mark.parametrize("family, scales, rhos, calls", [
-    ("gs", (1, 1), (30.0, 90.0), 4),
-    ("trapezoid", (1, 1), (15.0, 100.0), 71),
-    ("kk", (2, 1), (50.0, 20.0), 107),
-])
+    ("gs", (1, 1), (30.0, 90.0), 2),
+    ("trapezoid", (1, 1), (15.0, 100.0), 67),
+    ("kk", (2, 1), (50.0, 20.0), 101),
+], ids=["gs", "trapezoid", "kk"])
 def test_solve_flux_curve_calls(family, scales, rhos, calls):
     """Lifting two densities and solving one Riemann problem."""
     counting, (up, down) = _counted(family, *scales)
@@ -520,19 +524,19 @@ def test_solve_flux_curve_calls(family, scales, rhos, calls):
 
 
 @pytest.mark.parametrize("family, thresholds_calls, predicts", [
-    ("kk", 67, [(300.0, RingScenario.BOTH_UC, 181),
+    ("kk", 64, [(300.0, RingScenario.BOTH_UC, 176),
                 (1000.0, RingScenario.CRITICAL_WITH_SS, 0),
                 (None, RingScenario.CRITICAL_WITH_SOC, 0),
-                (3000.0, RingScenario.BOTH_SOC, 191)]),
-    ("gs", 69, [(300.0, RingScenario.BOTH_UC, 230),
+                (3000.0, RingScenario.BOTH_SOC, 186)]),
+    ("gs", 66, [(300.0, RingScenario.BOTH_UC, 224),
                  (1800.0, RingScenario.CRITICAL_WITH_SS, 0),
                  (None, RingScenario.CRITICAL_WITH_SOC, 0),
-                 (3400.0, RingScenario.BOTH_SOC, 230)]),
-    ("trapezoid", 68, [(150.0, RingScenario.BOTH_UC, 107),
+                 (3400.0, RingScenario.BOTH_SOC, 224)]),
+    ("trapezoid", 65, [(150.0, RingScenario.BOTH_UC, 104),
                        (1600.0, RingScenario.CRITICAL_WITH_SS, 0),
                        (None, RingScenario.CRITICAL_WITH_SOC, 0),
-                       (3700.0, RingScenario.BOTH_SOC, 156)]),
-])
+                       (3700.0, RingScenario.BOTH_SOC, 152)]),
+], ids=["kk", "gs", "trapezoid"])
 def test_ring_flux_curve_calls(family, thresholds_calls, predicts):
     """thresholds and one predict per regime (None: exactly N_c) on a
     ring of a one-lane and a two-lane link of one family.  The threshold
@@ -690,6 +694,18 @@ def test_crest_level_inverts_to_rho_crit(name):
         assert fd.inv_demand(fd.capacity + 0.5 * FLUX_TOL) == fd.rho_crit, fd
 
 
+def _kk_exact_flux(mp, lanes):
+    """The paper's Kerner-Konhauser flux in mpmath decimals."""
+    jam = mp.mpf(180 * lanes)
+
+    def flux(rho):
+        x = (rho / jam - mp.mpf("0.25")) / mp.mpf("0.06")
+        speed = mp.mpf("5.0461") * (1 / (1 + mp.exp(x)) - mp.mpf("3.72e-6"))
+        return rho * speed * mp.mpf("0.028") / 5
+
+    return flux
+
+
 def _kk_flux_errors(mp):
     """Errors of the Kerner-Konhauser flux on one and two lanes against
     the paper's formula in 40-digit decimals, at 2000 seeded densities
@@ -700,14 +716,12 @@ def _kk_flux_errors(mp):
     ulps, errors = [], []
     with mp.workdps(40):
         for lanes in (1, 2):
-            fd = KernerKonhauserDiagram(lanes=lanes)
+            fd, flux = KernerKonhauserDiagram(lanes=lanes), _kk_exact_flux(mp, lanes)
             rng = np.random.default_rng(17 + lanes)
             rhos = np.concatenate([rng.uniform(0.0, fd.rho_jam, 1500),
                                    rng.uniform(0.95 * fd.rho_jam, fd.rho_jam, 500)])
             for rho, q in zip(rhos.tolist(), fd.flux_curve(rhos).tolist()):
-                x = (mp.mpf(rho) / (180 * lanes) - mp.mpf("0.25")) / mp.mpf("0.06")
-                speed = mp.mpf("5.0461") * (1 / (1 + mp.exp(x)) - mp.mpf("3.72e-6"))
-                exact = rho * speed * mp.mpf("0.028") / 5
+                exact = flux(mp.mpf(rho))
                 error = abs(mp.mpf(q) - exact)
                 errors.append(float(error))
                 ulps.append(float(error / math.ulp(float(exact))))
@@ -738,16 +752,57 @@ def test_kk_flux_accuracy_against_exact_formula():
     assert mean_ulps <= 1.5 * old_mean_ulps
 
 
+def test_kk_branch_inverses_against_exact_roots():
+    """Every Kerner-Konhauser branch inverse, on one and two lanes, lands
+    within _SEARCH_TOL * rho_jam of the 40-digit root of the paper's
+    formula: at 100 seeded levels uniform on [0, C] and at 300 levels
+    C (1 - g) near the crest, g geometric over [1e-12, 1e-3].  There
+    Q = level has two close roots, and a search that stalls on the crest
+    returns neither.  A Halley search that starts within about
+    _SEARCH_TOL * rho_jam / 4 of the crest stalls there, and a start that
+    follows the level smoothly lands that close for a band of g about 9%
+    wide (linear interpolation on the start table's crest interval did,
+    near g = 1.4e-10 on one lane); the grid's ratio, 1.072, puts a level
+    in every such band.  Below the level Q(rho_jam) the supply inverse
+    is rho_jam."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for lanes in (1, 2):
+            fd = KernerKonhauserDiagram(lanes=lanes)
+            flux, jam = _kk_exact_flux(mp, lanes), mp.mpf(fd.rho_jam)
+            crest = mp.findroot(lambda rho: mp.diff(flux, rho), fd.rho_crit)
+            rng = np.random.default_rng(40 + lanes)
+            levels = np.concatenate([
+                rng.uniform(0.0, fd.capacity, 100),
+                fd.capacity * (1.0 - np.geomspace(1e-12, 1e-3, 300))]).tolist()
+            for method, lo, hi in (("inv_demand", 0, crest), ("inv_supply", crest, jam)):
+                for level in levels:
+                    rho = getattr(fd, method)(level)
+                    if method == "inv_supply" and flux(jam) >= level:
+                        exact = jam
+                    else:
+                        # the nearest root, which must lie on the branch
+                        exact = mp.findroot(lambda r: flux(r) - level, rho)
+                        assert lo <= exact <= hi, (lanes, method, level)
+                    error = float(abs(rho - exact))
+                    assert error <= _SEARCH_TOL * fd.rho_jam, (lanes, method, level, error)
+
+
 # The most _kk_slopes calls one exact Kerner-Konhauser branch inverse
-# takes at 400 levels in [0, C]: measured 7, the supply side just above 0.
-# Newton without the closed-form crest took 26 and 32 at C.
-_KK_INVERSE_SLOPES = 7
+# takes at 400 levels in [0, C], and the most any branch takes on average
+# there: measured 3 and 2.0575 on either branch and lane count, from the
+# start table (6 and 3.84 for demand, 7 and 4.15 for supply, from the
+# fixed starts 0 and 0.3 rho_jam).  Newton without the closed-form crest
+# took 26 and 32 at C.
+_KK_INVERSE_SLOPES = 3
+_KK_INVERSE_MEAN_SLOPES = 2.06
 
 
 @pytest.mark.parametrize("lanes", [1, 2])
 def test_kk_branch_inverses_take_few_evaluations(lanes, monkeypatch):
     """Every exact Kerner-Konhauser branch inverse, the crest level C
-    included, ends within a few Halley steps on Q, Q' and Q''."""
+    included, ends within a few Halley steps on Q, Q' and Q'', and most
+    within two: the start table puts each search next to its root."""
     calls = []
     slopes = fundamental_diagram._kk_slopes
 
@@ -758,10 +813,13 @@ def test_kk_branch_inverses_take_few_evaluations(lanes, monkeypatch):
     monkeypatch.setattr(fundamental_diagram, "_kk_slopes", counted)
     fd = KernerKonhauserDiagram(lanes=lanes)
     for method in ("inv_demand", "inv_supply"):
+        counts = []
         for level in np.linspace(0.0, fd.capacity, 400).tolist():
             calls.clear()
             getattr(fd, method)(level)
             assert len(calls) <= _KK_INVERSE_SLOPES, (method, level, len(calls))
+            counts.append(len(calls))
+        assert np.mean(counts) <= _KK_INVERSE_MEAN_SLOPES, (method, np.mean(counts))
 
 
 @pytest.mark.parametrize("lanes", [1, 2])

@@ -41,7 +41,9 @@ from sdlwr import (
     stationary_pair_check,
     to_density,
 )
-from sdlwr.fundamental_diagram import FLUX_TOL
+from sdlwr import fundamental_diagram
+from sdlwr.fundamental_diagram import _SEARCH_TOL, FLUX_TOL
+from sdlwr.riemann_solver import _fan_density
 from sdlwr.verify_cases import _verify_families
 
 
@@ -441,6 +443,65 @@ def test_sample_profile_refuses_nan():
     assert sample_profile(p, [-np.inf, np.inf]) == pytest.approx([20.0, 80.0], abs=1e-9)
     with pytest.raises(ValueError, match="got nan at index 1"):
         sample_profile(p, [0.0, np.nan])
+
+
+# The mean _kk_slopes calls per fan sample in
+# test_kk_fan_samples_start_from_their_neighbours: measured 4.205 and 4.158
+# on one and two lanes, each search starting at the sample before it (5.30
+# on both from the fan's midpoint).
+_KK_FAN_MEAN_SLOPES = 4.21
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_kk_fan_samples_start_from_their_neighbours(lanes, monkeypatch):
+    """On seeded Kerner-Konhauser rarefactions, sampled at 101 points as
+    the benchmark's Riemann sweep samples them: each fan density lies
+    within _SEARCH_TOL * rho_jam of a search from the fan's midpoint,
+    the fan's densities fall as xi rises, the profile of shuffled xi is
+    the same profile, bit for bit, and the searches take few Newton steps
+    on average."""
+    calls, per_sample = [], []
+    slopes, invert_fan = fundamental_diagram._kk_slopes, KernerKonhauserDiagram._invert_fan
+
+    def counted_slopes(rho, fd):
+        calls.append(rho)
+        return slopes(rho, fd)
+
+    def counted_fan(fd, *args):
+        before = len(calls)
+        rho = invert_fan(fd, *args)
+        per_sample.append(len(calls) - before)
+        return rho
+
+    monkeypatch.setattr(fundamental_diagram, "_kk_slopes", counted_slopes)
+    monkeypatch.setattr(KernerKonhauserDiagram, "_invert_fan", counted_fan)
+    fd = KernerKonhauserDiagram(lanes=lanes)
+    tol = _SEARCH_TOL * fd.rho_jam
+    xi = np.linspace(-1.1, 1.1, 101) * fd.max_wave_speed()
+    rng = np.random.default_rng(50 + lanes)
+    counts, fans = [], 0
+    for _ in range(40):
+        rho_down, rho_up = np.sort(rng.uniform(0.0, fd.rho_jam, 2)).tolist()
+        p = _lifted_problem(fd, fd, rho_up, rho_down)
+        sol = solve(p)
+        waves = [(wave, xi < 0.0 if wave is sol.wave_up else xi >= 0.0)
+                 for wave in (sol.wave_up, sol.wave_down)
+                 if wave.kind is WaveKind.RAREFACTION]
+        per_sample.clear()
+        profile = sample_profile(p, xi, sol)
+        counts += per_sample
+        for wave, side in waves:
+            s_min, s_max = wave.speed_range
+            fan = side & (xi >= s_min) & (xi <= s_max)
+            fans += 1
+            assert np.all(np.diff(profile[fan]) <= 0.0), (rho_up, rho_down)
+            for x, rho in zip(xi[fan].tolist(), profile[fan].tolist()):
+                cold = _fan_density(fd, wave.rho_right, wave.rho_left, x)
+                assert abs(rho - cold) <= tol, (rho_up, rho_down, x)
+        order = rng.permutation(xi.size)
+        assert np.array_equal(sample_profile(p, xi[order], sol), profile[order])
+    assert fans >= 40 and len(counts) >= 400
+    assert np.mean(counts) <= _KK_FAN_MEAN_SLOPES, np.mean(counts)
 
 
 # -- the numerical limit ------------------------------------------------
