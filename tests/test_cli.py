@@ -978,6 +978,42 @@ def test_one_edit_configs_parse_or_raise_config_error(deadline):
     assert not failures, "\n".join(failures)
 
 
+def _open_road_with_schedules():
+    """SIM_CFG with a piecewise initial profile and a boundary schedule,
+    which no bench config has."""
+    raw = yaml.safe_load(SIM_CFG)
+    raw["initial"] = {"kind": "piecewise",
+                      "pieces": [{"length_km": 6.0, "rho_veh_km": 0.5},
+                                 {"length_km": 10.0, "rho_veh_km": 1.0}]}
+    raw["boundaries"]["left_demand_veh_s"] = _schedule(0.3, 0.6)
+    return raw
+
+
+# sha256 of the outcomes of test_one_edit_config_messages
+_ONE_EDIT_OUTCOMES = (
+    "9e94bb554b465a62987591271e4b483b1d8490583a0a136ace89d4a1478a5122")
+
+
+def test_one_edit_config_messages():
+    """The outcome of every config one edit from a bench config or from
+    the open road with schedules: "ok", or the ConfigError text, word for
+    word, pinned as one digest over all of them."""
+    configs = {name: yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
+               for name in ("riemann", "ring_predict", "simulate")}
+    configs["open_road"] = _open_road_with_schedules()
+    outcomes = []
+    for name, raw in configs.items():
+        for edit, cfg in _one_edit_configs(raw):
+            try:
+                parse_config(yaml.safe_dump(cfg))
+                outcome = "ok"
+            except ConfigError as exc:
+                outcome = str(exc)
+            outcomes.append(f"{name}: {edit}: {outcome}")
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert (len(outcomes), digest) == (1285, _ONE_EDIT_OUTCOMES)
+
+
 def test_override_cfl_flag_end_to_end(tmp_path, capsys):
     cfg = SIM_CFG.replace("dt_s: 0.5", "dt_s: 0.96").replace(
         "duration_s: 200.0", "duration_s: 9.6"
