@@ -8,7 +8,10 @@ schema; every numeric field carries its unit in the key name).  Parsing
 builds each diagram from its family's class, whose fields give the keys
 and defaults, the Riemann problem, and ``initial`` as the densities of
 the road's cells, laid once at the cell centres (a sinusoid by
-``ring_analysis``'s lane-weighted rule).
+``ring_analysis``'s lane-weighted rule).  One walker, ``_fields``, reads
+every mapping of the config from a table of its keys, each with a check
+and a default; it reports unknown and missing keys and refused values
+under their key paths, and a check may itself read a whole subsection.
 
 * ``riemann``      solve one boundary Riemann problem, report states,
                    flux and waves, optionally sample rho(x/t) to CSV.
@@ -31,6 +34,7 @@ import gc
 import math
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 from collections.abc import Hashable, Iterable, Iterator
 from typing import TYPE_CHECKING, Any, Sequence
@@ -110,44 +114,90 @@ class _Errors:
             raise ConfigError("invalid config:\n  " + "\n  ".join(self.items))
 
 
-def _section(node, path: str, err: _Errors, allowed: set[str] | None) -> dict:
-    """``node`` as a mapping, reporting every key outside ``allowed``.
+# the default of a key that must be given
+_REQUIRED = object()
 
-    ``allowed`` is None for a section of unknown kind, whose keys cannot
-    be checked; the kind itself is reported instead.
+
+def _fields(node, path: str, err: _Errors, spec: dict, extra=()) -> list:
+    """``[node, *values]``: ``node`` as a mapping, then the value of each
+    key of ``spec`` in ``spec`` order.
+
+    ``spec`` maps each key to ``(check, default)``.  A given value is
+    ``check(value)``, or None with a keyed error when the check raises
+    ValueError; a key not given reads as ``default``, or as None with a
+    "missing" error when the default is ``_REQUIRED``.  A check may read
+    a whole section: it reports the keys below it to ``err`` itself, and
+    raises only for the section as a whole.  Keys outside ``spec`` and
+    ``extra`` are reported as unknown, unless ``extra`` is None: a
+    section of unknown kind, or a second read of one node.  A node that
+    is not a mapping is reported, and read as empty.
     """
     if not isinstance(node, dict):
         err.add(path, f"expected a mapping, got {type(node).__name__}")
-        return {}
-    for key in node:
-        if allowed is not None and key not in allowed:
-            err.add(f"{path}.{key}", "unknown key")
-    return node
+        node = {}
+    if extra is not None:
+        for key in node:
+            if key not in spec and key not in extra:
+                err.add(f"{path}.{key}", "unknown key")
+    values = [node]
+    for key, (check, default) in spec.items():
+        try:
+            if key not in node and default is _REQUIRED:
+                raise ValueError("missing")
+            values.append(check(node[key]) if key in node else default)
+        except ValueError as exc:
+            err.add(f"{path}.{key}", str(exc))
+            values.append(None)
+    return values
 
 
-def _get_number(node: dict, key: str, path: str, err: _Errors,
-                required=True, default=None, positive=False):
-    if key not in node:
-        if required:
-            err.add(f"{path}.{key}", "missing")
-        return default
-    value = node[key]
+def _number(value) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        err.add(f"{path}.{key}", f"expected a number, got {value!r}")
-        return default
+        raise ValueError(f"expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
-        err.add(f"{path}.{key}",
-                "must be finite, got an integer beyond the float range")
-        return default
+        raise ValueError("must be finite, got an integer beyond the float "
+                         "range") from None
     if not math.isfinite(number):
-        err.add(f"{path}.{key}", f"must be finite, got {number}")
-        return default
-    if positive and number <= 0:
-        err.add(f"{path}.{key}", f"must be positive, got {value}")
-        return default
+        raise ValueError(f"must be finite, got {number}")
     return number
+
+
+def _positive(value) -> float:
+    number = _number(value)
+    if number <= 0:
+        raise ValueError(f"must be positive, got {value}")
+    return number
+
+
+def _nonnegative(value) -> float:
+    number = _number(value)
+    if number < 0:
+        raise ValueError("must be nonnegative")
+    return number
+
+
+def _integer(lo, hi, text: str):
+    """The check of an integer in [lo, hi], described as ``text``."""
+    def check(value) -> int:
+        if (not isinstance(value, int) or isinstance(value, bool)
+                or not lo <= value <= hi):
+            raise ValueError(f"expected an integer {text}, got {value!r}")
+        return value
+    return check
+
+
+def _file_name(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError("expected a nonempty file name")
+    return value
+
+
+def _topology(value) -> str:
+    if value not in ("ring", "open"):
+        raise ValueError(f"must be ring or open, got {value!r}")
+    return value
 
 
 # family -> (class, its YAML keys in constructor-field order): each key is its
@@ -161,34 +211,24 @@ _FAMILIES = {
 }
 
 
-def _build_diagram(name: str, node: Any, err: _Errors) -> FundamentalDiagram | None:
-    path = f"diagrams.{name}"
+def _build_diagram(node: Any, path: str, err: _Errors) -> FundamentalDiagram | None:
     family = node.get("family") if isinstance(node, dict) else None
     entry = _FAMILIES.get(family) if isinstance(family, str) else None
-    node = _section(node, path, err, entry and {"family", *entry[1]})
     if entry is None:
+        _fields(node, path, err, {}, None)
         err.add(f"{path}.family",
                 f"unknown family {family!r} ({', '.join(_FAMILIES)})")
         return None
     cls, keys = entry
+    spec = {key: (_positive, _REQUIRED if field.default is MISSING else None)
+            for field, key in zip(fields(cls), keys)}
+    _, *values = _fields(node, path, err, spec, {"family"})
+    if any(v is None and f.default is MISSING for f, v in zip(fields(cls), values)):
+        return None
     # an absent or invalid optional key leaves the class default
-    args, missing = {}, False
-    for field, key in zip(fields(cls), keys):
-        required = field.default is MISSING
-        value = _get_number(node, key, path, err, required=required,
-                            positive=True)
-        if value is None:
-            missing |= required
-        else:
-            args[field.name] = (value / _KM_S_TO_M_S if key.endswith("_m_s")
-                                else value)
-    if missing:
-        return None
-    try:
-        return cls(**args)
-    except ValueError as exc:
-        err.add(path, str(exc))
-        return None
+    args = {field.name: v / _KM_S_TO_M_S if key.endswith("_m_s") else v
+            for field, key, v in zip(fields(cls), keys, values) if v is not None}
+    return cls(**args)
 
 
 @dataclass
@@ -218,11 +258,9 @@ def _diagram_of(node, path, diagrams, err) -> FundamentalDiagram | None:
 
 def _build_road(node, diagrams, err) -> RoadConfig | None:
     path = "road"
-    node = _section(node, path, err, {"topology", "dx_km", "segments"})
-    topology = node.get("topology", "ring")
-    if topology not in ("ring", "open"):
-        err.add(f"{path}.topology", f"must be ring or open, got {topology!r}")
-    dx = _get_number(node, "dx_km", path, err, positive=True)
+    node, topology, dx = _fields(node, path, err, {
+        "topology": (_topology, "ring"), "dx_km": (_positive, _REQUIRED)},
+        {"segments"})
     segments = node.get("segments")
     if not isinstance(segments, list) or not segments:
         err.add(f"{path}.segments", "expected a nonempty list")
@@ -230,11 +268,12 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
     built = []
     for i, seg in enumerate(segments):
         spath = f"{path}.segments[{i}]"
-        seg = _section(seg, spath, err, {"diagram", "length_km"})
+        seg, = _fields(seg, spath, err, {}, {"diagram", "length_km"})
         fd = _diagram_of(seg, spath, diagrams, err)
         if fd is None:
             continue
-        length = _get_number(seg, "length_km", spath, err, positive=True)
+        _, length = _fields(seg, spath, err, {"length_km": (_positive, _REQUIRED)},
+                            None)
         if length is None or dx is None:
             continue
         cells = length / dx
@@ -256,10 +295,12 @@ def _build_road(node, diagrams, err) -> RoadConfig | None:
     return RoadConfig(topology, dx, built)
 
 
+# kind -> its keys besides ``kind``; pieces are read by hand
 _INITIAL_KEYS = {
-    "uniform": {"kind", "rho_veh_km"},
-    "sinusoid": {"kind", "rho0_veh_km", "amplitude_veh_km"},
-    "piecewise": {"kind", "pieces"},
+    "uniform": {"rho_veh_km": (_number, _REQUIRED)},
+    "sinusoid": {"rho0_veh_km": (_number, _REQUIRED),
+                 "amplitude_veh_km": (_number, 0.0)},
+    "piecewise": {"pieces": (lambda pieces: pieces, None)},
 }
 
 
@@ -268,15 +309,13 @@ def _build_initial(node, road: RoadConfig | None, err):
     density when it, ``road`` or an earlier section did not parse."""
     path = "initial"
     kind = node.get("kind") if isinstance(node, dict) else None
-    keys = _INITIAL_KEYS.get(kind) if isinstance(kind, str) else None
-    node = _section(node, path, err, keys)
+    spec = _INITIAL_KEYS.get(kind) if isinstance(kind, str) else None
+    _, *values = _fields(node, path, err, spec or {}, spec and {"kind"})
     if kind == "uniform":
-        rho = _get_number(node, "rho_veh_km", path, err)
+        rho, = values
         return (None if rho is None or road is None else lambda x: rho), None
     if kind == "sinusoid":
-        rho0 = _get_number(node, "rho0_veh_km", path, err)
-        amp = _get_number(node, "amplitude_veh_km", path, err, required=False,
-                          default=0.0)
+        rho0, amp = values
         if road is None or err.items:
             return None, None
         from .ring_analysis import _lane_sinusoid
@@ -285,25 +324,21 @@ def _build_initial(node, road: RoadConfig | None, err):
         return _lane_sinusoid(bounds.tolist(), [fd for fd, _ in road.segments],
                               road.length, rho0, amp), (rho0, amp)
     if kind == "piecewise":
-        pieces = node.get("pieces")
+        pieces, = values
         if not isinstance(pieces, list) or not pieces:
             err.add(f"{path}.pieces", "expected a nonempty list")
             return None, None
-        lengths, values = [], []
-        for i, piece in enumerate(pieces):
-            ppath = f"{path}.pieces[{i}]"
-            piece = _section(piece, ppath, err, {"length_km", "rho_veh_km"})
-            lengths.append(_get_number(piece, "length_km", ppath, err,
-                                       positive=True))
-            values.append(_get_number(piece, "rho_veh_km", ppath, err))
+        spec = {"length_km": (_positive, _REQUIRED), "rho_veh_km": (_number, _REQUIRED)}
+        pieces = [_fields(piece, f"{path}.pieces[{i}]", err, spec)[1:]
+                  for i, piece in enumerate(pieces)]
         if road is None or err.items:
             return None, None
-        *bounds, total = np.cumsum(lengths).tolist()
+        *bounds, total = np.cumsum([length for length, _ in pieces]).tolist()
         if abs(total - road.length) > 1e-9 * road.length:
             err.add(f"{path}.pieces",
                     f"cover {total} km but the road is {road.length} km")
             return None, None
-        return lambda x: values[bisect.bisect_right(bounds, x)], None
+        return lambda x: pieces[bisect.bisect_right(bounds, x)][1], None
     err.add(f"{path}.kind",
             f"must be uniform, sinusoid or piecewise, got {kind!r}")
     return None, None
@@ -320,16 +355,9 @@ def _build_numerics(node, override_cfl, err) -> NumericsConfig | None:
     from .godunov_sim import StepConfig
 
     path = "numerics"
-    node = _section(node, path, err, {"dt_s", "duration_s", "record_every"})
-    dt = _get_number(node, "dt_s", path, err, positive=True)
-    duration = _get_number(node, "duration_s", path, err)
-    if duration is not None and duration < 0:
-        err.add(f"{path}.duration_s", "must be nonnegative")
-        duration = None
-    record = node.get("record_every", 0)
-    if not isinstance(record, int) or isinstance(record, bool) or record < 0:
-        err.add(f"{path}.record_every", f"expected an integer >= 0, got {record!r}")
-        record = 0
+    _, dt, duration, record = _fields(node, path, err, {
+        "dt_s": (_positive, _REQUIRED), "duration_s": (_nonnegative, _REQUIRED),
+        "record_every": (_integer(0, math.inf, ">= 0"), 0)})
     if dt is None or duration is None:
         return None
     if math.isinf(duration / dt):
@@ -338,41 +366,33 @@ def _build_numerics(node, override_cfl, err) -> NumericsConfig | None:
     # record_every 0 means snapshots only at start and end
     steps = max(1, int(round(duration / dt)))
     return NumericsConfig(StepConfig(dt, allow_high_cfl=override_cfl),
-                          duration, record if record > 0 else steps)
+                          duration, record or steps)
 
 
-def _build_step_fn(node, key, path, err, cap) -> StepFunction | None:
-    """The boundary flow ``node[key]``: a constant or a list of
+def _build_step_fn(value, path, err, cap) -> StepFunction | None:
+    """The boundary flow at ``path``: a constant or a list of
     {t_s, value_veh_s}, each value held to [0, ``cap``] by the grid's
     rule unless ``cap`` is None."""
     from .godunov_sim import StepFunction, _flow_problems
 
-    if not isinstance(node.get(key), list):
-        value = _get_number(node, key, path, err)
-        if value is None:
-            return None
-        fn, keys = StepFunction((0.0,), (value,)), [f"{path}.{key}"]
+    if not isinstance(value, list):
+        fn, keys = StepFunction((0.0,), (_number(value),)), [path]
     else:
-        path = f"{path}.{key}"
         times, values, keys = [], [], []
-        for i, pt in enumerate(node[key]):
+        for i, pt in enumerate(value):
             ppath = f"{path}[{i}]"
-            pt = _section(pt, ppath, err, {"t_s", "value_veh_s"})
-            t = _get_number(pt, "t_s", ppath, err)
-            v = _get_number(pt, "value_veh_s", ppath, err)
+            _, t, v = _fields(pt, ppath, err, {"t_s": (_number, _REQUIRED),
+                                               "value_veh_s": (_number, _REQUIRED)})
             if t is not None and v is not None:
                 times.append(t)
                 values.append(v)
                 keys.append(f"{ppath}.value_veh_s")
         if times and times[0] != 0.0:
             err.add(path, "first breakpoint must start at t_s=0")
-        try:
-            fn = StepFunction(tuple(times), tuple(values))
-        except ConfigError as exc:
-            err.add(path, str(exc))
-            return None
+        fn = StepFunction(tuple(times), tuple(values))
     if cap is not None:
-        what = key.removesuffix("_veh_s").replace("_", " ")  # "left demand"
+        # the key without its unit: "left demand"
+        what = path.rpartition(".")[2].removesuffix("_veh_s").replace("_", " ")
         for i, problem in _flow_problems(fn, cap, what):
             err.add(keys[i], problem)
     return fn
@@ -382,78 +402,62 @@ def _build_boundaries(node, road, err) -> BoundarySpec | None:
     from .godunov_sim import BoundarySpec
 
     path = "boundaries"
-    node = _section(node, path, err, {"left_demand_veh_s", "right_supply_veh_s"})
     # the capacities of the end links bound the flows, as in the grid
     caps = ((None, None) if road is None else
             (road.segments[0][0].capacity, road.segments[-1][0].capacity))
-    left = _build_step_fn(node, "left_demand_veh_s", path, err, caps[0])
-    right = _build_step_fn(node, "right_supply_veh_s", path, err, caps[1])
+    _, left, right = _fields(node, path, err, {
+        key: (partial(_build_step_fn, path=f"{path}.{key}", err=err, cap=cap),
+              _REQUIRED)
+        for key, cap in zip(("left_demand_veh_s", "right_supply_veh_s"), caps)})
     if left is None or right is None:
         return None
     return BoundarySpec(left, right)
 
 
 def _build_state(node, diagrams, path, err) -> tuple[FundamentalDiagram, SDState] | None:
-    node = _section(node, path, err,
+    node, = _fields(node, path, err, {},
                     {"diagram", "rho_veh_km", "demand_veh_s", "supply_veh_s"})
     fd = _diagram_of(node, path, diagrams, err)
     if fd is None:
         return None
     has_rho = "rho_veh_km" in node
-    has_ds = "demand_veh_s" in node or "supply_veh_s" in node
-    if has_rho == has_ds:
-        err.add(path, "give either rho_veh_km or demand_veh_s+supply_veh_s")
+    if has_rho == ("demand_veh_s" in node or "supply_veh_s" in node):
+        raise ValueError("give either rho_veh_km or demand_veh_s+supply_veh_s")
+    keys = ("rho_veh_km",) if has_rho else ("demand_veh_s", "supply_veh_s")
+    _, *values = _fields(node, path, err, dict.fromkeys(keys, (_number, _REQUIRED)),
+                         None)
+    if None in values:
         return None
-    try:
-        if has_rho:
-            rho = _get_number(node, "rho_veh_km", path, err)
-            if rho is None:
-                return None
-            return fd, from_density(fd, rho)
-        d = _get_number(node, "demand_veh_s", path, err)
-        s = _get_number(node, "supply_veh_s", path, err)
-        if d is None or s is None:
-            return None
-        state = SDState(d, s)
-        classify(state, fd.capacity)  # on the diagram's L-shaped set
-        return fd, state
-    except ValueError as exc:
-        err.add(path, str(exc))
+    if has_rho:
+        return fd, from_density(fd, *values)
+    state = SDState(*values)
+    classify(state, fd.capacity)  # on the diagram's L-shaped set
+    return fd, state
+
+
+def _build_profile(node, path, err) -> tuple[float, float, int] | None:
+    _, *profile = _fields(node, path, err, {
+        "xi_min_m_s": (_number, _REQUIRED), "xi_max_m_s": (_number, _REQUIRED),
+        "count": (_integer(2, _MAX_PROFILE_POINTS, f"in [2, {_MAX_PROFILE_POINTS}]"),
+                  101)})
+    if None in profile:
         return None
+    if profile[0] >= profile[1]:
+        raise ValueError("xi_min_m_s must be below xi_max_m_s")
+    return tuple(profile)
 
 
 def _build_riemann(node, diagrams, err) -> tuple[RiemannProblem | None,
                                                  tuple[float, float, int] | None]:
     path = "riemann"
-    node = _section(node, path, err, {"upstream", "downstream", "profile"})
-    states = []
-    for side in ("upstream", "downstream"):
-        if side in node:
-            states.append(_build_state(node[side], diagrams, f"{path}.{side}", err))
-        else:
-            err.add(f"{path}.{side}", "missing")
-            states.append(None)
-    profile = None
-    if "profile" in node:
-        ppath = f"{path}.profile"
-        pnode = _section(node["profile"], ppath, err,
-                         {"xi_min_m_s", "xi_max_m_s", "count"})
-        lo = _get_number(pnode, "xi_min_m_s", ppath, err)
-        hi = _get_number(pnode, "xi_max_m_s", ppath, err)
-        count = pnode.get("count", 101)
-        if (not isinstance(count, int) or isinstance(count, bool)
-                or not 2 <= count <= _MAX_PROFILE_POINTS):
-            err.add(f"{ppath}.count", "expected an integer in "
-                    f"[2, {_MAX_PROFILE_POINTS}], got {count!r}")
-            count = None
-        if lo is not None and hi is not None and count and lo >= hi:
-            err.add(ppath, "xi_min_m_s must be below xi_max_m_s")
-        elif lo is not None and hi is not None and count:
-            profile = (lo, hi, count)
-    if None in states:
+    state = partial(_build_state, diagrams=diagrams, err=err)
+    _, up, down, profile = _fields(node, path, err, {
+        "upstream": (partial(state, path=f"{path}.upstream"), _REQUIRED),
+        "downstream": (partial(state, path=f"{path}.downstream"), _REQUIRED),
+        "profile": (partial(_build_profile, path=f"{path}.profile", err=err), None)})
+    if up is None or down is None:
         return None, None
-    (fd_up, u1), (fd_down, u2) = states
-    return RiemannProblem(fd_up, fd_down, u1, u2), profile
+    return RiemannProblem(up[0], down[0], up[1], down[1]), profile
 
 
 @dataclass
@@ -491,19 +495,16 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
         # PyYAML raises a plain ValueError for an integer beyond Python's
         # digit limit, without naming the key.
         raise ConfigError(f"invalid config: YAML parse error: {exc}") from exc
-    if raw is None:
-        raw = {}
-    raw = _section(raw, "<top>", err, _TOP_KEYS)
+    raw, = _fields({} if raw is None else raw, "<top>", err, {}, _TOP_KEYS)
 
-    diagrams: dict[str, FundamentalDiagram] = {}
     dnode = raw.get("diagrams")
     if not isinstance(dnode, dict) or not dnode:
         err.add("diagrams", "at least one diagram is required")
-    else:
-        for name, sub in dnode.items():
-            fd = _build_diagram(name, sub, err)
-            if fd is not None:
-                diagrams[name] = fd
+        dnode = {}
+    _, *built = _fields(dnode, "diagrams", err, {
+        name: (partial(_build_diagram, path=f"diagrams.{name}", err=err), None)
+        for name in dnode})
+    diagrams = {name: fd for name, fd in zip(dnode, built) if fd is not None}
 
     road = _build_road(raw["road"], diagrams, err) if "road" in raw else None
     initial, sinusoid = (_build_initial(raw["initial"], road, err)
@@ -521,21 +522,12 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     riemann, riemann_profile = (_build_riemann(raw["riemann"], diagrams, err)
                                 if "riemann" in raw else (None, None))
 
-    ring_vehicles = None
-    if "ring" in raw:
-        rnode = _section(raw["ring"], "ring", err, {"vehicles_veh"})
-        ring_vehicles = _get_number(rnode, "vehicles_veh", "ring", err,
-                                    required=False)
-
-    outputs = {}
-    if "outputs" in raw:
-        onode = _section(raw["outputs"], "outputs", err, {"csv", "report"})
-        for key in ("csv", "report"):
-            if key in onode:
-                if not isinstance(onode[key], str) or not onode[key]:
-                    err.add(f"outputs.{key}", "expected a nonempty file name")
-                else:
-                    outputs[key] = onode[key]
+    # an absent section reads as empty, one given as null is refused
+    _, ring_vehicles = _fields(raw.get("ring", {}), "ring", err,
+                               {"vehicles_veh": (_number, None)})
+    spec = dict.fromkeys(("csv", "report"), (_file_name, None))
+    _, *names = _fields(raw.get("outputs", {}), "outputs", err, spec)
+    outputs = {key: name for key, name in zip(spec, names) if name}
 
     if road is not None and road.topology == "open" and "boundaries" not in raw:
         err.add("boundaries", "required for open topology")
@@ -564,8 +556,7 @@ def _build_grid(cfg: ScenarioConfig) -> SimGrid:
 
     if cfg.road is None or cfg.initial is None:
         raise ConfigError("simulate needs road and initial sections")
-    boundaries = cfg.boundaries if cfg.road.topology == "open" else None
-    return SimGrid(cfg.road.segments, cfg.initial, cfg.road.dx, boundaries)
+    return SimGrid(cfg.road.segments, cfg.initial, cfg.road.dx, cfg.boundaries)
 
 
 def _keyed(path: str, call, *args):

@@ -138,7 +138,9 @@ def _newton(value_slope, level, lo, hi, x, rising, tol):
     bisects it instead, so a NaN slope from the start gives plain
     bisection: the bracket's midpoint once it is narrower than ``tol``.
     Given ``(f, f', f'')`` it takes Halley steps: the Newton step over
-    1 - (f - level) f''/(2 f'^2), while that exceeds 1/2."""
+    1 - (f - level) f''/(2 f'^2), while that exceeds 1/2.  It stops at a
+    step shorter than tol/2 where the residual over the slope, the Newton
+    step, is shorter than tol/2 too."""
     tol = _floor_tol(tol, lo, hi)
     while hi - lo > tol:
         values = value_slope(x)
@@ -149,9 +151,12 @@ def _newton(value_slope, level, lo, hi, x, rising, tol):
             damping = 1.0 - 0.5 * step * values[2] / slope
             if damping > 0.5:
                 step /= damping
-        if abs(step) < 0.5 * tol:
+        short = abs(step) < 0.5 * tol
+        if short and abs(f - level) < 0.5 * tol * abs(slope):
             return x - step
-        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        # a short Halley step with a long Newton step sits next to a flat
+        # point of f, away from the root: bisect rather than stall there
+        x = x - step if lo < x - step < hi and not short else 0.5 * (lo + hi)
     return x
 
 

@@ -309,13 +309,16 @@ def admissible_stationary_up(u1: SDState, cand: SDState, capacity: float) -> boo
     return keeps_demand or congested
 
 
+def _mirrored(state: SDState) -> SDState:
+    """(D, S) -> (S, D): the supply-demand mirror, which swaps the two
+    sides of the boundary."""
+    return SDState(state.supply, state.demand)
+
+
 def admissible_stationary_down(u2: SDState, cand: SDState, capacity: float) -> bool:
     """Mirror image for the state right of the boundary: (C2, S2), or
     (D, C2) with D strictly below the initial supply."""
-    keeps_supply = (cand.is_over_critical(capacity)
-                    and abs(cand.supply - u2.supply) <= FLUX_TOL)
-    free = cand.is_under_critical(capacity) and cand.demand < u2.supply - FLUX_TOL
-    return keeps_supply or free
+    return admissible_stationary_up(_mirrored(u2), _mirrored(cand), capacity)
 
 
 def admissible_interior_up(stat: SDState, cand: SDState, capacity: float) -> bool:
@@ -334,9 +337,7 @@ def admissible_interior_up(stat: SDState, cand: SDState, capacity: float) -> boo
 def admissible_interior_down(stat: SDState, cand: SDState, capacity: float) -> bool:
     """Mirror image at x = 0+: SUC stationary pins the interior, congested
     admits any candidate whose demand covers the stationary supply."""
-    if not stat.is_over_critical(capacity):  # SUC
-        return _states_equal(cand, stat)
-    return cand.demand >= stat.supply - FLUX_TOL
+    return admissible_interior_up(_mirrored(stat), _mirrored(cand), capacity)
 
 
 def entropy_flux(interior_up: SDState, interior_down: SDState) -> float:

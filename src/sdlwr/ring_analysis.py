@@ -379,20 +379,6 @@ def _link_end_states(pattern: LinkPattern, cap: float, q: float
     return SDState(cap, q), SDState(cap, q)
 
 
-def _pattern_flux_range(p1: LinkPattern, c1: float):
-    """Trial fluxes compatible with the strictness of link 1's pattern.
-
-    A standing shock or a congested link needs q strictly below its own
-    capacity, so those patterns exclude q = C1 on link 1 (link 2's
-    capacity exceeds C1 and never binds, so its pattern plays no part).
-    """
-    strict = p1 in (LinkPattern.SS, LinkPattern.SOC)
-    fluxes = [0.5 * c1]
-    if not strict:
-        fluxes.append(c1)
-    return fluxes
-
-
 def feasibility_table(spec: RingSpec) -> dict[tuple[LinkPattern, LinkPattern],
                                               FeasibilityCell]:
     """Which of the nine (link 1, link 2) regime patterns can be stationary.
@@ -412,30 +398,26 @@ def feasibility_table(spec: RingSpec) -> dict[tuple[LinkPattern, LinkPattern],
     }
     table = {}
     for p1 in LinkPattern:
+        # a standing shock or a congested link needs q strictly below its
+        # own capacity, so those patterns leave out q = C1 on link 1 (link
+        # 2's capacity exceeds C1 and never binds)
+        strict = p1 in (LinkPattern.SS, LinkPattern.SOC)
         for p2 in LinkPattern:
-            verdict = None
-            for q in _pattern_flux_range(p1, c1):
+            for q in (0.5 * c1,) if strict else (0.5 * c1, c1):
                 start1, end1 = _link_end_states(p1, c1, q)
                 start2, end2 = _link_end_states(p2, c2, q)
                 at_l1 = stationary_pair_check(end1, start2, c1, c2)
                 at_zero = stationary_pair_check(end2, start1, c2, c1)
-                if (at_l1 is not StationaryPattern.FORBIDDEN
-                        and at_zero is not StationaryPattern.FORBIDDEN):
+                if StationaryPattern.FORBIDDEN not in (at_l1, at_zero):
                     verdict = FeasibilityCell(True, scenario_of.get((p1, p2)))
                     break
                 # Either way the forbidden pair would have to carry
                 # min(C1, C2) = C1 across the boundary while the pattern
                 # itself runs at q < C1.
-                if at_l1 is StationaryPattern.FORBIDDEN:
-                    reason = (
-                        "congested end of link 1 feeding a free start of "
-                        "link 2 at x=L1 needs q=C1, which contradicts q<C1"
-                    )
-                else:
-                    reason = (
-                        "congested end of link 2 feeding a free start of "
-                        "link 1 at x=0 needs q=C1, which contradicts q<C1"
-                    )
-                verdict = FeasibilityCell(False, None, reason)
+                up, down, x = ((1, 2, "L1") if at_l1 is StationaryPattern.FORBIDDEN
+                               else (2, 1, "0"))
+                verdict = FeasibilityCell(
+                    False, None, f"congested end of link {up} feeding a free start "
+                    f"of link {down} at x={x} needs q=C1, which contradicts q<C1")
             table[(p1, p2)] = verdict
     return table

@@ -1014,6 +1014,49 @@ def test_one_edit_config_messages():
     assert (len(outcomes), digest) == (1285, _ONE_EDIT_OUTCOMES)
 
 
+def _bench(name):
+    return yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
+
+
+def _edited(raw, edit):
+    edit(raw)
+    return raw
+
+
+@pytest.mark.parametrize("command, raw, message", [
+    ("simulate", _edited(_open_road_with_schedules(),
+                         lambda raw: raw["initial"].update(pieces=[])),
+     "invalid config:\n  initial.pieces: expected a nonempty list"),
+    ("simulate", _edited(_open_road_with_schedules(), lambda raw:
+                         raw["boundaries"]["left_demand_veh_s"][0].update(t_s=10.0)),
+     "invalid config:\n  boundaries.left_demand_veh_s: first breakpoint must "
+     "start at t_s=0"),
+    ("simulate", _edited(_open_road_with_schedules(), lambda raw:
+                         raw["boundaries"]["left_demand_veh_s"][1].update(t_s=0.0)),
+     "invalid config:\n  boundaries.left_demand_veh_s: step function "
+     "breakpoints must increase"),
+    ("riemann", _edited(_bench("riemann"), lambda raw: raw["riemann"].update(
+        profile={"xi_min_m_s": 5, "xi_max_m_s": 5, "count": 3})),
+     "invalid config:\n  riemann.profile: xi_min_m_s must be below xi_max_m_s"),
+    ("riemann", None,
+     "invalid config:\n  diagrams: at least one diagram is required"),
+    ("simulate", _bench("ring_predict"), "simulate needs a numerics section"),
+    ("ring-predict", _open_road_with_schedules(),
+     "ring-predict needs a ring road with exactly two segments (bottleneck first)"),
+    ("riemann", _bench("ring_predict"), "riemann section missing"),
+], ids=["no-pieces", "late-first-breakpoint", "breakpoints-not-increasing",
+        "empty-xi-range", "empty-document", "simulate-without-numerics",
+        "ring-predict-on-open-road", "riemann-without-section"])
+def test_refusals_exit_2_with_their_message(tmp_path, capsys, command, raw, message):
+    """Refusals of configs that parse into too little for the command,
+    or that name an empty or backward range, end with exit code 2 and
+    their message as the whole of stderr."""
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("" if raw is None else yaml.safe_dump(raw))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 def test_override_cfl_flag_end_to_end(tmp_path, capsys):
     cfg = SIM_CFG.replace("dt_s: 0.5", "dt_s: 0.96").replace(
         "duration_s: 200.0", "duration_s: 9.6"

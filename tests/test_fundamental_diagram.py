@@ -758,13 +758,13 @@ def test_kk_branch_inverses_against_exact_roots():
     formula: at 100 seeded levels uniform on [0, C] and at 300 levels
     C (1 - g) near the crest, g geometric over [1e-12, 1e-3].  There
     Q = level has two close roots, and a search that stalls on the crest
-    returns neither.  A Halley search that starts within about
-    _SEARCH_TOL * rho_jam / 4 of the crest stalls there, and a start that
-    follows the level smoothly lands that close for a band of g about 9%
-    wide (linear interpolation on the start table's crest interval did,
-    near g = 1.4e-10 on one lane); the grid's ratio, 1.072, puts a level
-    in every such band.  Below the level Q(rho_jam) the supply inverse
-    is rho_jam."""
+    returns neither.  A Halley step taken within about
+    _SEARCH_TOL * rho_jam / 4 of the crest is short however far the root
+    is, and a start that follows the level smoothly lands that close for
+    a band of g about 9% wide (linear interpolation on the start table's
+    crest interval did, near g = 1.4e-10 on one lane); the grid's ratio,
+    1.072, puts a level in every such band.  Below the level Q(rho_jam)
+    the supply inverse is rho_jam."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         for lanes in (1, 2):
@@ -786,6 +786,33 @@ def test_kk_branch_inverses_against_exact_roots():
                         assert lo <= exact <= hi, (lanes, method, level)
                     error = float(abs(rho - exact))
                     assert error <= _SEARCH_TOL * fd.rho_jam, (lanes, method, level, error)
+
+
+def test_newton_started_next_to_the_crest_reaches_the_root():
+    """A Halley search on either Kerner-Konhauser branch, started on the
+    crest, where Q' = 0, or within a quarter of the tolerance of it,
+    takes a short step however far the root is.  It still ends within
+    _SEARCH_TOL * rho_jam of the 40-digit root: a short step ends the
+    search only where the residual over the slope is short too."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for lanes in (1, 2):
+            fd = KernerKonhauserDiagram(lanes=lanes)
+            flux, tol = _kk_exact_flux(mp, lanes), _SEARCH_TOL * fd.rho_jam
+            crest = float(mp.findroot(lambda rho: mp.diff(flux, rho), fd.rho_crit))
+            for fraction in (0.01, 0.5, 0.99, 1.0 - 1e-6):
+                level = fraction * fd.capacity
+                for rising, lo, hi in ((True, 0.0, crest), (False, crest, fd.rho_jam)):
+                    # the root next to the branch inverse, on the branch
+                    inverse = fd.inv_demand if rising else fd.inv_supply
+                    exact = mp.findroot(lambda r: flux(r) - level, inverse(level))
+                    assert lo <= exact <= hi
+                    for offset in (0.0, 0.01, 0.1, 0.25):
+                        start = crest - offset * tol if rising else crest + offset * tol
+                        rho = _newton(lambda r: fundamental_diagram._kk_slopes(r, fd),
+                                      level, lo, hi, start, rising, tol)
+                        error = float(abs(rho - exact))
+                        assert error <= tol, (lanes, fraction, rising, offset, error)
 
 
 # The most _kk_slopes calls one exact Kerner-Konhauser branch inverse

@@ -244,6 +244,33 @@ def test_interior_admissibility(gs):
         assert admissible_interior_down(stat_down, SDState(c, 0.5 * c), c) is not pinned
 
 
+def test_down_admissibility_is_the_mirrored_up():
+    """The supply-demand mirror (D, S) -> (S, D) swaps the two sides of
+    the boundary, so each ``admissible_*_down`` equals its ``_up`` on the
+    swapped states.  Seeded draws put each component anywhere below
+    capacity, on it, or next to capacity or to an earlier component,
+    within a few FLUX_TOL, so every tie band is crossed."""
+    rng = np.random.default_rng(26)
+    c, n = 0.7, 5000
+    offsets = FLUX_TOL * np.array([-3.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
+    drawn = np.empty((n, 4))
+    for j in range(4):
+        earlier = drawn[np.arange(n), rng.integers(j, size=n)] if j else np.full(n, c)
+        base = np.choose(rng.integers(3, size=n),
+                         [rng.uniform(0.0, c, n), np.full(n, c), earlier])
+        drawn[:, j] = np.maximum(0.0, base + rng.choice(offsets, n))
+    outcomes = set()
+    for d1, s1, d2, s2 in drawn.tolist():
+        u, cand = SDState(d1, s1), SDState(d2, s2)
+        mirrored = SDState(s1, d1), SDState(s2, d2)
+        stationary = admissible_stationary_down(u, cand, c)
+        interior = admissible_interior_down(u, cand, c)
+        assert stationary == admissible_stationary_up(*mirrored, c), (u, cand)
+        assert interior == admissible_interior_up(*mirrored, c), (u, cand)
+        outcomes.add((stationary, interior))
+    assert len(outcomes) == 4
+
+
 def test_entropy_flux(gs):
     c = gs.capacity
     assert entropy_flux(SDState(0.5, c), SDState(0.5, c)) == 0.5

@@ -27,3 +27,43 @@ def test_ab_pass_compares_a_tree_with_itself():
     ratio, won = re.fullmatch(r"B/A (\S+); B lower in (\d) of 2 blocks", lines[3]).groups()
     assert abs(float(ratio) - medians[1] / medians[0]) < 1e-3
     assert 0 <= int(won) <= 2
+
+
+# Eight code lines, counted by hand: the import with its comment, the
+# def line, both lines of the bracketed sum, the return, the class line,
+# and both lines of the assigned string, which is not a docstring.
+_SOURCE = '''\
+"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+
+# a comment line
+def f(x):
+    """Function docstring."""
+
+    total = (x
+             + 1)
+    return math.sqrt(total)
+
+
+class C:
+    """Class docstring
+    on two lines."""
+    text = """not a docstring:
+    an assigned string"""
+'''
+
+
+def test_code_lines_counts_a_source_by_hand(tmp_path):
+    """``tools/code_lines.py`` counts what a hand count gives: no blank,
+    comment-only or docstring line, every line of a statement that spans
+    several.  Run on a directory it prints each module and the total."""
+    (tmp_path / "a.py").write_text(_SOURCE)
+    (tmp_path / "b.py").write_text("# only a comment\n\nx = 1\n")
+    out = subprocess.run([sys.executable, str(_TOOLS / "code_lines.py"), str(tmp_path)],
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert [line.split() for line in out.stdout.splitlines()] == [
+        ["a.py", "8"], ["b.py", "1"], ["total", "9"]]
