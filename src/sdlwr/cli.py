@@ -76,14 +76,15 @@ _KM_S_TO_M_S = 1000.0
 # this many points, each costing up to one bisection.
 _MAX_PROFILE_POINTS = 100_000
 
-# Largest road cell count accepted: simulate and ring-predict hold their
-# CSV as one line of text per cell (per snapshot), about 100 bytes each.
+# Largest road cell count accepted: ring-predict holds its CSV as one
+# line of text per cell, about 100 bytes each; simulate streams its CSV
+# (see _MAX_RECORD_BYTES).
 _MAX_CELLS = 1_000_000
 
 # Largest record simulate accepts, in bytes: rho, q and v hold 8 bytes
-# per cell and snapshot each.  The CSV lines made from them take about
-# seven times as much memory again (the reference ring recorded at each
-# of its 7500 steps: a 108 MB record, a 934 MB peak).
+# per cell and snapshot each.  The CSV is written from the record one
+# line at a time, so the record sets the peak (the reference ring
+# recorded at each of its 7500 steps: a 108 MB record, a 135 MB peak).
 _MAX_RECORD_BYTES = 250_000_000
 
 

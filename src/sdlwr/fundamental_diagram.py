@@ -328,9 +328,7 @@ class FundamentalDiagram(abc.ABC):
             raise ValueError(f"gamma must be in [0, inf], got {gamma!r}")
         if gamma <= 1.0:
             return self.inv_demand(self.capacity * gamma)
-        if math.isinf(gamma):
-            return self.inv_supply(0.0)
-        return self.inv_supply(self.capacity / gamma)
+        return self.inv_supply(self.capacity / gamma)  # C/inf is 0.0
 
     def max_wave_speed(self) -> float:
         """max |Q'| over the diagram (km/s); the CFL characteristic speed."""

@@ -32,9 +32,9 @@ takes both from one pass of its formula over the stacked
 [min(rho, rho_crit), max(rho, rho_crit)].  On a road of several parts
 each part's formula runs once over its densities, and each cell selects:
 D = Q(rho) and S = Q(rho_crit) where rho <= rho_crit, the reverse
-elsewhere.  Q(rho_crit) comes from the same formula on the part's
-``rho_crit`` column, never from ``fd.capacity``, which may sit an ulp
-away.
+elsewhere.  Q(rho_crit) is each diagram's stored ``_q_crit``, the
+value its scalar ``demand`` and ``supply`` return, never
+``fd.capacity``, which may sit an ulp away.
 
 ``SimGrid.flux_speed`` takes Q part by part and speed q/rho once for
 the road, from the grid's road-wide ``rho_jam`` and ``v0`` columns.
@@ -64,7 +64,7 @@ part, each part's formula runs in place on its own slice of a
 part-major Q array, one ``take`` of the grid's ``_back`` puts Q in road
 order, and demand and supply are selected in road order against the
 grid's ``_cap`` column of Q(rho_crit).  The two index arrays and
-``_cap`` are built once per grid.
+``_cap`` are built once per grid, ``_cap`` straight from the diagrams.
 
 Stability needs the CFL number max|Q'| * dt / dx at or below 1; runs
 and the CLI refuse anything above 0.95 by one guard, ``_cfl_problem``,
@@ -166,8 +166,8 @@ class SimGrid:
     critical density and free-flow speed Q'(0) arrays.  A road of
     several parts also holds the part-major layout of ``_flux_writer``:
     ``_order``, the road's cells part after part, ``_back``, its inverse
-    permutation, and ``_cap``, each cell's Q(rho_crit) by its part's
-    formula; all three are None on a road of one part.
+    permutation, and ``_cap``, each cell's Q(rho_crit), its diagram's
+    ``_q_crit``; all three are None on a road of one part.
     """
 
     def __init__(self, segments: Sequence[tuple[FundamentalDiagram, int]], rho,
@@ -176,10 +176,10 @@ class SimGrid:
         self.rho = np.asarray(rho, dtype=float).copy()
         self.dx = float(dx)
         self.boundaries = boundaries
-        if n != self.rho.size or n < 2:
+        if self.rho.shape != (n,) or n < 2:
             raise ConfigError(
                 f"need one density per cell and at least 2 cells, got "
-                f"{n} cells / {self.rho.size} densities"
+                f"{n} cells / densities of shape {self.rho.shape}"
             )
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ConfigError(f"dx must be positive and finite, got {self.dx!r}")
@@ -191,13 +191,12 @@ class SimGrid:
             runs_of.setdefault(key, []).append((first, fd, count))
             first += count
         self._parts = [_Part(runs, len(runs_of) == 1) for runs in runs_of.values()]
+        counts = [count for _, count in self.segments]
         self._order = self._back = self._cap = None
         if len(self._parts) > 1:  # the part-major layout of _flux_writer
             self._order = np.concatenate([part.cells for part in self._parts])
             self._back = np.argsort(self._order)
-            self._cap = np.concatenate([part.flux(part.rho_crit, *part.params)
-                                        for part in self._parts])[self._back]
-        counts = [count for _, count in self.segments]
+            self._cap = _repeat([fd._q_crit for fd, _ in self.segments], counts)
         self.rho_jam = _repeat([fd.rho_jam for fd, _ in self.segments], counts)
         self.rho_crit = _repeat([fd.rho_crit for fd, _ in self.segments], counts)
         self.v0 = _repeat([fd.derivative(0.0, side=+1) for fd, _ in self.segments],
@@ -348,9 +347,8 @@ class _Part:
                                      for first, _, count in runs])
         fds, counts = [fd for _, fd, _ in runs], [count for _, _, count in runs]
         self.flux, names = fds[0]._table_form or (fds[0].flux_curve, ())
-        self.rho_crit, *self.params = [
-            _repeat([getattr(fd, name) for fd in fds], counts)
-            for name in ("rho_crit", *names)]
+        self.params = [_repeat([getattr(fd, name) for fd in fds], counts)
+                       for name in names]
         self.params_twice = ([np.concatenate((p, p)) for p in self.params]
                              if covers else None)
 
@@ -361,7 +359,8 @@ def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
     """Build a grid from (diagram, cell_count) segments.
 
     ``rho`` may be a constant, an array of the full cell count, or a
-    callable of cell-center position x (km).
+    callable of cell-center position x (km); an array of any other shape
+    raises ConfigError.
     """
     segments, n = _runs(segments)
     return SimGrid(segments, _cell_densities(rho, n, dx), dx, boundaries)
@@ -369,10 +368,12 @@ def grid_from_segments(segments: Sequence[tuple[FundamentalDiagram, int]],
 
 def _cell_densities(rho, n: int, dx: float) -> np.ndarray:
     """The densities of n cells of width ``dx`` from ``rho`` as
-    ``grid_from_segments`` takes it."""
+    ``grid_from_segments`` takes it; only a 0-d value is broadcast, and
+    ``SimGrid`` refuses any other shape than (n,)."""
     if callable(rho):
         rho = [rho((i + 0.5) * dx) for i in range(n)]
-    return np.broadcast_to(np.asarray(rho, dtype=float), (n,))
+    rho = np.asarray(rho, dtype=float)
+    return np.broadcast_to(rho, (n,)) if rho.ndim == 0 else rho
 
 
 @dataclass(frozen=True)
@@ -445,8 +446,8 @@ def _flux_writer(grid: SimGrid, f: np.ndarray, ds: np.ndarray):
     part by one ``take`` of ``grid._order``, each part evaluates Q once
     per cell into its slice of a part-major array, and one ``take`` of
     ``grid._back`` puts Q in road order into the demand half of ``ds``.
-    Where rho <= rho_crit that is the demand, and ``grid._cap``,
-    Q(rho_crit) from the same formulas, is the supply; elsewhere the two
+    Where rho <= rho_crit that is the demand, and ``grid._cap``, each
+    diagram's stored Q(rho_crit), is the supply; elsewhere the two
     trade places, as min(rho, rho_crit) or max(rho, rho_crit) is
     rho_crit itself.  The mask is taken on the road-order densities, not
     the gathered ones.  The select exchanges the bits of the two by XOR,
@@ -460,21 +461,21 @@ def _flux_writer(grid: SimGrid, f: np.ndarray, ds: np.ndarray):
     back as numpy scalars.
     """
     n, bounds, order, back = grid.n, grid.boundaries, grid._order, grid._back
-    d, s = ds[:n], ds[n:]
+    d, s, rho_crit = ds[:n], ds[n:], grid.rho_crit
     if order is None:
         (part,) = grid._parts
-        rho_crit, flux, params = part.rho_crit, part.flux, part.params_twice
+        flux, params = part.flux, part.params_twice
         both = np.empty(2 * n)
         low, high = both[:n], both[n:]
     else:
         gathered, q = np.empty((2, n))
         parts, start = [], 0
         for part in grid._parts:
-            m = part.rho_crit.size
+            m = part.cells.size
             parts.append((part.flux, part.params, gathered[start:start + m],
                           q[start:start + m]))
             start += m
-        rho_crit, congested = grid.rho_crit, np.empty(n, dtype=bool)
+        congested = np.empty(n, dtype=bool)
         flip = np.empty(n, dtype=np.int64)
         bits_cap, bits_d, bits_s = (a.view(np.int64) for a in (grid._cap, d, s))
         greater, xor, multiply = np.greater, np.bitwise_xor, np.multiply

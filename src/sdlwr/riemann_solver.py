@@ -19,9 +19,12 @@ positive speed and downstream waves never negative; the solver proves
 this case by case, and ``classify_wave`` re-checks it at runtime.
 
 The trichotomy D1 < S2 / D1 > S2 / D1 = S2 uses the package flux
-tolerance (1e-9 veh/s) as the tie band, and every regime test, the
-admissibility conditions' included, is ``SDState.is_under_critical`` or
-``is_over_critical``, which use the same band.
+tolerance (1e-9 veh/s) as the tie band.  Every regime test uses the same
+band: ``stationary_pair_check`` reads both regimes from
+``supply_demand.classify``, and ``classify_wave`` and the admissibility
+conditions test ``SDState.is_under_critical`` and ``is_over_critical``,
+the two tests ``classify`` is made of; ``classify_wave`` hands a state
+that passes neither to ``classify``, which refuses it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .fundamental_diagram import FLUX_TOL, FundamentalDiagram
-from .supply_demand import SDState, classify, from_density, _off_diagram, to_density
+from .supply_demand import Regime, SDState, classify, from_density, to_density
 
 __all__ = [
     "Side",
@@ -180,8 +183,8 @@ def classify_wave(fd: FundamentalDiagram, left: SDState, right: SDState,
     """Classify the homogeneous wave between two states on one link.
 
     Equal states give no wave.  Otherwise an end state that is neither
-    under- nor over-critical is off the diagram and raises ValueError,
-    as ``classify`` does, and each other end state sits at its
+    under- nor over-critical is off the diagram, and ``classify`` raises
+    its ValueError; each other end state sits at its
     density: the left one on its demand branch unless both states are
     over-critical, the right one on its supply branch unless both are
     under-critical (a pair of critical states counts as under-critical).
@@ -203,10 +206,9 @@ def classify_wave(fd: FundamentalDiagram, left: SDState, right: SDState,
     free = left_uc and right_uc
     left_oc = not free and left.is_over_critical(cap)
     right_oc = not free and right.is_over_critical(cap)
-    if not (left_uc or left_oc):
-        raise _off_diagram(left, cap)
-    if not (right_uc or right_oc):
-        raise _off_diagram(right, cap)
+    if not ((left_uc or left_oc) and (right_uc or right_oc)):
+        for state in (left, right):
+            classify(state, cap)  # raises on the state off the diagram
     if not (left_uc or right_oc):
         raise RuntimeError(
             "transonic rarefaction (congested left, free right) cannot occur "
@@ -353,24 +355,28 @@ def stationary_pair_check(stat_up: SDState, stat_down: SDState,
                           cap_up: float, cap_down: float) -> StationaryPattern:
     """Joint regime of a stationary pair sharing one flux.
 
-    The one impossible combination is a strictly congested upstream link
-    feeding a strictly free downstream link: the boundary would have to
-    throttle below both capacities with slack on both sides.
+    Both regimes come from ``classify``, so a state off the diagram of
+    its link, or a capacity that is NaN, raises its ValueError; so do two
+    fluxes more than FLUX_TOL apart.  No strictly congested state makes
+    the pair BOTH_UC, and then no strictly free one BOTH_OC (critical
+    states count as either).  A strictly free upstream state over a
+    strictly congested downstream one is UP_UC_DOWN_OC.  The remaining,
+    impossible combination is a strictly congested upstream link feeding
+    a strictly free downstream link, FORBIDDEN: the boundary would have
+    to throttle below both capacities with slack on both sides.
     """
     if abs(stat_up.flux - stat_down.flux) > FLUX_TOL:
         raise ValueError(
             f"stationary states carry different fluxes: "
             f"{stat_up.flux:.9g} vs {stat_down.flux:.9g} veh/s"
         )
-    up_uc = stat_up.is_under_critical(cap_up)
-    up_oc = stat_up.is_over_critical(cap_up)
-    down_uc = stat_down.is_under_critical(cap_down)
-    down_oc = stat_down.is_over_critical(cap_down)
-    if up_uc and down_uc:
+    up = classify(stat_up, cap_up)
+    pair = {up, classify(stat_down, cap_down)}
+    if Regime.STRICTLY_OVER_CRITICAL not in pair:
         return StationaryPattern.BOTH_UC
-    if up_oc and down_oc:
+    if Regime.STRICTLY_UNDER_CRITICAL not in pair:
         return StationaryPattern.BOTH_OC
-    if up_uc and down_oc:
+    if up is Regime.STRICTLY_UNDER_CRITICAL:
         return StationaryPattern.UP_UC_DOWN_OC
     return StationaryPattern.FORBIDDEN
 

@@ -80,8 +80,8 @@ class RingSpec:
     def __post_init__(self):
         # L1 == L is the degenerate single-link ring; still useful as a
         # limiting sanity check (both thresholds collapse to R1(1) L).
-        if not 0 < self.L1 <= self.L:
-            raise ValueError(f"need 0 < L1 <= L, got L1={self.L1}, L={self.L}")
+        if not 0 < self.L1 <= self.L < math.inf:  # NaN fails this
+            raise ValueError(f"need 0 < L1 <= L < inf, got L1={self.L1}, L={self.L}")
         if self.fd1.capacity >= self.fd2.capacity:
             raise ValueError(
                 "link 1 must be the bottleneck: "
@@ -142,8 +142,11 @@ class InteriorSite:
         """The grid cell adjacent to the site on its side.
 
         Positions landing within rounding of a cell face snap to the
-        face before picking the neighbour.
+        face before picking the neighbour.  A cell width ``dx`` that is
+        not positive raises ValueError.
         """
+        if not dx > 0:  # NaN fails this
+            raise ValueError(f"cell width dx must be positive, got {dx!r}")
         p = self.position / dx
         nearest = round(p)
         if abs(p - nearest) < 1e-9 * n_cells:
@@ -177,6 +180,10 @@ class RingPrediction:
         return self.profile[-1].rho
 
     def cell_densities(self, n_cells: int, L: float) -> np.ndarray:
+        """The profile at the centres of ``n_cells`` equal cells of a ring
+        of length L; fewer than one cell raises ValueError."""
+        if n_cells < 1:
+            raise ValueError(f"need at least one cell, got {n_cells}")
         dx = L / n_cells
         return np.array([self.density_at((i + 0.5) * dx) for i in range(n_cells)])
 
@@ -247,22 +254,7 @@ def predict(spec: RingSpec) -> RingPrediction:
     c1 = fd1.capacity
     rho_crit1, rho_free, rho_cong, n_a, n_c = spec._threshold_densities
 
-    if n <= n_a + BOUNDARY_TOL:
-        at_boundary = abs(n - n_a) <= BOUNDARY_TOL
-        if at_boundary:
-            q, rho1, rho2 = c1, rho_crit1, rho_free
-        else:
-            rho1 = _link1_density(spec, n, 0.0, rho_crit1, fd2.inv_demand)
-            q = fd1.flux_curve(rho1)
-            rho2 = fd2.inv_demand(q)
-        sites = (InteriorSite(spec.L, BoundarySide.MINUS),) if at_boundary else ()
-        profile = (
-            ProfileSegment(0.0, spec.L1, rho1),
-            ProfileSegment(spec.L1, spec.L, rho2),
-        )
-        return RingPrediction(RingScenario.BOTH_UC, q, profile, sites)
-
-    if n < n_c - BOUNDARY_TOL:
+    if n_a + BOUNDARY_TOL < n < n_c - BOUNDARY_TOL:
         l2 = (n - rho_crit1 * spec.L1 + rho_free * spec.L1 - rho_cong * spec.L) \
             / (rho_free - rho_cong)
         profile = (
@@ -270,21 +262,32 @@ def predict(spec: RingSpec) -> RingPrediction:
             ProfileSegment(spec.L1, l2, rho_free),
             ProfileSegment(l2, spec.L, rho_cong),
         )
-        sites = (InteriorSite(l2, BoundarySide.MINUS),
-                 InteriorSite(l2, BoundarySide.PLUS))
+        sites = tuple(InteriorSite(l2, side) for side in BoundarySide)  # - then +
         return RingPrediction(RingScenario.CRITICAL_WITH_SS, c1, profile,
                               sites, L2=l2)
 
-    if n <= n_c + BOUNDARY_TOL:
-        q, rho1, rho2 = c1, rho_crit1, rho_cong
+    # both links free up to N_a, both congested from N_c: one search, on
+    # link 1's free or congested branch with link 2 on the same one.  N
+    # sits on N_c when at most N_c + BOUNDARY_TOL, as the band test above
+    # has put it at or above N_c - BOUNDARY_TOL.
+    free = n <= n_a + BOUNDARY_TOL
+    at_threshold, rho2_at, lo, hi, invert2 = (
+        (abs(n - n_a) <= BOUNDARY_TOL, rho_free, 0.0, rho_crit1, fd2.inv_demand)
+        if free else
+        (n <= n_c + BOUNDARY_TOL, rho_cong, rho_crit1, fd1.rho_jam, fd2.inv_supply))
+    if at_threshold:
+        q, rho1, rho2 = c1, rho_crit1, rho2_at
     else:
-        rho1 = _link1_density(spec, n, rho_crit1, fd1.rho_jam, fd2.inv_supply)
+        rho1 = _link1_density(spec, n, lo, hi, invert2)
         q = fd1.flux_curve(rho1)
-        rho2 = fd2.inv_supply(q)
+        rho2 = invert2(q)
     profile = (
         ProfileSegment(0.0, spec.L1, rho1),
         ProfileSegment(spec.L1, spec.L, rho2),
     )
+    if free:
+        sites = (InteriorSite(spec.L, BoundarySide.MINUS),) if at_threshold else ()
+        return RingPrediction(RingScenario.BOTH_UC, q, profile, sites)
     if q >= c1:
         sites = (InteriorSite(spec.L1, BoundarySide.PLUS),)
         return RingPrediction(RingScenario.CRITICAL_WITH_SOC, c1, profile, sites)

@@ -149,13 +149,6 @@ def _describe(pair) -> str:
     return f"{direction.value} {kind.value}"
 
 
-def _check_wave(label, side, wave, expected) -> str | None:
-    got = None if wave.is_none else (wave.kind, wave.direction)
-    if got != expected:
-        return f"{label}: expected {_describe(expected)} {side}, got {_describe(got)}"
-    return None
-
-
 def check_entry(fd_up: FundamentalDiagram, fd_down: FundamentalDiagram,
                 entry: CaseEntry) -> str | None:
     """Solve one entry and compare every advertised output exactly."""
@@ -168,9 +161,10 @@ def check_entry(fd_up: FundamentalDiagram, fd_down: FundamentalDiagram,
         return f"{entry.label}: stat_down {sol.stat_down} != {entry.stat_down}"
     for side, wave, expected in (("upstream", sol.wave_up, entry.wave_up),
                                  ("downstream", sol.wave_down, entry.wave_down)):
-        problem = _check_wave(entry.label, side, wave, expected)
-        if problem is not None:
-            return problem
+        got = None if wave.is_none else (wave.kind, wave.direction)
+        if got != expected:
+            return (f"{entry.label}: expected {_describe(expected)} {side}, "
+                    f"got {_describe(got)}")
     for side, interior, stat in (("upstream", sol.interior_up, sol.stat_up),
                                  ("downstream", sol.interior_down,
                                   sol.stat_down)):

@@ -359,6 +359,19 @@ def test_grid_requires_two_cells(gs):
         SimGrid([(gs, 2), (gs, np.int64(1))], [1.0, 1.0], dx=1.0)
 
 
+def test_grid_refuses_densities_of_another_shape(gs):
+    """Only a 0-d density is broadcast over the cells; an array of any
+    other shape than one density per cell is refused, by its shape."""
+    segments = [(gs, 10), (gs, 10)]
+    for rho in (np.ones(19), np.ones((2, 10)), np.ones((1, 20)), [1.0]):
+        shape = re.escape(str(np.shape(rho)))
+        with pytest.raises(ConfigError, match=f"20 cells / densities of shape {shape}"):
+            grid_from_segments(segments, 0.5, rho)
+        with pytest.raises(ConfigError, match=f"20 cells / densities of shape {shape}"):
+            SimGrid(segments, rho, dx=0.5)
+    assert np.all(grid_from_segments(segments, 0.5, np.array(1.0)).rho == 1.0)
+
+
 # -- the per-cell parameter table ----------------------------------------
 
 

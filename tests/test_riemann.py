@@ -16,6 +16,7 @@ from sdlwr import (
     Family,
     GreenshieldsDiagram,
     KernerKonhauserDiagram,
+    Regime,
     RiemannProblem,
     SDState,
     Side,
@@ -31,6 +32,7 @@ from sdlwr import (
     admissible_stationary_down,
     admissible_stationary_up,
     boundary_flux,
+    classify,
     classify_wave,
     entropy_flux,
     from_density,
@@ -306,6 +308,61 @@ def test_stationary_pair_check(gs):
     )
     with pytest.raises(ValueError):
         stationary_pair_check(SDState(0.3, c1), SDState(0.4, c2), c1, c2)
+
+
+def test_stationary_pair_check_refuses_states_off_the_diagram():
+    """Both regimes come from ``classify``: a state with neither component
+    at its link's capacity, one above it, or a NaN capacity raises."""
+    c1, c2 = 1.0, 2.0
+    for up, down, cap_up, cap_down in [
+            (SDState(0.5, 0.9), SDState(0.5, c2), c1, c2),  # upstream off
+            (SDState(0.5, c1), SDState(0.5, 1.9), c1, c2),  # downstream off
+            (SDState(0.5, 1.5), SDState(0.5, c2), c1, c2),  # above capacity
+            (SDState(0.5, 1.0), SDState(0.5, 2.0), float("nan"), c2)]:
+        with pytest.raises(ValueError, match="capacity"):
+            stationary_pair_check(up, down, cap_up, cap_down)
+
+
+def test_stationary_pair_check_is_mirror_symmetric():
+    """The mirror (D, S) -> (S, D) with the sides swapped trades BOTH_UC
+    and BOTH_OC and keeps the other two patterns; a pair of two critical
+    states is both, and reads BOTH_UC either way.  A pair that is
+    refused is refused mirrored too.  Seeded draws share one flux up to
+    a few FLUX_TOL and put each state on, next to or off its link's
+    diagram, so that every tie band is crossed."""
+    rng = np.random.default_rng(28)
+    mirror = {StationaryPattern.BOTH_UC: StationaryPattern.BOTH_OC,
+              StationaryPattern.BOTH_OC: StationaryPattern.BOTH_UC,
+              StationaryPattern.UP_UC_DOWN_OC: StationaryPattern.UP_UC_DOWN_OC,
+              StationaryPattern.FORBIDDEN: StationaryPattern.FORBIDDEN}
+    n = 20_000
+    offsets = FLUX_TOL * np.array([-3.0, -1.0, -0.5, 0.0, 0.0, 0.0, 0.5, 1.0, 3.0])
+    caps = np.where(rng.random((n, 2)) < 0.5, rng.uniform(0.5, 2.0, (n, 2)), 0.7)
+    low = caps.min(axis=1)
+    q = np.where(rng.random(n) < 0.3, low, rng.uniform(0.0, low))
+    flux = np.maximum(0.0, q[:, None] + rng.choice(offsets, (n, 2)))
+    full = np.maximum(0.0, caps + rng.choice(offsets, (n, 2)))
+    under = rng.random((n, 2)) < 0.5
+    demand, supply = np.where(under, flux, full), np.where(under, full, flux)
+    outcomes = set()
+    for caps_k, d, s in zip(caps.tolist(), demand.tolist(), supply.tolist()):
+        states = up, down = SDState(d[0], s[0]), SDState(d[1], s[1])
+        results = []
+        for args in ((up, down, *caps_k),
+                     (SDState(s[1], d[1]), SDState(s[0], d[0]), caps_k[1], caps_k[0])):
+            try:
+                results.append(stationary_pair_check(*args))
+            except ValueError:
+                results.append(ValueError)
+        expected = mirror.get(results[0], ValueError)
+        if results[0] is StationaryPattern.BOTH_UC and all(
+                classify(state, cap) is Regime.CRITICAL
+                for state, cap in zip(states, caps_k)):
+            expected = StationaryPattern.BOTH_UC
+            outcomes.add("critical pair")
+        assert results[1] == expected, (up, down, caps_k)
+        outcomes.add(results[0])
+    assert outcomes == {*mirror, ValueError, "critical pair"}
 
 
 # -- structural properties over random problems -------------------------

@@ -23,6 +23,7 @@ from sdlwr import (
     thresholds,
     vehicles_of_initial,
 )
+from sdlwr.fundamental_diagram import FundamentalDiagram
 from sdlwr.ring_analysis import BOUNDARY_TOL
 
 # Regression values for the 16.8 km ring with the 2.8 km single-lane
@@ -55,6 +56,13 @@ def test_spec_rejects_bad_geometry(kk1, kk2):
         RingSpec(16.8, 17.0, kk1, kk2)
     with pytest.raises(ValueError, match="bottleneck"):
         RingSpec(16.8, 2.8, kk2, kk1)
+
+
+@pytest.mark.parametrize("L, L1", [(math.inf, 2.8), (math.inf, math.inf),
+                                   (math.nan, 2.8), (16.8, math.nan)])
+def test_spec_rejects_a_ring_that_is_not_finite(kk1, kk2, L, L1):
+    with pytest.raises(ValueError, match="0 < L1 <= L < inf"):
+        RingSpec(L, L1, kk1, kk2)
 
 
 def test_spec_derived_quantities(ring, kk1, kk2):
@@ -199,6 +207,27 @@ def test_predict_standing_shock_reaches_within_the_boundary_tolerance(ring):
     assert at.interior_sites == (InteriorSite(2.8, BoundarySide.PLUS),)
 
 
+def test_predict_counts_within_the_boundary_tolerance_of_n_a(ring, kk1):
+    """Within the boundary tolerance on either side of N_a, N counts as on
+    the threshold: both links free at C1, with the site at x = L-.  More
+    than the tolerance above it, the standing shock stands just inside
+    the far end of link 2; as far below it, the flux falls short of C1
+    and there is no site."""
+    n_a = thresholds(ring)[0]
+    for offset in (-0.5e-6, 0.5e-6):
+        at = predict(ring.with_vehicles(n_a + offset))
+        assert at.scenario is RingScenario.BOTH_UC
+        assert at.q == kk1.capacity
+        assert at.interior_sites == (InteriorSite(16.8, BoundarySide.MINUS),)
+    above = predict(ring.with_vehicles(n_a + 2e-6))
+    assert above.scenario is RingScenario.CRITICAL_WITH_SS
+    assert 16.8 - 1e-6 < above.L2 < 16.8
+    below = predict(ring.with_vehicles(n_a - 2e-6))
+    assert below.scenario is RingScenario.BOTH_UC
+    assert below.q < kk1.capacity
+    assert below.interior_sites == ()
+
+
 def test_predict_heavy_traffic(ring, kk1, kk2):
     pred = predict(ring.with_vehicles(2200.0))
     assert pred.scenario is RingScenario.BOTH_SOC
@@ -242,6 +271,15 @@ def test_profile_lookup_and_cells(ring, kk2):
     assert np.all(cells[450:] == pred.profile[2].rho)
     # discretized count converges on the exact one at first order in dx
     assert np.sum(cells) * (16.8 / 600) == pytest.approx(N_SINE_28, rel=1e-3)
+
+
+def test_cells_of_no_width_are_refused(ring):
+    pred = predict(ring.with_vehicles(N_SINE_28))
+    with pytest.raises(ValueError, match="at least one cell"):
+        pred.cell_densities(0, 16.8)
+    for dx in (0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="dx must be positive"):
+            InteriorSite(1.0, BoundarySide.MINUS).cell_index(dx, 8)
 
 
 def test_cell_index_face_and_interior():
@@ -448,3 +486,73 @@ def test_feasibility_mirrors_prediction_scenarios(ring):
         cell.scenario for cell in table.values() if cell.feasible
     }
     assert reachable == feasible_scenarios == set(RingScenario)
+
+
+# -- the mirror ---------------------------------------------------------
+
+
+class _Mirror(FundamentalDiagram):
+    """The mirrored diagram Q~(rho) = Q(rho_jam - rho), on the generic
+    path: rho(x) -> rho_jam - rho(-x) maps a road's states to the
+    mirrored road's, free to congested, and its count N to N_max - N."""
+
+    def __init__(self, fd):
+        self.fd, self.rho_jam = fd, fd.rho_jam
+        super().__init__()
+
+    def flux_curve(self, rho):
+        return self.fd.flux_curve(self.rho_jam - rho)
+
+
+# The mirrored diagram locates its crest by golden-section search, which
+# floating point resolves only to a few 1e-9 rho_jam on a smooth crest
+# (measured: 1.9e-9 rho_jam1 on KK1, 5.3e-9 on Greenshields).  That error
+# times L1 is the gap between the thresholds and their mirror images
+# (9.9e-7 and 1.8e-6 veh) and, per cell, between the profiles.
+_MIRROR_RHO_TOL = 1e-8  # of rho_jam
+
+
+@pytest.mark.parametrize("spec", [
+    RingSpec(16.8, 2.8, KernerKonhauserDiagram(lanes=1),
+             KernerKonhauserDiagram(lanes=2)),
+    RingSpec(16.8, 2.8, GreenshieldsDiagram(27.8e-3, 120.0),
+             GreenshieldsDiagram(27.8e-3, 240.0)),
+], ids=["kk", "greenshields"])
+def test_predict_on_the_mirrored_ring(spec):
+    """The mirrored ring (link 1 still at [0, L1], so x -> L1 - x) puts
+    N_a at N_max - N_c' and N_c at N_max - N_a'.  At 41 counts N its
+    prediction for N_max - N is this one's mirrored, cell by cell on 600
+    cells (cell i -> cell n1 - 1 - i mod n), with the same flux, the
+    scenarios traded (free for congested) and the shock's two sites on
+    the mirrored cells."""
+    mirror = RingSpec(spec.L, spec.L1, _Mirror(spec.fd1), _Mirror(spec.fd2))
+    n_max = spec.max_vehicles
+    assert mirror.max_vehicles == n_max
+    tol = _MIRROR_RHO_TOL * spec.fd1.rho_jam * spec.L1
+    n_a, n_c = thresholds(spec)
+    n_a_m, n_c_m = thresholds(mirror)
+    assert abs(n_max - n_c_m - n_a) <= tol
+    assert abs(n_max - n_a_m - n_c) <= tol
+
+    n, n1 = 600, 100
+    dx = spec.L / n
+    jam = np.where(np.arange(n) < n1, spec.fd1.rho_jam, spec.fd2.rho_jam)
+    mirrored = (n1 - 1 - np.arange(n)) % n
+    traded = {RingScenario.BOTH_UC: RingScenario.BOTH_SOC,
+              RingScenario.BOTH_SOC: RingScenario.BOTH_UC,
+              RingScenario.CRITICAL_WITH_SS: RingScenario.CRITICAL_WITH_SS}
+    seen = set()
+    for count in np.linspace(0.0, n_max, 41).tolist():
+        pred = predict(spec.with_vehicles(count))
+        pred_m = predict(mirror.with_vehicles(n_max - count))
+        assert pred_m.scenario is traded[pred.scenario], count
+        assert pred_m.q == pytest.approx(pred.q, abs=1e-9 * spec.fd1.capacity)
+        rho = pred.cell_densities(n, spec.L)
+        rho_m = pred_m.cell_densities(n, spec.L)
+        assert (np.abs(rho_m[mirrored] - (jam - rho)) / jam).max() <= _MIRROR_RHO_TOL
+        sites = sorted(site.cell_index(dx, n) for site in pred.interior_sites)
+        sites_m = sorted(mirrored[site.cell_index(dx, n)]
+                         for site in pred_m.interior_sites)
+        assert sites_m == sites, count
+        seen.add(pred.scenario)
+    assert seen == set(traded)

@@ -4,14 +4,16 @@
                              [--seed 11] [--blocks 30] [--passes 10]
 
 A_SRC and B_SRC are two ``src`` directories, say a copy of the parent
-commit's and this checkout's.  Each side runs in its own child
-interpreter, which imports ``sdlwr`` from its directory and builds the
-workload once, from this checkout's ``bench/workloads.py``, on the seed
-given; one checked pass then warms it up.  The children stay alive for
-the whole run, so no block pays start-up or set-up.  They take turns:
-block k runs ``--passes`` passes on each side, A first in odd blocks and
-B first in even ones, and each pass is timed by the workload's own
-segments, as ``bench/run.py`` times it (uncalibrated, checks excluded).
+commit's and this checkout's.  Block k runs ``--passes`` passes on each
+side, A first in odd blocks and B first in even ones.  Each side of each
+block is a fresh child interpreter, which imports ``sdlwr`` from its
+directory, builds the workload from this checkout's
+``bench/workloads.py`` on the seed given, warms it up by one checked
+pass and then times its passes by the workload's own segments, as
+``bench/run.py`` times them (uncalibrated, checks excluded).  Start-up
+and set-up are not timed.  A fresh child per block keeps whatever makes
+one process slower than another (its memory layout, the CPU it lands
+on) from biasing every block of one side.
 
 It prints each side's median pass over all blocks, B's median over A's,
 and in how many blocks B's median pass was the lower.  Standard library
@@ -32,9 +34,9 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def child(src: str, workload: str, seed: int) -> int:
-    """Build the workload on ``src``'s sdlwr, then answer each line of
-    stdin (a pass count) with one JSON line of that many pass times."""
+def child(src: str, workload: str, seed: int, passes: int) -> int:
+    """Build the workload on ``src``'s sdlwr, warm it up, and print one
+    JSON line of ``passes`` pass times."""
     sys.path[:0] = [src, str(ROOT / "bench")]
     from tracing import Families, NullTracer
     from workloads import WORKLOADS
@@ -45,32 +47,25 @@ def child(src: str, workload: str, seed: int) -> int:
     if problems:
         sys.stderr.write("warm-up pass failed its checks:\n  " + "\n  ".join(problems) + "\n")
         return 1
-    print("ready", flush=True)
-    for line in sys.stdin:
-        times = []
-        for _ in range(int(line)):
-            wl.run_pass()
-            times.append(wl.segments.take()[0])
-        print(json.dumps(times), flush=True)
+    times = []
+    for _ in range(passes):
+        wl.run_pass()
+        times.append(wl.segments.take()[0])
+    print(json.dumps(times))
     return 0
 
 
-def _start(src: str, args) -> subprocess.Popen:
+def _block(src: str, args) -> list[float]:
+    """One side of one block: a fresh child's pass times."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    proc = subprocess.Popen(
+    out = subprocess.run(
         [sys.executable, __file__, "--child", str(Path(src).resolve()),
-         "--workload", args.workload, "--seed", str(args.seed)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
-    if proc.stdout.readline().strip() != "ready":
-        proc.kill()
-        raise SystemExit(f"the child on {src} did not start; see its errors above")
-    return proc
-
-
-def _block(proc: subprocess.Popen, passes: int) -> list[float]:
-    proc.stdin.write(f"{passes}\n")
-    proc.stdin.flush()
-    return json.loads(proc.stdout.readline())
+         "--workload", args.workload, "--seed", str(args.seed),
+         "--passes", str(args.passes)],
+        stdout=subprocess.PIPE, text=True, env=env)
+    if out.returncode:
+        raise SystemExit(f"the child on {src} failed; see its errors above")
+    return json.loads(out.stdout)
 
 
 def main(argv=None) -> int:
@@ -84,27 +79,22 @@ def main(argv=None) -> int:
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        return child(args.child, args.workload, args.seed)
+        return child(args.child, args.workload, args.seed, args.passes)
     if args.a_src is None or args.b_src is None:
         ap.error("give the two src directories, A then B")
     if args.blocks < 1 or args.passes < 1:
         ap.error("--blocks and --passes must be at least 1")
 
-    procs = {"A": _start(args.a_src, args), "B": _start(args.b_src, args)}
+    srcs = {"A": args.a_src, "B": args.b_src}
     times = {"A": [], "B": []}
     b_won = 0
-    try:
-        for k in range(args.blocks):
-            medians = {}
-            for side in ("AB" if k % 2 == 0 else "BA"):
-                block = _block(procs[side], args.passes)
-                times[side] += block
-                medians[side] = statistics.median(block)
-            b_won += medians["B"] < medians["A"]
-    finally:
-        for proc in procs.values():
-            proc.stdin.close()
-            proc.wait()
+    for k in range(args.blocks):
+        medians = {}
+        for side in ("AB" if k % 2 == 0 else "BA"):
+            block = _block(srcs[side], args)
+            times[side] += block
+            medians[side] = statistics.median(block)
+        b_won += medians["B"] < medians["A"]
 
     med = {side: statistics.median(t) for side, t in times.items()}
     print(f"workload {args.workload}, seed {args.seed}, "
