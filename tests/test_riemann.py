@@ -5,6 +5,7 @@ selects stationary states by comparison and copies components, so any
 drift would signal a real logic change, not numerical noise.
 """
 
+import math
 import re
 
 import numpy as np
@@ -140,6 +141,109 @@ def test_solve_tie_families(gs):
         assert interior.min_demand == q
         assert interior.min_supply == q
 
+
+
+def _three_case_rule(p):
+    """Stationary states and interiors of ``p`` by the trichotomy's three
+    cases, each written out: |D1 - S2| <= FLUX_TOL, then D1 < S2, then
+    D1 > S2.  The reference of ``solve``'s rule, written once per side."""
+    c1, c2 = p.fd_up.capacity, p.fd_down.capacity
+    d1, s2 = p.u1.demand, p.u2.supply
+    if abs(d1 - s2) <= FLUX_TOL:
+        up, down = SDState(d1, c1), SDState(c2, s2)
+        return up, down, Family(d1, d1, up), Family(s2, s2, down)
+    if d1 < s2:
+        up, down = SDState(d1, c1), SDState(d1, c2)
+    else:
+        up, down = SDState(c1, s2), SDState(c2, s2)
+    return up, down, Unique(up), Unique(down)
+
+
+def _ulps_around(x, k):
+    """``x`` and the k floats on each side of it."""
+    below = above = x
+    out = [x]
+    for _ in range(k):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def test_solve_walks_the_tie_band_as_the_three_cases():
+    """D1 stepped from -6 to +6 ulps around S2 - FLUX_TOL, S2 and
+    S2 + FLUX_TOL gives the stationary states, interiors and waves of the
+    three-case rule, on seeded S2 and both regimes of the downstream
+    state.  Each edge walk crosses its edge, so a tie test that rounds
+    differently (``d1 <= s2 + FLUX_TOL``, say) fails here."""
+    rng = np.random.default_rng(29)
+    fd_up, narrow = GreenshieldsDiagram(1.0, 4.0), GreenshieldsDiagram(1.0, 3.0)
+    c1 = fd_up.capacity  # 1, and 0.75 on the narrow link
+    seen = set()
+    for k in range(400):
+        if k % 4 == 0:  # a free downstream state supplies the capacity
+            fd_down = narrow
+            u2 = SDState(rng.uniform(0.0, narrow.capacity), narrow.capacity)
+        else:
+            fd_down = (fd_up, narrow)[k % 2]
+            u2 = SDState(fd_down.capacity, rng.uniform(0.05, 0.95) * fd_down.capacity)
+        s2 = u2.supply
+        for edge in (-1, 0, 1):
+            for d1 in _ulps_around(s2 + edge * FLUX_TOL, 6):
+                p = RiemannProblem(fd_up, fd_down, SDState(d1, c1), u2)
+                sol = solve(p)
+                up, down, interior_up, interior_down = _three_case_rule(p)
+                assert (sol.stat_up, sol.stat_down) == (up, down), p
+                assert (sol.interior_up, sol.interior_down) == (interior_up,
+                                                                interior_down), p
+                assert sol.wave_up == classify_wave(fd_up, p.u1, up, Side.UPSTREAM), p
+                assert sol.wave_down == classify_wave(fd_down, down, u2,
+                                                      Side.DOWNSTREAM), p
+                seen.add((edge, type(interior_up), up.demand == d1))
+    # both sides of each edge, and only ties around S2
+    assert seen == {(-1, Unique, True), (-1, Family, True), (0, Family, True),
+                    (1, Family, True), (1, Unique, False)}
+
+
+def _mirrored_interior(interior):
+    """An interior set under (D, S) -> (S, D)."""
+    if isinstance(interior, Unique):
+        return Unique(SDState(interior.state.supply, interior.state.demand))
+    rep = interior.representative
+    return Family(interior.min_supply, interior.min_demand, SDState(rep.supply, rep.demand))
+
+
+def test_solve_is_mirror_symmetric():
+    """The supply-demand mirror (D, S) -> (S, D), with the two sides
+    swapped, maps a problem to one whose stationary states and interiors
+    are this one's mirrored, the other side's, exactly, at the same
+    boundary flux.  Greenshields diagrams are their own mirrors.  Seeded
+    problems put D1 and S2 within a few FLUX_TOL of a common flux, so that
+    the tie band is crossed, and take each state free or congested."""
+    rng = np.random.default_rng(29)
+    fds = [GreenshieldsDiagram(1.0, 4.0), GreenshieldsDiagram(1.0, 3.0),
+           GreenshieldsDiagram(0.03, 120.0)]  # capacities 1, 0.75 and 0.9
+    offsets = FLUX_TOL * np.array([-3.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 3.0])
+    seen = set()
+    for _ in range(2000):
+        fd_up, fd_down = (fds[i] for i in rng.integers(3, size=2))
+        c1, c2 = fd_up.capacity, fd_down.capacity
+        q = min(c1, c2) * (1.0 if rng.random() < 0.2 else rng.random())
+        d1, s2 = (min(c, max(0.0, q + rng.choice(offsets))) for c in (c1, c2))
+        u1 = (SDState(c1, rng.uniform(0.0, c1)) if d1 == c1 and rng.random() < 0.5
+              else SDState(d1, c1))
+        u2 = (SDState(rng.uniform(0.0, c2), c2) if s2 == c2 and rng.random() < 0.5
+              else SDState(c2, s2))
+        sol = solve(RiemannProblem(fd_up, fd_down, u1, u2))
+        mirror = solve(RiemannProblem(fd_down, fd_up, SDState(u2.supply, u2.demand),
+                                      SDState(u1.supply, u1.demand)))
+        assert mirror.boundary_flux == sol.boundary_flux
+        assert mirror.stat_up == SDState(sol.stat_down.supply, sol.stat_down.demand)
+        assert mirror.stat_down == SDState(sol.stat_up.supply, sol.stat_up.demand)
+        assert mirror.interior_up == _mirrored_interior(sol.interior_down)
+        assert mirror.interior_down == _mirrored_interior(sol.interior_up)
+        seen.add((type(sol.interior_up), np.sign(d1 - s2)))
+    assert seen == {(Unique, -1.0), (Unique, 1.0), (Family, -1.0), (Family, 0.0),
+                    (Family, 1.0)}
 
 # -- wave classification ------------------------------------------------
 
