@@ -594,15 +594,19 @@ def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
 
 # -------------------------------------------------------------- reports
 
+def _ds(state, link: str = "") -> str:
+    """A (D, S) pair as the riemann report prints it, ``link`` numbering
+    the two letters."""
+    return f"D{link}={_fmt(state.demand)}, S{link}={_fmt(state.supply)}"
+
+
 def _describe_interior(interior) -> str:
     if isinstance(interior, Unique):
-        st = interior.state
-        return (f"unique (D={_fmt(st.demand)}, S={_fmt(st.supply)}) veh/s")
+        return f"unique ({_ds(interior.state)}) veh/s"
     assert isinstance(interior, Family)
-    rep = interior.representative
     return (f"family D>={_fmt(interior.min_demand)}, "
             f"S>={_fmt(interior.min_supply)} veh/s "
-            f"(representative D={_fmt(rep.demand)}, S={_fmt(rep.supply)})")
+            f"(representative {_ds(interior.representative)})")
 
 
 def _describe_wave(wave: Wave) -> str:
@@ -644,16 +648,12 @@ def cmd_riemann(cfg: ScenarioConfig, out_dir: Path) -> int:
         "riemann solution at the link boundary",
         f"  upstream capacity   C1 = {_fmt(problem.fd_up.capacity)} veh/s",
         f"  downstream capacity C2 = {_fmt(problem.fd_down.capacity)} veh/s",
-        f"  initial upstream    (D1={_fmt(problem.u1.demand)}, "
-        f"S1={_fmt(problem.u1.supply)}) veh/s",
-        f"  initial downstream  (D2={_fmt(problem.u2.demand)}, "
-        f"S2={_fmt(problem.u2.supply)}) veh/s",
+        f"  initial upstream    ({_ds(problem.u1, '1')}) veh/s",
+        f"  initial downstream  ({_ds(problem.u2, '2')}) veh/s",
         f"  boundary flux q = {_fmt(sol.boundary_flux)} veh/s",
-        f"  stationary up   (D={_fmt(sol.stat_up.demand)}, "
-        f"S={_fmt(sol.stat_up.supply)}) veh/s, "
+        f"  stationary up   ({_ds(sol.stat_up)}) veh/s, "
         f"rho={_fmt(to_density(problem.fd_up, sol.stat_up))} veh/km",
-        f"  stationary down (D={_fmt(sol.stat_down.demand)}, "
-        f"S={_fmt(sol.stat_down.supply)}) veh/s, "
+        f"  stationary down ({_ds(sol.stat_down)}) veh/s, "
         f"rho={_fmt(to_density(problem.fd_down, sol.stat_down))} veh/km",
         f"  interior up:   {_describe_interior(sol.interior_up)}",
         f"  interior down: {_describe_interior(sol.interior_down)}",

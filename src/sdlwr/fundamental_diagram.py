@@ -254,13 +254,8 @@ class FundamentalDiagram(abc.ABC):
         clipping at the ends.
         """
         h = 1e-6 * self.rho_jam
-        if side == 0:
-            lo = max(rho - h, 0.0)
-            hi = min(rho + h, self.rho_jam)
-        elif side < 0:
-            lo, hi = max(rho - h, 0.0), rho
-        else:
-            lo, hi = rho, min(rho + h, self.rho_jam)
+        lo = rho if side > 0 else max(rho - h, 0.0)
+        hi = rho if side < 0 else min(rho + h, self.rho_jam)
         return float(self.flux_curve(hi) - self.flux_curve(lo)) / (hi - lo)
 
     # -- shared interface ---------------------------------------------

@@ -161,7 +161,8 @@ class SimGrid:
     through, and raises ConfigError for a density outside [0, rho_jam],
     boundaries that are not a BoundarySpec of two StepFunctions or a
     breakpoint outside [0, capacity] of its end link; ``with_density``
-    copies share the parts and their arrays.
+    copies share the parts and their arrays, and check their densities
+    themselves (see there).
     ``rho_jam``, ``rho_crit`` and ``v0`` are the per-cell jam density,
     critical density and free-flow speed Q'(0) arrays.  A road of
     several parts also holds the part-major layout of ``_flux_writer``:
@@ -176,11 +177,7 @@ class SimGrid:
         self.rho = np.asarray(rho, dtype=float).copy()
         self.dx = float(dx)
         self.boundaries = boundaries
-        if self.rho.shape != (n,) or n < 2:
-            raise ConfigError(
-                f"need one density per cell and at least 2 cells, got "
-                f"{n} cells / densities of shape {self.rho.shape}"
-            )
+        _check_cells(self.rho, n)
         if not (self.dx > 0 and math.isfinite(self.dx)):
             raise ConfigError(f"dx must be positive and finite, got {self.dx!r}")
         # part key -> its (first cell, diagram, count) runs
@@ -257,9 +254,15 @@ class SimGrid:
         return max(fd.max_wave_speed() for fd, _ in self.segments)
 
     def with_density(self, rho) -> "SimGrid":
-        """The same road holding a copy of ``rho``."""
+        """The same road holding a copy of ``rho``.  A shape other than
+        (n,) raises the constructor's ConfigError, and a density that
+        fails ``_clamp``'s range test its ValueError: drift of up to
+        DENSITY_SLACK beyond [0, rho_jam], which a march may leave, is
+        kept."""
         grid = copy.copy(self)
         grid.rho = np.asarray(rho, dtype=float).copy()
+        _check_cells(grid.rho, self.n)
+        self._clamp(grid.rho)
         return grid
 
     def _clamp(self, rho, steps=None, gap=None):
@@ -298,6 +301,15 @@ def _runs(segments) -> tuple[list[tuple[FundamentalDiagram, int]], int]:
     if any(count < 1 for _, count in runs):
         raise ConfigError("every segment needs at least one cell")
     return runs, sum(count for _, count in runs)
+
+
+def _check_cells(rho: np.ndarray, n: int) -> None:
+    """Refuse densities that are not one per cell of a road of n >= 2."""
+    if rho.shape != (n,) or n < 2:
+        raise ConfigError(
+            f"need one density per cell and at least 2 cells, got "
+            f"{n} cells / densities of shape {rho.shape}"
+        )
 
 
 def _repeat(values, counts) -> np.ndarray:

@@ -19,12 +19,22 @@ positive speed and downstream waves never negative; the solver proves
 this case by case, and ``classify_wave`` re-checks it at runtime.
 
 The trichotomy D1 < S2 / D1 > S2 / D1 = S2 uses the package flux
-tolerance (1e-9 veh/s) as the tie band.  Every regime test uses the same
-band: ``stationary_pair_check`` reads both regimes from
-``supply_demand.classify``, and ``classify_wave`` and the admissibility
-conditions test ``SDState.is_under_critical`` and ``is_over_critical``,
-the two tests ``classify`` is made of; ``classify_wave`` hands a state
-that passes neither to ``classify``, which refuses it.
+tolerance (1e-9 veh/s) as the tie band, |D1 - S2| <= FLUX_TOL.  Each
+side's part of the solution is one rule, and the downstream rule is the
+upstream one under the supply-demand mirror: swap (D, S) to (S, D) and
+swap the two sides.  Upstream, the stationary state keeps the initial
+demand, (D1, C1), unless D1 exceeds S2 beyond the band, when it is
+congested at (C1, S2); downstream it keeps the initial supply,
+(C2, S2), unless S2 exceeds D1 beyond the band, when it is free at
+(D1, C2).  The side check of ``classify_wave`` is mirrored the same
+way: a downstream wave is an upstream one on negated speeds.
+
+Every regime test uses the same band: ``stationary_pair_check`` reads
+both regimes from ``supply_demand.classify``, and ``classify_wave`` and
+the admissibility conditions test ``SDState.is_under_critical`` and
+``is_over_critical``, the two tests ``classify`` is made of;
+``classify_wave`` hands a state that passes neither to ``classify``,
+which refuses it.
 """
 
 from __future__ import annotations
@@ -255,42 +265,34 @@ def _rarefaction(fd: FundamentalDiagram, rho_l: float, rho_r: float,
 def _check_side(wave: Wave, side: Side, fd: FundamentalDiagram) -> None:
     slack = 1e-9 * (1.0 + fd.max_wave_speed())
     s_min, s_max = wave.speed_range
-    if side is Side.UPSTREAM and s_max > slack:
+    # a downstream wave is checked as an upstream one on negated speeds
+    sign, speed, sense = ((1.0, s_max, "positive") if side is Side.UPSTREAM
+                          else (-1.0, s_min, "negative"))
+    if sign * speed > slack:
         raise RuntimeError(
-            f"upstream wave with positive speed {s_max:.6g} km/s (solver bug)"
-        )
-    if side is Side.DOWNSTREAM and s_min < -slack:
-        raise RuntimeError(
-            f"downstream wave with negative speed {s_min:.6g} km/s (solver bug)"
-        )
+            f"{side.value} wave with {sense} speed {speed:.6g} km/s (solver bug)")
 
 
 def solve(p: RiemannProblem) -> RiemannSolution:
     """Full Riemann solution at the boundary.
 
-    Stationary states follow the sign of D1 - S2; in the tied case the
+    Each side's stationary state is one rule, and the downstream rule is
+    the upstream one mirrored, (D, S) -> (S, D) with the sides swapped.
+    The upstream link keeps its demand, (D1, C1), unless D1 exceeds S2
+    beyond the tie band, when it is congested at the boundary flux,
+    (C1, S2); the downstream link keeps its supply, (C2, S2), unless S2
+    exceeds D1 beyond the band, when it is free at the boundary flux,
+    (D1, C2).  In the tied case both keep their own component, and the
     interior states are non-unique and come back as one-sided families
     (each assuming the opposite side sits at its stationary state).
     """
     c1, c2 = p.fd_up.capacity, p.fd_down.capacity
     d1, s2 = p.u1.demand, p.u2.supply
-
-    if abs(d1 - s2) <= FLUX_TOL:
-        stat_up = SDState(d1, c1)
-        stat_down = SDState(c2, s2)
-        interior_up: InteriorSet = Family(d1, d1, stat_up)
-        interior_down: InteriorSet = Family(s2, s2, stat_down)
-    elif d1 < s2:
-        stat_up = SDState(d1, c1)
-        stat_down = SDState(d1, c2)
-        interior_up = Unique(stat_up)
-        interior_down = Unique(stat_down)
-    else:
-        stat_up = SDState(c1, s2)
-        stat_down = SDState(c2, s2)
-        interior_up = Unique(stat_up)
-        interior_down = Unique(stat_down)
-
+    tied = abs(d1 - s2) <= FLUX_TOL
+    stat_up = SDState(c1, s2) if d1 > s2 and not tied else SDState(d1, c1)
+    stat_down = SDState(d1, c2) if d1 < s2 and not tied else SDState(c2, s2)
+    interior_up = Family(d1, d1, stat_up) if tied else Unique(stat_up)
+    interior_down = Family(s2, s2, stat_down) if tied else Unique(stat_down)
     wave_up = classify_wave(p.fd_up, p.u1, stat_up, Side.UPSTREAM)
     wave_down = classify_wave(p.fd_down, stat_down, p.u2, Side.DOWNSTREAM)
     return RiemannSolution(boundary_flux(p), stat_up, stat_down, interior_up,

@@ -374,12 +374,12 @@ class FeasibilityCell:
 
 def _link_end_states(pattern: LinkPattern, cap: float, q: float
                      ) -> tuple[SDState, SDState]:
-    """(start, end) states of a link in the given pattern at flux q."""
-    if pattern is LinkPattern.UC:
-        return SDState(q, cap), SDState(q, cap)
-    if pattern is LinkPattern.SS:
-        return SDState(q, cap), SDState(cap, q)
-    return SDState(cap, q), SDState(cap, q)
+    """(start, end) states of a link in the given pattern at flux q: it
+    starts free unless it is wholly congested, and ends congested unless
+    it is wholly free."""
+    free, congested = SDState(q, cap), SDState(cap, q)
+    return (congested if pattern is LinkPattern.SOC else free,
+            free if pattern is LinkPattern.UC else congested)
 
 
 def feasibility_table(spec: RingSpec) -> dict[tuple[LinkPattern, LinkPattern],

@@ -1,4 +1,5 @@
-"""Shared fixtures: the diagram families and ring geometry used throughout."""
+"""Shared fixtures: the diagram families and ring geometry used throughout,
+and the mirror of a diagram."""
 
 import contextlib
 import signal
@@ -11,6 +12,7 @@ from sdlwr import (
     RingSpec,
     TriangularDiagram,
 )
+from sdlwr.fundamental_diagram import FundamentalDiagram
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +51,25 @@ def family_zoo():
         KernerKonhauserDiagram(lanes=1),
         KernerKonhauserDiagram(lanes=2),
     ]
+
+
+class _Mirror(FundamentalDiagram):
+    """The mirrored diagram Q~(rho) = Q(rho_jam - rho), on the generic
+    path: rho(x) -> rho_jam - rho(-x) maps a road's states to the
+    mirrored road's, free to congested, and its count N to N_max - N."""
+
+    def __init__(self, fd):
+        self.fd, self.rho_jam = fd, fd.rho_jam
+        super().__init__()
+
+    def flux_curve(self, rho):
+        return self.fd.flux_curve(self.rho_jam - rho)
+
+
+@pytest.fixture(scope="session")
+def mirror():
+    """``mirror(fd)`` is the mirrored diagram of ``fd``."""
+    return _Mirror
 
 
 class DeadlineExpired(Exception):

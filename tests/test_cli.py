@@ -959,25 +959,6 @@ def _one_edit_configs(raw):
                 ("diagrams", name, "family"), operator.setitem, family)
 
 
-def test_one_edit_configs_parse_or_raise_config_error(deadline):
-    """Every config one edit from a bench config parses or raises
-    ConfigError: no other exception, and no search that never ends."""
-    failures, cases = [], 0
-    for name in ("riemann", "ring_predict", "simulate"):
-        raw = yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
-        for edit, cfg in _one_edit_configs(raw):
-            cases += 1
-            try:
-                with deadline(5):
-                    parse_config(yaml.safe_dump(cfg))
-            except ConfigError:
-                pass
-            except Exception as exc:
-                failures.append(f"{name}: {edit}: {type(exc).__name__}: {exc}")
-    assert cases == 825
-    assert not failures, "\n".join(failures)
-
-
 def _open_road_with_schedules():
     """SIM_CFG with a piecewise initial profile and a boundary schedule,
     which no bench config has."""
@@ -994,10 +975,11 @@ _ONE_EDIT_OUTCOMES = (
     "9e94bb554b465a62987591271e4b483b1d8490583a0a136ace89d4a1478a5122")
 
 
-def test_one_edit_config_messages():
+def test_one_edit_config_messages(deadline):
     """The outcome of every config one edit from a bench config or from
     the open road with schedules: "ok", or the ConfigError text, word for
-    word, pinned as one digest over all of them."""
+    word, pinned as one digest over all of them.  Any other exception,
+    or a parse that outruns its deadline, fails the test."""
     configs = {name: yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
                for name in ("riemann", "ring_predict", "simulate")}
     configs["open_road"] = _open_road_with_schedules()
@@ -1005,7 +987,8 @@ def test_one_edit_config_messages():
     for name, raw in configs.items():
         for edit, cfg in _one_edit_configs(raw):
             try:
-                parse_config(yaml.safe_dump(cfg))
+                with deadline(5):
+                    parse_config(yaml.safe_dump(cfg))
                 outcome = "ok"
             except ConfigError as exc:
                 outcome = str(exc)
@@ -1044,9 +1027,16 @@ def _edited(raw, edit):
     ("ring-predict", _open_road_with_schedules(),
      "ring-predict needs a ring road with exactly two segments (bottleneck first)"),
     ("riemann", _bench("ring_predict"), "riemann section missing"),
+    ("simulate", _edited(_bench("simulate"), lambda raw: raw.pop("initial")),
+     "simulate needs road and initial sections"),
+    ("ring-predict", _bench("riemann"), "ring-predict needs a road section"),
+    ("ring-predict", _edited(_bench("ring_predict"), lambda raw: raw.pop("initial")),
+     "ring-predict needs ring.vehicles_veh or an initial section"),
 ], ids=["no-pieces", "late-first-breakpoint", "breakpoints-not-increasing",
         "empty-xi-range", "empty-document", "simulate-without-numerics",
-        "ring-predict-on-open-road", "riemann-without-section"])
+        "ring-predict-on-open-road", "riemann-without-section",
+        "simulate-without-initial", "ring-predict-without-road",
+        "ring-predict-without-count"])
 def test_refusals_exit_2_with_their_message(tmp_path, capsys, command, raw, message):
     """Refusals of configs that parse into too little for the command,
     or that name an empty or backward range, end with exit code 2 and

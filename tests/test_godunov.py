@@ -32,6 +32,7 @@ from sdlwr import (
     step,
 )
 
+
 # -- interface fluxes ----------------------------------------------------
 
 
@@ -203,6 +204,36 @@ def test_ring_conservation(gs):
     # the ledger form absorbs the cumulative in/outflow (~5600 veh) into
     # the balance, so it only resolves drift down to its ulp
     assert rec.conservation_drift() < 1e-12
+
+
+def test_doubling_dx_and_dt_keeps_the_records(kk1, kk2):
+    """The march reads dx and dt only through their ratio, so doubling
+    both on the KK1 | KK2 reference ring, from random densities, gives
+    the same rho, q and v records, bit for bit."""
+    rng = np.random.default_rng(29)
+    segments = [(kk1, 100), (kk2, 500)]
+    rho = np.concatenate([rng.uniform(0.0, kk1.rho_jam, 100),
+                          rng.uniform(0.0, kk2.rho_jam, 500)])
+    a, b = (run(SimGrid(segments, rho, dx), StepConfig(dt), 40 * dt, record_every=10)
+            for dx, dt in ((0.028, 0.8), (0.056, 1.6)))
+    for x, y in ((a.rho, b.rho), (a.q, b.q), (a.v, b.v)):
+        assert np.array_equal(_bits(x), _bits(y))
+
+
+def test_rotated_ring_start_rotates_its_end():
+    """Every cell of a homogeneous ring is marched alike: a Greenshields
+    ring started rotated by k cells ends rotated by k cells, bit for
+    bit, at every record."""
+    rng = np.random.default_rng(29)
+    fd = GreenshieldsDiagram(27.8e-3, 120.0)
+    rho = rng.uniform(0.0, fd.rho_jam, 600)
+    cfg = StepConfig(0.8)
+    rec = run(grid_from_segments([(fd, 600)], dx=0.028, rho=rho), cfg, 160.0,
+              record_every=50)
+    for k in (1, 37, 239):
+        rotated = run(grid_from_segments([(fd, 600)], dx=0.028, rho=np.roll(rho, k)),
+                      cfg, 160.0, record_every=50)
+        assert np.array_equal(_bits(rotated.rho), _bits(np.roll(rec.rho, k, axis=1)))
 
 
 # -- first-step consistency with the boundary Riemann solution -----------
@@ -721,6 +752,13 @@ def test_run_rejects_non_integer_record_every(gs, record_every):
     assert rec.times.tolist() == [0.0, 1.5, 3.0, 4.5, 5.0]
 
 
+@pytest.mark.parametrize("record_every", [0, -3])
+def test_run_rejects_record_every_below_one(gs, record_every):
+    grid = grid_from_segments([(gs, 4)], dx=1.0, rho=1.0)
+    with pytest.raises(ConfigError, match="record_every must be >= 1"):
+        run(grid, StepConfig(0.5), 5.0, record_every)
+
+
 @settings(max_examples=20, deadline=None)
 @given(bad=_NONFINITE | st.floats(max_value=0.0, exclude_max=True))
 def test_boundary_rejects_bad_values(gs, bad):
@@ -748,11 +786,11 @@ def test_boundary_rejects_bad_values(gs, bad):
        bad=_NONFINITE | st.floats(max_value=-1e-6)
        | st.floats(min_value=4.0 + 1e-6))
 def test_step_check_names_step_cell_and_density(gs, cell, bad):
-    """States that bypass construction (``with_density``) are caught by
-    the kernel's per-step range check before they reach the fluxes."""
-    rho = np.full(8, 1.0)
-    rho[cell] = bad
-    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0).with_density(rho)
+    """States written into ``grid.rho`` in place, past the checks of the
+    constructor and of ``with_density``, are caught by the kernel's
+    per-step range check before they reach the fluxes."""
+    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0)
+    grid.rho[cell] = bad
     expected = re.escape(f"density {bad!r} veh/km in cell {cell} after 0 steps")
     with pytest.raises(ValueError, match=expected):
         run(grid, StepConfig(0.5), 5.0)
@@ -774,9 +812,8 @@ def test_divergence_names_step_cell_and_density(gs):
     """The march raises SimulationDiverged carrying what its message
     says; a call outside the march, which has no step, raises a plain
     ValueError."""
-    rho = np.full(8, 1.0)
-    rho[5] = -0.5
-    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0).with_density(rho)
+    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0)
+    grid.rho[5] = -0.5  # in place, past the checks of construction
     with pytest.raises(SimulationDiverged) as info:
         run(grid, StepConfig(0.5), 5.0)
     assert (info.value.step, info.value.cell, info.value.density) == (0, 5, -0.5)
@@ -820,13 +857,34 @@ def test_drift_within_the_slack_marches_on(gs):
     assert expected[2] != kept[2] and expected[5] != kept[5]
 
 
+def test_with_density_refuses_what_construction_refuses(gs):
+    """``with_density`` refuses a shape other than (n,) with the
+    constructor's ConfigError, and a density more than the slack beyond
+    [0, rho_jam], NaN included, with the range test's ValueError; drift
+    within the slack, as a march may leave it, is kept."""
+    grid = grid_from_segments([(gs, 20)], dx=1.0, rho=1.0)
+    with pytest.raises(ConfigError, match=re.escape(
+            "at least 2 cells, got 20 cells / densities of shape (5,)")):
+        grid.with_density(np.ones(5))
+    for cell, bad in [(3, 9.0), (0, -2.0 * _SLACK), (19, 4.0 + 2.0 * _SLACK),
+                      (7, math.nan)]:
+        rho = np.full(20, 1.0)
+        rho[cell] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"density {bad!r} veh/km in cell {cell} lies outside [0, 4] veh/km")) as info:
+            grid.with_density(rho)
+        assert type(info.value) is ValueError
+    rho = np.full(20, 1.0)
+    rho[2], rho[5] = -0.5 * _SLACK, 4.0 + 0.5 * _SLACK
+    assert np.array_equal(grid.with_density(rho).rho, rho)
+
+
 @pytest.mark.parametrize("cell, beyond", [(2, -2.0 * _SLACK), (5, 4.0 + 2.0 * _SLACK)])
 def test_drift_beyond_the_slack_stops_the_march(gs, cell, beyond):
-    """Twice the slack beyond [0, rho_jam] stops ``run`` and ``step`` at
-    step 0, naming the cell."""
-    rho = np.full(8, 1.0)
-    rho[cell] = beyond
-    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0).with_density(rho)
+    """Twice the slack beyond [0, rho_jam], written into ``grid.rho`` in
+    place, stops ``run`` and ``step`` at step 0, naming the cell."""
+    grid = grid_from_segments([(gs, 8)], dx=1.0, rho=1.0)
+    grid.rho[cell] = beyond
     for march in (lambda: run(grid, StepConfig(0.5), 5.0),
                   lambda: step(grid, StepConfig(0.5))):
         with pytest.raises(SimulationDiverged, match=f"in cell {cell} after 0 steps") as info:

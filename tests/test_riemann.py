@@ -142,7 +142,6 @@ def test_solve_tie_families(gs):
         assert interior.min_supply == q
 
 
-
 def _three_case_rule(p):
     """Stationary states and interiors of ``p`` by the trichotomy's three
     cases, each written out: |D1 - S2| <= FLUX_TOL, then D1 < S2, then
@@ -244,6 +243,7 @@ def test_solve_is_mirror_symmetric():
         seen.add((type(sol.interior_up), np.sign(d1 - s2)))
     assert seen == {(Unique, -1.0), (Unique, 1.0), (Family, -1.0), (Family, 0.0),
                     (Family, 1.0)}
+
 
 # -- wave classification ------------------------------------------------
 
@@ -631,6 +631,48 @@ def test_sample_profile_refuses_nan():
     assert sample_profile(p, [-np.inf, np.inf]) == pytest.approx([20.0, 80.0], abs=1e-9)
     with pytest.raises(ValueError, match="got nan at index 1"):
         sample_profile(p, [0.0, np.nan])
+
+
+# The largest gap, of rho_jam, between a profile and its mirror's image,
+# measured over 200 samples of each of 1400 seeded problems a kind (seven
+# seeds): 2.1e-13 on Greenshields, which is its own mirror, and 4.8e-11 on
+# triangles, whose generic mirrored diagram places its crest by search.
+_PROFILE_MIRROR_TOL = {"greenshields": 1e-12, "triangle": 1e-10}
+
+
+@pytest.mark.parametrize("kind", ["greenshields", "triangle"])
+def test_sample_profile_is_mirror_symmetric(kind, mirror):
+    """rho(xi) -> rho_jam - rho(-xi), with the two links swapped, maps a
+    profile onto the profile of the mirrored problem: each link's
+    diagram mirrored and its initial density taken to rho_jam - rho.
+    Greenshields diagrams are their own mirrors; triangles with
+    v_cong != v_free are mirrored through the generic path.  The samples
+    lie symmetric about xi = 0, without it, on seeded problems."""
+    rng = np.random.default_rng(29)
+    if kind == "greenshields":
+        fds = [GreenshieldsDiagram(1.0, 4.0), GreenshieldsDiagram(27.8e-3, 120.0),
+               GreenshieldsDiagram(27.8e-3, 240.0)]
+        mirrored = fds
+    else:
+        fds = [TriangularDiagram(1.0, 4.0, v_cong=0.5),
+               TriangularDiagram(30e-3, 150.0, v_cong=6e-3)]
+        mirrored = [mirror(fd) for fd in fds]
+    worst = 0.0
+    for _ in range(200):
+        i, j = rng.integers(len(fds), size=2)
+        fd_up, fd_down = fds[i], fds[j]
+        rho_up, rho_down = rng.uniform(0.01, 0.99, 2) * (fd_up.rho_jam, fd_down.rho_jam)
+        p = RiemannProblem.from_densities(fd_up, fd_down, rho_up, rho_down)
+        p_m = RiemannProblem.from_densities(mirrored[j], mirrored[i],
+                                            fd_down.rho_jam - rho_down,
+                                            fd_up.rho_jam - rho_up)
+        half = np.linspace(0.012, 1.2, 100) * max(fd_up.max_wave_speed(),
+                                                 fd_down.max_wave_speed())
+        xi = np.concatenate([-half[::-1], half])
+        jam = np.where(xi < 0.0, fd_down.rho_jam, fd_up.rho_jam)
+        image = jam - sample_profile(p, xi)[::-1]
+        worst = max(worst, float((np.abs(sample_profile(p_m, xi) - image) / jam).max()))
+    assert worst <= _PROFILE_MIRROR_TOL[kind]
 
 
 # The mean _kk_slopes calls per fan sample in

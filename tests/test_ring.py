@@ -23,7 +23,6 @@ from sdlwr import (
     thresholds,
     vehicles_of_initial,
 )
-from sdlwr.fundamental_diagram import FundamentalDiagram
 from sdlwr.ring_analysis import BOUNDARY_TOL
 
 # Regression values for the 16.8 km ring with the 2.8 km single-lane
@@ -491,19 +490,6 @@ def test_feasibility_mirrors_prediction_scenarios(ring):
 # -- the mirror ---------------------------------------------------------
 
 
-class _Mirror(FundamentalDiagram):
-    """The mirrored diagram Q~(rho) = Q(rho_jam - rho), on the generic
-    path: rho(x) -> rho_jam - rho(-x) maps a road's states to the
-    mirrored road's, free to congested, and its count N to N_max - N."""
-
-    def __init__(self, fd):
-        self.fd, self.rho_jam = fd, fd.rho_jam
-        super().__init__()
-
-    def flux_curve(self, rho):
-        return self.fd.flux_curve(self.rho_jam - rho)
-
-
 # The mirrored diagram locates its crest by golden-section search, which
 # floating point resolves only to a few 1e-9 rho_jam on a smooth crest
 # (measured: 1.9e-9 rho_jam1 on KK1, 5.3e-9 on Greenshields).  That error
@@ -518,19 +504,19 @@ _MIRROR_RHO_TOL = 1e-8  # of rho_jam
     RingSpec(16.8, 2.8, GreenshieldsDiagram(27.8e-3, 120.0),
              GreenshieldsDiagram(27.8e-3, 240.0)),
 ], ids=["kk", "greenshields"])
-def test_predict_on_the_mirrored_ring(spec):
+def test_predict_on_the_mirrored_ring(spec, mirror):
     """The mirrored ring (link 1 still at [0, L1], so x -> L1 - x) puts
     N_a at N_max - N_c' and N_c at N_max - N_a'.  At 41 counts N its
     prediction for N_max - N is this one's mirrored, cell by cell on 600
     cells (cell i -> cell n1 - 1 - i mod n), with the same flux, the
     scenarios traded (free for congested) and the shock's two sites on
     the mirrored cells."""
-    mirror = RingSpec(spec.L, spec.L1, _Mirror(spec.fd1), _Mirror(spec.fd2))
+    mirrored_spec = RingSpec(spec.L, spec.L1, mirror(spec.fd1), mirror(spec.fd2))
     n_max = spec.max_vehicles
-    assert mirror.max_vehicles == n_max
+    assert mirrored_spec.max_vehicles == n_max
     tol = _MIRROR_RHO_TOL * spec.fd1.rho_jam * spec.L1
     n_a, n_c = thresholds(spec)
-    n_a_m, n_c_m = thresholds(mirror)
+    n_a_m, n_c_m = thresholds(mirrored_spec)
     assert abs(n_max - n_c_m - n_a) <= tol
     assert abs(n_max - n_a_m - n_c) <= tol
 
@@ -544,7 +530,7 @@ def test_predict_on_the_mirrored_ring(spec):
     seen = set()
     for count in np.linspace(0.0, n_max, 41).tolist():
         pred = predict(spec.with_vehicles(count))
-        pred_m = predict(mirror.with_vehicles(n_max - count))
+        pred_m = predict(mirrored_spec.with_vehicles(n_max - count))
         assert pred_m.scenario is traded[pred.scenario], count
         assert pred_m.q == pytest.approx(pred.q, abs=1e-9 * spec.fd1.capacity)
         rho = pred.cell_densities(n, spec.L)

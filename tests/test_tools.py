@@ -12,7 +12,8 @@ _TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 def test_ab_pass_compares_a_tree_with_itself():
     """Two blocks of one riemann_sweep pass a side, each side on this
-    tree's sources: both medians, their ratio and the blocks won."""
+    tree's sources: both medians, their ratio, the blocks won and the
+    quartiles of each side's block medians."""
     src = str(Path(sdlwr.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, str(_TOOLS / "ab_pass.py"), src, src,
@@ -27,6 +28,12 @@ def test_ab_pass_compares_a_tree_with_itself():
     ratio, won = re.fullmatch(r"B/A (\S+); B lower in (\d) of 2 blocks", lines[3]).groups()
     assert abs(float(ratio) - medians[1] / medians[0]) < 1e-3
     assert 0 <= int(won) <= 2
+    quartiles = re.fullmatch(r"block-median quartiles: A (\S+) / (\S+) / (\S+) ms; "
+                             r"B (\S+) / (\S+) / (\S+) ms", lines[4]).groups()
+    for median, side in zip(medians, (quartiles[:3], quartiles[3:])):
+        low, mid, high = map(float, side)
+        assert 0.0 < low <= mid <= high
+        assert abs(mid - median) < 1e-3  # one pass a block: the median pass
 
 
 # Eight code lines, counted by hand: the import with its comment, the

@@ -16,8 +16,9 @@ one process slower than another (its memory layout, the CPU it lands
 on) from biasing every block of one side.
 
 It prints each side's median pass over all blocks, B's median over A's,
-and in how many blocks B's median pass was the lower.  Standard library
-and numpy only; nothing under ``bench/`` is changed.
+in how many blocks B's median pass was the lower, and the quartiles of
+each side's block medians, against which to judge the difference.
+Standard library and numpy only; nothing under ``bench/`` is changed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -87,14 +90,13 @@ def main(argv=None) -> int:
 
     srcs = {"A": args.a_src, "B": args.b_src}
     times = {"A": [], "B": []}
-    b_won = 0
+    block_medians = {"A": [], "B": []}
     for k in range(args.blocks):
-        medians = {}
         for side in ("AB" if k % 2 == 0 else "BA"):
             block = _block(srcs[side], args)
             times[side] += block
-            medians[side] = statistics.median(block)
-        b_won += medians["B"] < medians["A"]
+            block_medians[side].append(statistics.median(block))
+    b_won = sum(b < a for a, b in zip(block_medians["A"], block_medians["B"]))
 
     med = {side: statistics.median(t) for side, t in times.items()}
     print(f"workload {args.workload}, seed {args.seed}, "
@@ -102,6 +104,9 @@ def main(argv=None) -> int:
     for side, src in (("A", args.a_src), ("B", args.b_src)):
         print(f"{side} {src}: median pass {med[side] * 1e3:.4f} ms")
     print(f"B/A {med['B'] / med['A']:.4f}; B lower in {b_won} of {args.blocks} blocks")
+    quartiles = {side: " / ".join(f"{q * 1e3:.4f}" for q in np.percentile(m, [25, 50, 75]))
+                 for side, m in block_medians.items()}
+    print(f"block-median quartiles: A {quartiles['A']} ms; B {quartiles['B']} ms")
     return 0
 
 
