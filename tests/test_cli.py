@@ -959,6 +959,25 @@ def _one_edit_configs(raw):
                 ("diagrams", name, "family"), operator.setitem, family)
 
 
+def test_one_edit_configs_parse_or_raise_config_error(deadline):
+    """Every config one edit from a bench config parses or raises
+    ConfigError: no other exception, and no search that never ends."""
+    failures, cases = [], 0
+    for name in ("riemann", "ring_predict", "simulate"):
+        raw = yaml.safe_load((_BENCH_CONFIGS / f"{name}.yaml").read_text())
+        for edit, cfg in _one_edit_configs(raw):
+            cases += 1
+            try:
+                with deadline(5):
+                    parse_config(yaml.safe_dump(cfg))
+            except ConfigError:
+                pass
+            except Exception as exc:
+                failures.append(f"{name}: {edit}: {type(exc).__name__}: {exc}")
+    assert cases == 825
+    assert not failures, "\n".join(failures)
+
+
 def _open_road_with_schedules():
     """SIM_CFG with a piecewise initial profile and a boundary schedule,
     which no bench config has."""
