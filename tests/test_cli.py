@@ -23,7 +23,10 @@ from sdlwr import (
     ConfigError,
     GreenshieldsDiagram,
     KernerKonhauserDiagram,
+    RiemannSolution,
+    SDState,
     TriangularDiagram,
+    Unique,
     Wave,
     WaveDirection,
     WaveKind,
@@ -582,6 +585,40 @@ def test_verify_reports_a_failed_check(monkeypatch, capsys, name):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1].rstrip(":") for line in lines] == _VERIFY_CHECKS
     assert lines[_VERIFY_CHECKS.index(name)].startswith(f"FAIL {name}: ")
+
+
+_ZERO_SHOCK = Wave(WaveKind.SHOCK, WaveDirection.ZERO)  # on no row of the table
+
+
+# each field of RiemannSolution, a change of it that no case-table row
+# expects, and the word the failure names it by
+_FIELD_BREAKS = {
+    "boundary_flux": (lambda sol: sol.boundary_flux + 1e-6, "flux"),
+    "stat_up": (lambda sol: SDState(sol.stat_up.demand, sol.stat_up.supply + 1e-6),
+                "stat_up"),
+    "stat_down": (lambda sol: SDState(sol.stat_down.demand + 1e-6,
+                                      sol.stat_down.supply), "stat_down"),
+    "interior_up": (lambda sol: Unique(SDState(0.0, 0.0)), "upstream"),
+    "interior_down": (lambda sol: Unique(SDState(0.0, 0.0)), "downstream"),
+    "wave_up": (lambda sol: _ZERO_SHOCK, "upstream"),
+    "wave_down": (lambda sol: _ZERO_SHOCK, "downstream"),
+}
+
+
+@pytest.mark.parametrize("field", list(_FIELD_BREAKS))
+def test_case_table_names_each_broken_field(monkeypatch, field):
+    """Every field of the solution is checked on the case table: changing
+    it on every row fails ``run_case_table`` with a message that names the
+    field, or the side it lies on."""
+    assert [f.name for f in dataclasses.fields(RiemannSolution)] == list(_FIELD_BREAKS)
+    change, word = _FIELD_BREAKS[field]
+    monkeypatch.setattr(verify_cases, "solve", _editing(
+        lambda p, sol: dataclasses.replace(sol, **{field: change(sol)}))(
+            verify_cases.solve))
+    problem = verify_cases.run_case_table()
+    assert problem is not None and word in problem, problem
+    other = {"upstream": "downstream", "downstream": "upstream"}.get(word)
+    assert other is None or other not in problem, problem
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
