@@ -44,8 +44,9 @@ for (up, down), cell in sorted(table.items(),
 print()
 
 # three loads, one per regime: below N_a, between the thresholds, and
-# above N_c.  N is computed from the very profile the runs start from,
-# so prediction and simulation carry the same vehicle count.  Off the
+# above N_c.  N is the closed-form integral of the profile the runs
+# start from; the 600 cells that the runs march hold 1.83e-5 veh fewer,
+# far below the printed digits.  Off the
 # thresholds the start-up waves just circulate and decay like 1/t, so
 # the light and heavy runs need far longer than the middle one, where
 # the bottleneck pins the flux and swallows them.

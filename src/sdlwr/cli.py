@@ -17,7 +17,8 @@ under their key paths, and a check may itself read a whole subsection.
                    flux and waves, optionally sample rho(x/t) to CSV.
 * ``simulate``     run the finite-volume scheme on a configured road,
                    write snapshot CSV and a summary report.
-* ``ring-predict`` evaluate the two-link ring asymptotics.
+* ``ring-predict`` evaluate the two-link ring asymptotics, for a vehicle
+                   count given or summed over the initial cells.
 * ``verify``       run randomized self-checks of the solver stack.
 
 Reports print values to 4 decimal places; CSV files carry 6
@@ -306,43 +307,43 @@ _INITIAL_KEYS = {
 
 
 def _build_initial(node, road: RoadConfig | None, err):
-    """(density of x, (rho0, amplitude) of a sinusoid or None); None for the
-    density when it, ``road`` or an earlier section did not parse."""
+    """The density of x, or None when it, ``road`` or an earlier section
+    did not parse."""
     path = "initial"
     kind = node.get("kind") if isinstance(node, dict) else None
     spec = _INITIAL_KEYS.get(kind) if isinstance(kind, str) else None
     _, *values = _fields(node, path, err, spec or {}, spec and {"kind"})
     if kind == "uniform":
         rho, = values
-        return (None if rho is None or road is None else lambda x: rho), None
+        return None if rho is None or road is None else lambda x: rho
     if kind == "sinusoid":
         rho0, amp = values
         if road is None or err.items:
-            return None, None
+            return None
         from .ring_analysis import _lane_sinusoid
 
         bounds = np.cumsum([c * road.dx for _, c in road.segments])[:-1]
         return _lane_sinusoid(bounds.tolist(), [fd for fd, _ in road.segments],
-                              road.length, rho0, amp), (rho0, amp)
+                              road.length, rho0, amp)
     if kind == "piecewise":
         pieces, = values
         if not isinstance(pieces, list) or not pieces:
             err.add(f"{path}.pieces", "expected a nonempty list")
-            return None, None
+            return None
         spec = {"length_km": (_positive, _REQUIRED), "rho_veh_km": (_number, _REQUIRED)}
         pieces = [_fields(piece, f"{path}.pieces[{i}]", err, spec)[1:]
                   for i, piece in enumerate(pieces)]
         if road is None or err.items:
-            return None, None
+            return None
         *bounds, total = np.cumsum([length for length, _ in pieces]).tolist()
         if abs(total - road.length) > 1e-9 * road.length:
             err.add(f"{path}.pieces",
                     f"cover {total} km but the road is {road.length} km")
-            return None, None
-        return lambda x: pieces[bisect.bisect_right(bounds, x)][1], None
+            return None
+        return lambda x: pieces[bisect.bisect_right(bounds, x)][1]
     err.add(f"{path}.kind",
             f"must be uniform, sinusoid or piecewise, got {kind!r}")
-    return None, None
+    return None
 
 
 @dataclass
@@ -466,7 +467,6 @@ class ScenarioConfig:
     diagrams: dict[str, FundamentalDiagram]
     road: RoadConfig | None
     initial: np.ndarray | None  # density of each cell of the road
-    sinusoid: tuple[float, float] | None  # (rho0, amplitude)
     numerics: NumericsConfig | None
     boundaries: BoundarySpec | None
     riemann: RiemannProblem | None
@@ -508,8 +508,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
     diagrams = {name: fd for name, fd in zip(dnode, built) if fd is not None}
 
     road = _build_road(raw["road"], diagrams, err) if "road" in raw else None
-    initial, sinusoid = (_build_initial(raw["initial"], road, err)
-                         if "initial" in raw else (None, None))
+    initial = (_build_initial(raw["initial"], road, err)
+               if "initial" in raw else None)
     if initial is not None:
         from .godunov_sim import _cell_densities, _density_problems
 
@@ -545,9 +545,8 @@ def parse_config(text: str, override_cfl: bool = False) -> ScenarioConfig:
                     f"{problem}; reduce dt_s or pass --override-cfl")
 
     err.raise_if_any()
-    return ScenarioConfig(diagrams, road, initial, sinusoid, numerics,
-                          boundaries, riemann, riemann_profile, ring_vehicles,
-                          outputs)
+    return ScenarioConfig(diagrams, road, initial, numerics, boundaries,
+                          riemann, riemann_profile, ring_vehicles, outputs)
 
 
 # ------------------------------------------------------------- building
@@ -570,7 +569,7 @@ def _keyed(path: str, call, *args):
 
 
 def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
-    from .ring_analysis import RingSpec, vehicles_of_initial
+    from .ring_analysis import RingSpec
 
     road = cfg.road
     if road is None:
@@ -585,11 +584,7 @@ def _ring_spec(cfg: ScenarioConfig) -> RingSpec:
     if cfg.initial is None:
         raise ConfigError("ring-predict needs ring.vehicles_veh or an "
                           "initial section")
-    if cfg.sinusoid is not None:
-        n = _keyed("initial", vehicles_of_initial, spec, *cfg.sinusoid)
-    else:
-        n = _build_grid(cfg).total_vehicles()
-    return spec.with_vehicles(n)
+    return spec.with_vehicles(_build_grid(cfg).total_vehicles())
 
 
 # -------------------------------------------------------------- reports

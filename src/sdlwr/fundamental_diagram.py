@@ -251,11 +251,12 @@ class FundamentalDiagram(abc.ABC):
 
         ``side`` selects the one-sided quotient (-1 from below, +1 from
         above) where it matters; smooth families ignore it beyond domain
-        clipping at the ends.
+        clipping at the ends, where a side that leaves the domain takes
+        the inside quotient, as ``side=0`` does.
         """
         h = 1e-6 * self.rho_jam
-        lo = rho if side > 0 else max(rho - h, 0.0)
-        hi = rho if side < 0 else min(rho + h, self.rho_jam)
+        lo = rho if side > 0 and rho < self.rho_jam else max(rho - h, 0.0)
+        hi = rho if side < 0 and rho > 0.0 else min(rho + h, self.rho_jam)
         return float(self.flux_curve(hi) - self.flux_curve(lo)) / (hi - lo)
 
     # -- shared interface ---------------------------------------------

@@ -495,8 +495,8 @@ def test_ring_predict_report(tmp_path, capsys):
 
 
 def test_ring_predict_counts_vehicles_of_grid(tmp_path, capsys):
-    """An initial section other than a sinusoid is counted on the built
-    grid: 40 veh/km over 16.8 km."""
+    """A uniform initial section is counted on the built grid: 40 veh/km
+    over 16.8 km."""
     uniform = RING_CFG.replace(
         "  kind: sinusoid\n  rho0_veh_km: 28.0\n  amplitude_veh_km: 3.0\n",
         "  kind: uniform\n  rho_veh_km: 40.0\n",
@@ -507,10 +507,31 @@ def test_ring_predict_counts_vehicles_of_grid(tmp_path, capsys):
     assert "scenario: critical_with_ss" in out
 
 
+@pytest.mark.parametrize("rho0", [15.4007, 177.00003])
+def test_ring_predict_counts_the_vehicles_simulate_marches(tmp_path, capsys, rho0):
+    """``ring-predict`` takes N from the cells ``simulate`` marches, a
+    sinusoid included: both print the same count, at 15.4007 veh/km where
+    the closed-form integral would round the other way, and both accept a
+    profile whose continuous peak alone passes jam (177 + 3 veh/km)."""
+    raw = yaml.safe_load((_BENCH_CONFIGS / "simulate.yaml").read_text())
+    raw["initial"]["rho0_veh_km"] = rho0
+    raw["numerics"]["duration_s"] = 0
+    cfg = tmp_path / "ring.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    counts = []
+    for command, pattern in (("ring-predict", r"\n  N = (\S+) veh\n"),
+                             ("simulate", r"\n  vehicles: initial (\S+) veh,")):
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        counts.append(re.search(pattern, out).group(1))
+    assert counts[0] == counts[1]
+
+
 def test_ring_predict_explicit_count_matches_initial(tmp_path, capsys):
     explicit = RING_CFG.replace(
         "initial:\n  kind: sinusoid\n  rho0_veh_km: 28.0\n  amplitude_veh_km: 3.0\n",
-        "ring:\n  vehicles_veh: 858.3892954340843\n",
+        "ring:\n  vehicles_veh: 858.3892771080685\n",
     )
     _run(tmp_path, "ring_sine.yaml", ["ring-predict"], RING_CFG)
     first = capsys.readouterr().out

@@ -252,6 +252,23 @@ def test_underflowing_kerner_konhauser_is_refused(field, deadline):
         KernerKonhauserDiagram(**{field: 1e-320})
 
 
+@pytest.mark.parametrize("value", [0.0, math.nan])
+def test_degenerate_user_diagram_is_refused(value):
+    """A user family whose curve is zero or NaN everywhere has no capacity
+    and no wave speed, and its construction says so with both values."""
+
+    class Flat(FundamentalDiagram):
+        rho_jam = 4.0
+
+        def flux_curve(self, rho):
+            return rho * value
+
+    with pytest.raises(ValueError) as exc:
+        Flat()
+    assert str(exc.value) == (f"degenerate diagram: capacity {value!r} veh/s, "
+                              f"max wave speed {value!r} km/s")
+
+
 def test_density_domain_checked(gs):
     with pytest.raises(ValueError):
         gs.flux(-0.5)
@@ -692,6 +709,26 @@ def test_crest_level_inverts_to_rho_crit(name):
     for fd in (base, _hook_twin(base)):
         assert fd.rho_of_gamma(1.0) == fd.inv_demand(fd.capacity) == fd.rho_crit, fd
         assert fd.inv_demand(fd.capacity + 0.5 * FLUX_TOL) == fd.rho_crit, fd
+
+
+@pytest.mark.parametrize("name", ["gs", "triangle", "trapezoid", "kk1", "kk2"])
+def test_generic_derivative_stays_inside_at_the_ends(name, mirror):
+    """On the generic path a one-sided quotient whose side leaves [0,
+    rho_jam] takes the inside one, as ``side=0`` and the closed forms do:
+    every side at both ends gives the same finite slope, within the
+    quotient's step of the exact class's, on the pass-through twins and
+    on the mirrored diagrams, whose slope at one end is minus the base's
+    at the other."""
+    base = _BUILT_IN[name]()
+    ends = (0.0, base.rho_jam)
+    for fd, exact in ((_hook_twin(base), base.derivative),
+                      (mirror(base), lambda rho, side: -base.derivative(
+                          base.rho_jam - rho, -side))):
+        for end, inside in zip(ends, (1, -1)):
+            slopes = {fd.derivative(end, side) for side in (-1, 0, 1)}
+            assert len(slopes) == 1, (fd, end, slopes)
+            slope, = slopes
+            assert slope == pytest.approx(exact(end, inside), rel=1e-5), (fd, end)
 
 
 def _kk_exact_flux(mp, lanes):

@@ -236,6 +236,65 @@ def test_rotated_ring_start_rotates_its_end():
         assert np.array_equal(_bits(rotated.rho), _bits(np.roll(rec.rho, k, axis=1)))
 
 
+def _mirror_pair(mirror, segments, seed, boundaries=None):
+    """Records of 2000 steps of a road from seeded random densities and of
+    its mirror image: the cells reversed, each on its mirrored diagram, at
+    rho_jam - rho, with the boundary data swapped (the inflow demand is
+    the original's outflow supply, and the other way round).  Also the
+    per-cell jam densities of the original."""
+    rng = np.random.default_rng(seed)
+    rho = np.concatenate([rng.uniform(0.0, fd.rho_jam, n) for fd, n in segments])
+    jam = np.repeat([fd.rho_jam for fd, _ in segments], [n for _, n in segments])
+    swapped = boundaries and BoundarySpec(boundaries.right_supply, boundaries.left_demand)
+    cfg = StepConfig(0.8)
+    return (run(SimGrid(segments, rho, 0.028, boundaries), cfg, 1600.0, record_every=200),
+            run(SimGrid([(mirror(fd), n) for fd, n in reversed(segments)],
+                        (jam - rho)[::-1], 0.028, swapped), cfg, 1600.0, record_every=200),
+            jam)
+
+
+def _mirror_gap(rec, mirrored, jam):
+    """The largest gap, in each cell's rho_jam, between a record and the
+    mirror image of its mirror's."""
+    return np.max(np.abs(jam - mirrored.rho[:, ::-1] - rec.rho) / jam)
+
+
+@pytest.mark.parametrize("name, tol", [("kk", 2e-14), ("gs_triangle", 5e-9)])
+def test_ring_march_is_mirror_symmetric(mirror, name, tol):
+    """rho(x, t) -> rho_jam - rho(-x, t) on the mirrored diagram maps a
+    ring's march onto its mirror's: each interface flux min(D, S) is the
+    same with demand and supply swapped.  Worst over 20 seeds: 5.1e-15
+    rho_jam on the KK1 | KK2 ring, whose mirror takes the generic
+    ``flux_curve`` path, and 1.2e-9 rho_jam on a Greenshields | triangle
+    ring, set by the mirrored triangle's capacity, which golden-section
+    search puts 2.8e-11 veh/s below the triangle's."""
+    segments = {
+        "kk": [(KernerKonhauserDiagram(lanes=1), 100), (KernerKonhauserDiagram(lanes=2), 500)],
+        "gs_triangle": [(GreenshieldsDiagram(27.8e-3, 120.0), 50),
+                        (TriangularDiagram(30e-3, 150.0, v_cong=6e-3), 70)],
+    }[name]
+    rec, mirrored, jam = _mirror_pair(mirror, segments, 7)
+    assert _mirror_gap(rec, mirrored, jam) <= tol
+
+
+def test_open_march_is_mirror_symmetric(mirror):
+    """The mirror of an open Greenshields | KK1 | triangle road under
+    stepped boundary schedules takes the swapped schedules, and inflow and
+    outflow swap with them.  Worst over 20 seeds: 6.9e-12 rho_jam and
+    3.0e-12 veh."""
+    rng = np.random.default_rng(7)
+    fds = [GreenshieldsDiagram(27.8e-3, 120.0), KernerKonhauserDiagram(lanes=1),
+           TriangularDiagram(30e-3, 150.0, v_cong=6e-3)]
+    left, right = (StepFunction((0.0, 480.0, 960.0),
+                                tuple(rng.uniform(0.0, fd.capacity, 3).tolist()))
+                   for fd in (fds[0], fds[-1]))
+    rec, mirrored, jam = _mirror_pair(mirror, [(fd, 40) for fd in fds], 7,
+                                      BoundarySpec(left, right))
+    assert _mirror_gap(rec, mirrored, jam) <= 5e-11
+    assert mirrored.inflow == pytest.approx(rec.outflow, abs=1e-11)
+    assert mirrored.outflow == pytest.approx(rec.inflow, abs=1e-11)
+
+
 # -- first-step consistency with the boundary Riemann solution -----------
 
 
