@@ -21,7 +21,6 @@ from sdlwr import (
     predict,
     run,
     thresholds,
-    vehicles_of_initial,
 )
 
 kk1 = KernerKonhauserDiagram(lanes=1)
@@ -44,9 +43,7 @@ for (up, down), cell in sorted(table.items(),
 print()
 
 # three loads, one per regime: below N_a, between the thresholds, and
-# above N_c.  N is the closed-form integral of the profile the runs
-# start from; the 600 cells that the runs march hold 1.83e-5 veh fewer,
-# far below the printed digits.  Off the
+# above N_c.  N is the count of the 600 cells the runs march.  Off the
 # thresholds the start-up waves just circulate and decay like 1/t, so
 # the light and heavy runs need far longer than the middle one, where
 # the bottleneck pins the flux and swallows them.
@@ -63,7 +60,9 @@ n1 = round(ring.L1 / dx)
 cfg = StepConfig(dt=0.8)
 
 for name, rho0, duration in loads:
-    n_veh = vehicles_of_initial(ring, rho0, amplitude)
+    grid = grid_from_segments([(kk1, n1), (kk2, n_cells - n1)], dx=dx,
+                              rho=initial_density(ring, rho0, amplitude))
+    n_veh = grid.total_vehicles()
     pred = predict(ring.with_vehicles(n_veh))
     print(f"{name}: N = {n_veh:.4f} veh  ->  {pred.scenario.value}, "
           f"q = {pred.q:.4f} veh/s")
@@ -73,8 +72,6 @@ for name, rho0, duration in loads:
     # both faces of a mid-cell shock quantize to the same cell
     expected = sorted({s.cell_index(dx, n_cells) for s in pred.interior_sites})
 
-    grid = grid_from_segments([(kk1, n1), (kk2, n_cells - n1)], dx=dx,
-                              rho=initial_density(ring, rho0, amplitude))
     rec = run(grid, cfg, duration=duration, record_every=10 ** 9)
     found = detect_interior_states(rec, steady_tol=2e-2, run_tol=2e-2)
     print(f"  after {duration:.0f} s: last-step movement "

@@ -108,7 +108,8 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
     """Locate the maximum of a unimodal function on [lo, hi].
 
     Plain golden-section search, shrinking the bracket until its width
-    drops below ``tol``.  Returns (argmax, max).
+    drops below ``tol``.  Returns (argmax, max), the max as a float even
+    where ``f`` answers with a 0-d array.
     """
     tol = _floor_tol(tol, lo, hi)
     a, b = lo, hi
@@ -125,7 +126,7 @@ def _golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, flo
             d = a + _INVPHI * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, float(f(x))
 
 
 def _newton(value_slope, level, lo, hi, x, rising, tol):

@@ -17,8 +17,10 @@ bottleneck whose crest is a plateau (a trapezoid, plateau up to
 rho_right1) first fills it at flux C1, so the N_c pattern holds up to
 N_c + (rho_right1 - R1(1)) L1.
 
-Besides the prediction itself this module computes vehicle counts of
-the sinusoid-perturbed initial profiles used in the experiments, and
+Besides the prediction itself this module lays the sinusoid-perturbed
+initial profile of the experiments (the grid it is laid on refuses a
+cell outside [0, rho_jam]), counts the vehicles of that profile in
+closed form (refused where it leaves [0, rho_jam] on a link), and builds
 the feasibility table of all nine (link 1, link 2) regime patterns,
 five of which contradict the admissible boundary transitions.
 """
@@ -319,41 +321,43 @@ def initial_density(spec: RingSpec, rho0: float, amplitude: float = 0.0
     a(x) is each link's lane count (1 for diagrams without lanes), so
     the perturbed base density scales onto wide links the way the
     stationary densities do.  The CLI lays its ``sinusoid`` by this rule.
-    Raises ValueError, as ``vehicles_of_initial`` does, when the profile
-    leaves [0, rho_jam] anywhere.
+    The grid it is laid on refuses it, by the range rule of its cells
+    (``ConfigError``), where it leaves [0, rho_jam]; here only a rho0 or
+    amplitude that is not finite raises ValueError.
     """
-    _check_initial_range(spec, rho0, amplitude)
+    if not (math.isfinite(rho0) and math.isfinite(amplitude)):
+        raise ValueError(f"need a finite rho0 and amplitude, got {rho0}, {amplitude}")
     return _lane_sinusoid((spec.L1,), (spec.fd1, spec.fd2), spec.L, rho0,
                           amplitude)
 
 
 def vehicles_of_initial(spec: RingSpec, rho0: float, amplitude: float = 0.0
                         ) -> float:
-    """Total vehicles of the sinusoid initial condition.
+    """Total vehicles of the continuous sinusoid initial condition.
 
     With the per-link lane weights the sine integrates in closed form.
-    Raises when the profile leaves [0, rho_jam] anywhere.
+    A grid that lays the profile counts its cells instead
+    (``SimGrid.total_vehicles``), the count the CLI and the demo take.
+    Raises ValueError when the profile leaves [0, rho_jam] on a link,
+    read at the link's ends and at the sine's crest or trough if the
+    link holds it: "below 0" on either link before "exceeds rho_jam".
     """
-    _check_initial_range(spec, rho0, amplitude)
-    w1, w2 = _lane_weight(spec.fd1), _lane_weight(spec.fd2)
-    # integral of sin(2 pi x / L) over [0, L1]
-    sine_l1 = (spec.L / (2.0 * math.pi)) * (1.0 - math.cos(2.0 * math.pi * spec.L1 / spec.L))
-    n1 = w1 * (rho0 * spec.L1 + amplitude * sine_l1)
-    n2 = w2 * (rho0 * spec.L2_len - amplitude * sine_l1)
-    return n1 + n2
-
-
-def _check_initial_range(spec: RingSpec, rho0: float, amplitude: float) -> None:
-    lo = rho0 - abs(amplitude)
-    hi = rho0 + abs(amplitude)
-    if not lo >= 0:  # NaN fails this
+    fds, bounds = (spec.fd1, spec.fd2), (0.0, spec.L1, spec.L)
+    links = []  # (diagram, its link's densities at the ends and the extremes on it)
+    for fd, a, b in zip(fds, bounds, bounds[1:]):
+        rho = _lane_sinusoid((), (fd,), spec.L, rho0, amplitude)
+        links.append((fd, [rho(x) for x in (a, b, spec.L / 4, 3 * spec.L / 4) if a <= x <= b]))
+    if not all(value >= 0 for _, values in links for value in values):  # NaN fails this
         raise ValueError(f"initial density dips below 0 (rho0={rho0}, "
                          f"amplitude={amplitude})")
-    for fd in (spec.fd1, spec.fd2):
-        if _lane_weight(fd) * hi > fd.rho_jam:
-            raise ValueError(
-                f"initial density exceeds rho_jam={fd.rho_jam} veh/km"
-            )
+    for fd, values in links:
+        if max(values) > fd.rho_jam:
+            raise ValueError(f"initial density exceeds rho_jam={fd.rho_jam} veh/km")
+    w1, w2 = map(_lane_weight, fds)
+    # integral of sin(2 pi x / L) over [0, L1]
+    sine_l1 = (spec.L / (2.0 * math.pi)) * (1.0 - math.cos(2.0 * math.pi * spec.L1 / spec.L))
+    return (w1 * (rho0 * spec.L1 + amplitude * sine_l1)
+            + w2 * (rho0 * spec.L2_len - amplitude * sine_l1))
 
 
 class LinkPattern(enum.Enum):

@@ -36,7 +36,6 @@ from sdlwr import (
     sd_flux,
     solve,
     thresholds,
-    vehicles_of_initial,
 )
 
 
@@ -94,7 +93,9 @@ def test_03_ring_thresholds():
     ring = RingSpec(16.8, 2.8, KernerKonhauserDiagram(lanes=1),
                     KernerKonhauserDiagram(lanes=2))
     n_a, n_c = thresholds(ring)
-    n28 = vehicles_of_initial(ring, 28.0, amplitude=3.0)
+    grid = grid_from_segments([(ring.fd1, 100), (ring.fd2, 500)], 16.8 / 600,
+                              rho=initial_density(ring, 28.0, 3.0))
+    n28 = grid.total_vehicles()
     pred = predict(ring.with_vehicles(n28))
     unit = 0.028
     dt = time.perf_counter() - t0

@@ -24,13 +24,16 @@ from sdlwr import (
     GreenshieldsDiagram,
     KernerKonhauserDiagram,
     RiemannSolution,
+    RingSpec,
     SDState,
     TriangularDiagram,
     Unique,
     Wave,
     WaveDirection,
     WaveKind,
+    grid_from_segments,
     initial_density,
+    vehicles_of_initial,
 )
 from sdlwr import verify_cases
 from sdlwr.cli import (
@@ -367,6 +370,18 @@ def test_riemann_report_and_profile(tmp_path, capsys):
     assert all(a >= b - 1e-12 for a, b in zip(rho, rho[1:]))
 
 
+def test_riemann_report_names_a_link_without_a_wave(tmp_path, capsys):
+    """A free upstream state whose demand the downstream link takes whole
+    is already stationary: no wave enters link 1, and the report says so."""
+    free_up = RIEMANN_CFG.replace("    demand_veh_s: 1.0\n    supply_veh_s: 0.6\n",
+                                  "    demand_veh_s: 0.5\n    supply_veh_s: 1.0\n", 1)
+    assert _run(tmp_path, "case.yaml", ["riemann"], free_up) == 0
+    report = capsys.readouterr().out
+    assert "  boundary flux q = 0.5000 veh/s\n" in report
+    assert report.endswith("  wave on link 1: none\n"
+                           "  wave on link 2: forward shock at 511.6673 m/s\n")
+
+
 def test_riemann_triangular_family(tmp_path, capsys):
     """A triangle feeding a trapezoid whose ceiling is the bottleneck:
     both triangular forms of the README's schema parse, and the boundary
@@ -526,6 +541,40 @@ def test_ring_predict_counts_the_vehicles_simulate_marches(tmp_path, capsys, rho
         assert code == 0, err
         counts.append(re.search(pattern, out).group(1))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("rho0", [167.2, 169.0])
+def test_library_and_cli_agree_on_which_sinusoids_fit(tmp_path, capsys, rho0):
+    """On a ring whose one-lane link jams at 170 veh/km, the 600-cell grid
+    laid from ``initial_density``, ``vehicles_of_initial``, ``simulate``
+    and ``ring-predict`` all accept 167.2 + 3 sin, which peaks at 169.80
+    on that link, and all refuse 169 + 3 sin with a typed error."""
+    spec = RingSpec(16.8, 2.8, KernerKonhauserDiagram(rho_jam_lane=170.0),
+                    KernerKonhauserDiagram(lanes=2))
+    raw = yaml.safe_load(RING_CFG)
+    raw["diagrams"]["narrow"]["rho_jam_lane_veh_km"] = 170.0
+    raw["initial"]["rho0_veh_km"] = rho0
+    raw["numerics"] = {"dt_s": 0.8, "duration_s": 0}
+    codes = [_run(tmp_path, "ring.yaml", [command], yaml.safe_dump(raw))
+             for command in ("simulate", "ring-predict")]
+    err = capsys.readouterr().err
+
+    def grid():
+        return grid_from_segments([(spec.fd1, 100), (spec.fd2, 500)], 0.028,
+                                  rho=initial_density(spec, rho0, 3.0))
+
+    if rho0 == 167.2:
+        assert grid().total_vehicles() == pytest.approx(5145.7493, abs=1e-4)
+        assert vehicles_of_initial(spec, rho0, 3.0) == pytest.approx(5145.7493, abs=1e-4)
+        assert (codes, err) == ([0, 0], "")
+        return
+    message = "initial density exceeds rho_jam in 68 of 600 cells, the first cell 32"
+    with pytest.raises(ConfigError) as exc:
+        grid()
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match="exceeds rho_jam=170.0 veh/km"):
+        vehicles_of_initial(spec, rho0, 3.0)
+    assert (codes, err) == ([2, 2], f"invalid config:\n  initial: {message}\n" * 2)
 
 
 def test_ring_predict_explicit_count_matches_initial(tmp_path, capsys):
@@ -1357,6 +1406,38 @@ def test_package_surface():
             assert getattr(sdlwr, name) is getattr(module, name), name
     with pytest.raises(AttributeError, match="'no_such_name'"):
         sdlwr.no_such_name
+
+
+# Public names that nothing in src/, demos/ or bench/ reads, each with why
+_UNCALLED = {
+    "admissible_stationary_down": "ROADMAP item 9: verify's uniqueness check is to call it",
+    "admissible_interior_down": "ROADMAP item 9: verify's interior-state check is to call it",
+    "entropy_flux": "ROADMAP item 9: verify's interior-state check is to call it",
+    "__version__": "package metadata, for whoever imports the package",
+}
+
+
+def test_each_public_name_has_a_caller():
+    """Every name of ``sdlwr.__all__`` outside ``_UNCALLED`` is read as a
+    name in src/, demos/ or bench/, outside its own def or class (its
+    ``__all__`` entry is a string, not a read); and every name in
+    ``_UNCALLED`` still has no such reader."""
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+
+    def walk(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id not in own:
+            read.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            walk(child, own)
+
+    for folder in ("src", "demos", "bench"):
+        for path in (root / folder).rglob("*.py"):
+            walk(ast.parse(path.read_text()), frozenset())
+    assert set(sdlwr.__all__) - read == set(_UNCALLED)
 
 
 def test_package_resolves_names_on_first_read():

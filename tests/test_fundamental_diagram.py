@@ -269,6 +269,28 @@ def test_degenerate_user_diagram_is_refused(value):
                               f"max wave speed {value!r} km/s")
 
 
+def test_zero_d_flux_curve_keeps_a_float_capacity():
+    """A user curve that answers a float with a 0-d array still gets a
+    float capacity, so its degenerate refusal prints "capacity 0.0", not
+    "capacity array(0.)"."""
+
+    class ZeroD(FundamentalDiagram):
+        rho_jam = 4.0
+
+        def flux_curve(self, rho):
+            return np.array(rho * (4.0 - rho))
+
+    class FlatZeroD(ZeroD):
+        def flux_curve(self, rho):
+            return np.array(0.0 * rho)
+
+    fd = ZeroD()
+    assert type(fd.capacity) is float
+    assert fd.capacity == pytest.approx(4.0, rel=1e-15)
+    with pytest.raises(ValueError, match=r"^degenerate diagram: capacity 0\.0 veh/s,"):
+        FlatZeroD()
+
+
 def test_density_domain_checked(gs):
     with pytest.raises(ValueError):
         gs.flux(-0.5)
@@ -696,6 +718,25 @@ def test_fast_inverses_match_hook_bisection(name):
         rho = _fan_density(fd, 0.0, fd.rho_jam, xi)
         assert abs(rho - _fan_density(hook, 0.0, fd.rho_jam, xi)) <= tol, xi
     assert _fan_density(fd, 0.0, fd.rho_jam, fd.derivative(0.0)) <= tol
+
+
+@pytest.mark.parametrize("fd", [
+    TriangularDiagram(27.8e-3, 120.0, v_cong=5.1e-3), TriangularDiagram(1.0, 4.0),
+    TriangularDiagram(30e-3, 150.0, q_max=0.6, v_cong=6e-3)],
+    ids=["asymmetric", "triangle", "trapezoid"])
+def test_generic_crest_of_a_kinked_curve(fd):
+    """The generic crest search on a pass-through twin of a kinked curve
+    (an asymmetric triangle, a symmetric one, the ``verify`` trapezoid,
+    whose crest is its plateau's left edge) lands within 1e-10 rho_jam of
+    the closed-form rho_crit and FLUX_TOL/8 of its capacity.  Golden
+    section misses by 5.5e-12 rho_jam and 1.8e-11 veh/s on the asymmetric
+    triangle and 8.4e-12 rho_jam on the trapezoid.  Bisection for the
+    root of the central quotient of Q lands 1.5e-4 veh/km above the
+    trapezoid's plateau edge and 8.3e-5 above the asymmetric triangle's
+    apex, 4.2e-7 veh/s below its capacity."""
+    hook = _hook_twin(fd)
+    assert abs(hook.rho_crit - fd.rho_crit) <= 1e-10 * fd.rho_jam
+    assert abs(hook.capacity - fd.capacity) <= FLUX_TOL / 8
 
 
 @pytest.mark.parametrize("name", ["gs", "triangle", "trapezoid", "kk1", "kk2"])

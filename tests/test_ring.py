@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sdlwr import (
     BoundarySide,
+    ConfigError,
     FeasibilityCell,
     GreenshieldsDiagram,
     InteriorSite,
@@ -18,6 +19,7 @@ from sdlwr import (
     RingSpec,
     TriangularDiagram,
     feasibility_table,
+    grid_from_segments,
     initial_density,
     predict,
     thresholds,
@@ -433,11 +435,39 @@ def test_initial_profile_range_checks(ring):
     (178.0, 3.0, "exceeds rho_jam"), (math.nan, 0.0, "below 0"),
     (28.0, math.nan, "below 0")])
 def test_initial_density_refuses_a_profile_outside_range(ring, rho0, amplitude, match):
-    """The profile is refused when it is built, as its vehicle count is:
-    28 +- 1e6 veh/km would reach -1 999 944 veh/km on the two-lane link,
-    and 178 + 3 overfills the one-lane link, which jams at 180."""
+    """The continuous count refuses the profile, and so does the 600-cell
+    grid it is laid on, with a ConfigError, or ``initial_density`` itself
+    when rho0 or the amplitude is not finite: 28 +- 1e6 veh/km would reach
+    -1 999 944 veh/km on the two-lane link, and 178 + 3 overfills the
+    one-lane link, which jams at 180."""
     with pytest.raises(ValueError, match=match):
-        initial_density(ring, rho0, amplitude)
+        vehicles_of_initial(ring, rho0, amplitude)
+    if not math.isfinite(rho0 + amplitude):
+        with pytest.raises(ValueError, match="need a finite rho0 and amplitude"):
+            initial_density(ring, rho0, amplitude)
+        return
+    profile = initial_density(ring, rho0, amplitude)
+    with pytest.raises(ConfigError, match=match):
+        grid_from_segments([(ring.fd1, 100), (ring.fd2, 500)], 0.028, rho=profile)
+
+
+@pytest.mark.parametrize("L1, rho0, amplitude, match", [
+    (8.4, 167.2, 3.0, "exceeds rho_jam=170.0"), (8.4, 167.2, -3.0, None),
+    (14.0, 167.2, -3.0, "exceeds rho_jam=170.0"), (2.8, 2.9, -3.0, "below 0")])
+def test_vehicles_of_initial_reads_each_links_extremes(kk2, L1, rho0, amplitude, match):
+    """Each link is read at the sine's crest (x = L/4) and trough (x = 3L/4)
+    where it holds them, besides its ends (which
+    ``test_library_and_cli_agree_on_which_sinusoids_fit`` reads), on a
+    16.8 km ring whose one-lane link 1 jams at 170 veh/km: a link 1 of
+    8.4 km holds the crest, 167.2 + 3, but not the trough, where a
+    negative amplitude peaks; one of 14 km holds that trough; and the
+    wide link of a 2.8 km link 1 holds the crest that a negative
+    amplitude turns into a trough, 2.9 - 3, while link 1 ends at
+    2.9 - 3 sin(60 deg) > 0."""
+    ring = RingSpec(16.8, L1, KernerKonhauserDiagram(rho_jam_lane=170.0), kk2)
+    if match is None:
+        assert vehicles_of_initial(ring, rho0, amplitude) > 0
+        return
     with pytest.raises(ValueError, match=match):
         vehicles_of_initial(ring, rho0, amplitude)
 
